@@ -125,8 +125,8 @@ def _jittered_pdf(
 
 
 def _differential_entropy_bits(pdf: np.ndarray, weights: np.ndarray) -> float:
-    integrand = np.where(pdf > 1e-300, -pdf * np.log2(pdf, where=pdf > 1e-300), 0.0)
-    return float(np.dot(weights, integrand))
+    logs = np.log2(pdf, out=np.zeros_like(pdf), where=pdf > 1e-300)
+    return float(np.dot(weights, -pdf * logs))
 
 
 def hd_mutual_information(

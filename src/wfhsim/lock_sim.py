@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .phase_metrology import PhaseTrace
 
 
@@ -159,6 +158,46 @@ def generate_noise(noise: NoiseModel, n: int, dt: float) -> np.ndarray:
     return out
 
 
+def _pi_lock_loop(
+    noise: np.ndarray,
+    dt: float,
+    kp: float,
+    ki: float,
+    setpoint: float,
+    out_min: float,
+    out_max: float,
+    actuator_gain: float,
+    actuator_alpha: float,
+) -> tuple[np.ndarray, int]:
+    """Euler-stepped closed loop: disturbance + low-passed PI actuation.
+
+    ``actuator_alpha`` is the per-step smoothing factor of the single-pole
+    actuator response.  Returns the residual trace (measured phase minus
+    setpoint) and the index of divergence (-1 if the loop stayed bounded).
+    """
+    n = noise.shape[0]
+    residual = np.empty(n, dtype=np.float64)
+    integral = 0.0
+    act = 0.0
+    for i in range(n):
+        phi = noise[i] + act
+        r = phi - setpoint
+        residual[i] = r
+        if abs(r) > 1e3:
+            return residual, i
+        err = -r
+        unsat = kp * err + ki * integral
+        if unsat > out_max:
+            u = out_max
+        elif unsat < out_min:
+            u = out_min
+        else:
+            u = unsat
+            integral += err * dt  # anti-windup: integrate only unsaturated
+        act += actuator_alpha * (actuator_gain * u - act)
+    return residual, -1
+
+
 def simulate_lock(
     duration: float,
     dt: float,
@@ -196,7 +235,7 @@ def simulate_lock(
     if pi.kp == 0.0 and pi.ki == 0.0:
         raise ValueError("lock enabled but both gains are zero")
     alpha = 1.0 - math.exp(-2.0 * math.pi * actuator.bandwidth_hz * dt)
-    residual, diverged_at = _kernels.pi_lock_loop(
+    residual, diverged_at = _pi_lock_loop(
         disturbance,
         dt,
         pi.kp,
@@ -206,7 +245,6 @@ def simulate_lock(
         pi.output_limits[1],
         actuator.gain,
         alpha,
-        True,
     )
     if diverged_at >= 0:
         raise LockDivergenceError(

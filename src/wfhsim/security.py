@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .constellation import Constellation
 from .info_metrics import MiResult, wf_mutual_information
 from .wf_receiver import WfReceiverParams, conditional_tables
@@ -88,14 +87,15 @@ def overlap_matrix(amplitudes: np.ndarray) -> np.ndarray:
     return np.exp(log_ov)
 
 
-def _entropy_of_eigvals(eig: np.ndarray) -> float:
+def _entropy_of_eigvals(eig: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each spectrum along the last axis."""
     if np.any(eig < -1e-10):
         raise NumericalFailureError(
             f"Gram eigenvalue {eig.min():.3e} below -1e-10; inputs ill-conditioned"
         )
     lam = np.clip(eig, 0.0, None)
-    nz = lam[lam > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
+    return -np.sum(lam * logs, axis=-1)
 
 
 def vn_entropy(e: Ensemble) -> float:
@@ -105,8 +105,7 @@ def vn_entropy(e: Ensemble) -> float:
     any mixture of pure states, with cost set only by the ensemble size.
     """
     gram = np.sqrt(np.outer(e.weights, e.weights)) * overlap_matrix(e.amplitudes)
-    eig = _kernels.hermitian_eigvals_jacobi(np.ascontiguousarray(gram))
-    return _entropy_of_eigvals(eig)
+    return float(_entropy_of_eigvals(np.linalg.eigvalsh(gram)))
 
 
 def eve_ensemble(c: Constellation, transmissivity: float) -> Ensemble:
@@ -119,6 +118,28 @@ def eve_ensemble(c: Constellation, transmissivity: float) -> Ensemble:
     )
 
 
+def _conditional_entropy_scan(
+    cond_probs: np.ndarray, priors: np.ndarray, overlaps: np.ndarray
+) -> tuple[float, float]:
+    """Outcome-averaged von Neumann entropy of the conditional ensembles.
+
+    ``cond_probs`` is the (M, n_out) table p(o | symbol k) and ``overlaps``
+    the (M, M) matrix <beta_j | beta_k>.  Outcomes with p(o) below
+    :data:`OUTCOME_SKIP_THRESHOLD` are dropped; the Gram matrices of all kept
+    outcomes go through one batched eigensolve.
+
+    Returns (entropy_bits, skipped_mass): the sum over kept outcomes of
+    p(o) * S(ensemble | o), and the total probability skipped.
+    """
+    joint = priors[:, None] * cond_probs
+    p_o = joint.sum(axis=0)
+    kept = p_o >= OUTCOME_SKIP_THRESHOLD
+    root = np.sqrt(joint[:, kept] / p_o[kept]).T
+    gram = root[:, :, None] * root[:, None, :] * overlaps
+    s_o = _entropy_of_eigvals(np.linalg.eigvalsh(gram))
+    return float(p_o[kept] @ s_o), float(p_o[~kept].sum())
+
+
 def conditional_eve_entropy(c: Constellation, params: WfReceiverParams) -> float:
     """Outcome-averaged entropy of the eavesdropper's conditional states, in bits.
 
@@ -127,17 +148,11 @@ def conditional_eve_entropy(c: Constellation, params: WfReceiverParams) -> float
     skipping outcomes with negligible probability.
     """
     tables = conditional_tables(c, params)
-    m = len(c.symbols)
-    n_out = tables[0].probs.size
-    cond = np.empty((m, n_out), dtype=np.float64)
-    for k, table in enumerate(tables):
-        cond[k, :] = table.probs.ravel()
+    cond = np.stack([table.probs.ravel() for table in tables])
     priors = np.array([s.prior for s in c.symbols], dtype=np.float64)
     overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity).amplitudes)
-    entropy, _skipped = _kernels.conditional_entropy_scan(
-        cond, priors, np.ascontiguousarray(overlaps), OUTCOME_SKIP_THRESHOLD
-    )
-    return float(entropy)
+    entropy, _skipped = _conditional_entropy_scan(cond, priors, overlaps)
+    return entropy
 
 
 def kgr(c: Constellation, params: WfReceiverParams) -> KgrResult:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,11 @@ class TestMutualInformation:
         clean = hd_mutual_information(qpsk, HomodyneParams())
         noisy = hd_mutual_information(qpsk, HomodyneParams(), phase_jitter_rms=0.25)
         assert noisy < clean
+
+    def test_jitter_average_is_warning_free(self, qpsk):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hd_mutual_information(qpsk, HomodyneParams(), phase_jitter_rms=0.25)
 
 
 class TestParams:

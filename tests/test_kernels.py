@@ -1,43 +1,56 @@
-import os
-import subprocess
-import sys
+"""The two hot loops: the batched Holevo outcome scan and the closed lock loop."""
 
 import numpy as np
 import pytest
 
-from wfhsim import _kernels
+from wfhsim.constellation import build_psk
+from wfhsim.lock_sim import _pi_lock_loop
+from wfhsim.security import (
+    OUTCOME_SKIP_THRESHOLD,
+    _conditional_entropy_scan,
+    eve_ensemble,
+    overlap_matrix,
+)
+from wfhsim.wf_receiver import WfReceiverParams, conditional_tables
 
 
-class TestJacobiEigensolver:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16])
-    def test_matches_lapack_on_random_hermitian(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(25):
-            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            h = np.ascontiguousarray((x + x.conj().T) / 2)
-            ours = _kernels.hermitian_eigvals_jacobi(h)
-            ref = np.linalg.eigvalsh(h)
-            assert np.max(np.abs(ours - ref)) < 1e-12 * max(1.0, np.abs(ref).max())
-
-    def test_diagonal_matrix(self):
-        h = np.diag([3.0, -1.0, 2.0]).astype(complex)
-        assert _kernels.hermitian_eigvals_jacobi(h) == pytest.approx([-1.0, 2.0, 3.0])
-
-    def test_input_not_mutated(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = np.ascontiguousarray((x + x.conj().T) / 2)
-        copy = h.copy()
-        _kernels.hermitian_eigvals_jacobi(h)
-        assert np.array_equal(h, copy)
+def reference_scan(cond, priors, overlaps):
+    """One eigvalsh call per weighted Gram matrix, outcome by outcome."""
+    total = skipped = 0.0
+    for o in range(cond.shape[1]):
+        w = priors * cond[:, o]
+        p_o = w.sum()
+        if p_o < OUTCOME_SKIP_THRESHOLD:
+            skipped += p_o
+            continue
+        post = w / p_o
+        lam = np.linalg.eigvalsh(np.sqrt(np.outer(post, post)) * overlaps)
+        lam = lam[lam > 0.0]
+        total += p_o * float(-np.sum(lam * np.log2(lam)))
+    return total, skipped
 
 
 class TestEntropyScan:
+    @pytest.mark.parametrize("jitter", [0.0, 0.25])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_matches_per_outcome_reference(self, m, jitter):
+        c = build_psk(m, 2.04, 0.0 if m == 2 else None)
+        params = WfReceiverParams(
+            lo_amplitude=3.53, visibility=0.845, transmissivity=0.5, phase_jitter_rms=jitter
+        )
+        cond = np.stack([t.probs.ravel() for t in conditional_tables(c, params)])
+        priors = np.array([s.prior for s in c.symbols])
+        overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity).amplitudes)
+        total, skipped = _conditional_entropy_scan(cond, priors, overlaps)
+        ref_total, ref_skipped = reference_scan(cond, priors, overlaps)
+        assert total == pytest.approx(ref_total, abs=1e-12)
+        assert skipped == pytest.approx(ref_skipped, abs=1e-12)
+
     def test_skips_negligible_outcomes(self):
         cond = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 1e-18]])
         priors = np.array([0.5, 0.5])
         overlaps = np.eye(2, dtype=complex)
-        total, skipped = _kernels.conditional_entropy_scan(cond, priors, overlaps, 1e-15)
+        total, skipped = _conditional_entropy_scan(cond, priors, overlaps)
         # orthogonal states, equal posterior weights: one bit per kept outcome
         assert total == pytest.approx(1.0, abs=1e-12)
         assert skipped == pytest.approx(5e-19)
@@ -45,56 +58,14 @@ class TestEntropyScan:
 
 class TestLockLoopKernel:
     def test_lock_disabled_passes_noise_through(self):
+        # both gains zero: the controller never actuates
         noise = np.linspace(-0.5, 0.5, 100)
-        residual, diverged = _kernels.pi_lock_loop(
-            noise, 1e-3, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 0.1, False
-        )
+        residual, diverged = _pi_lock_loop(noise, 1e-3, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 0.1)
         assert diverged == -1
         assert np.array_equal(residual, noise)
 
     def test_divergence_index_reported(self):
         noise = np.zeros(100)
         noise[10] = 2e3
-        residual, diverged = _kernels.pi_lock_loop(
-            noise, 1e-3, 0.0, 1.0, 0.0, -10.0, 10.0, 1.0, 0.1, True
-        )
+        residual, diverged = _pi_lock_loop(noise, 1e-3, 0.0, 1.0, 0.0, -10.0, 10.0, 1.0, 0.1)
         assert diverged == 10
-
-
-@pytest.mark.slow
-class TestFallbackEquivalence:
-    def test_env_flag_reproduces_numba_results(self):
-        """Both paths run the same source; agreement to ~ulp level.
-
-        Exact bit-identity is not guaranteed (complex abs and libm rounding
-        differ between CPython and compiled code), so compare tightly instead.
-        """
-        code = (
-            "import numpy as np\n"
-            "from wfhsim import _kernels\n"
-            "from wfhsim.constellation import build_psk\n"
-            "from wfhsim.security import kgr\n"
-            "from wfhsim.wf_receiver import WfReceiverParams\n"
-            "import warnings; warnings.filterwarnings('ignore')\n"
-            "assert _kernels.NUMBA_ENABLED == (%r == 'numba')\n"
-            "r = kgr(build_psk(4, 2.04), WfReceiverParams(lo_amplitude=3.53, transmissivity=0.5))\n"
-            "print(repr(r.kgr_bits), repr(r.s_e_bits), repr(r.s_e_given_b_bits))\n"
-        )
-
-        def run(mode: str) -> list[float]:
-            env = dict(os.environ)
-            if mode == "fallback":
-                env["WFHSIM_NO_NUMBA"] = "1"
-            else:
-                env.pop("WFHSIM_NO_NUMBA", None)
-            out = subprocess.run(
-                [sys.executable, "-c", code % mode],
-                capture_output=True,
-                text=True,
-                env=env,
-                check=True,
-            )
-            return [float(tok) for tok in out.stdout.split()]
-
-        a, b = run("numba"), run("fallback")
-        assert a == pytest.approx(b, abs=1e-12)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import fock_vn_entropy
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
@@ -86,10 +86,8 @@ class TestVnEntropy:
     def test_gram_spectrum_is_distribution(self):
         c = build_psk(8, 1.7)
         e = eve_ensemble(c, 0.3)
-        from wfhsim import _kernels
-
         gram = np.sqrt(np.outer(e.weights, e.weights)) * overlap_matrix(e.amplitudes)
-        eig = _kernels.hermitian_eigvals_jacobi(np.ascontiguousarray(gram))
+        eig = np.linalg.eigvalsh(gram)
         assert eig.min() > -1e-10
         assert eig.max() <= 1.0 + 1e-12
         assert eig.sum() == pytest.approx(1.0, abs=1e-10)
@@ -168,3 +166,47 @@ class TestKgr:
             ),
         )
         assert r.insecure == (r.kgr_bits < 0.0)
+
+
+orders = st.sampled_from([2, 4, 8])
+amplitudes = st.floats(min_value=0.3, max_value=2.5)
+transmissivities = st.floats(min_value=0.05, max_value=1.0)
+phases = st.floats(min_value=0.0, max_value=2.0 * math.pi)
+
+
+class TestKeyRateInvariants:
+    """Properties every operating point must satisfy."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=orders, amp=amplitudes, t=transmissivities, jitter=st.sampled_from([0.0, 0.25]))
+    def test_conditioning_bounded_by_unconditioned(self, m, amp, t, jitter):
+        # 0 <= S(E|B) <= S(E), i.e. 0 <= chi <= S(E)
+        c = build_psk(m, amp)
+        params = WfReceiverParams(transmissivity=t, phase_jitter_rms=jitter, **CANONICAL)
+        s_cond = conditional_eve_entropy(c, params)
+        assert -1e-9 <= s_cond <= vn_entropy(eve_ensemble(c, t)) + 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=orders, amp=amplitudes, t=transmissivities, jitter=st.sampled_from([0.0, 0.25]))
+    def test_rate_below_mi_below_source_entropy(self, m, amp, t, jitter):
+        params = WfReceiverParams(transmissivity=t, phase_jitter_rms=jitter, **CANONICAL)
+        r = kgr(build_psk(m, amp), params)
+        assert r.kgr_bits <= r.mi_bits + 1e-9
+        assert r.mi_bits <= math.log2(m) + 1e-9
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=orders, amp=amplitudes, t=transmissivities, phi0=phases)
+    def test_rotation_by_symbol_spacing_only_relabels(self, m, amp, t, phi0):
+        params = WfReceiverParams(transmissivity=t, **CANONICAL)
+        a = kgr(build_psk(m, amp, phi0), params)
+        b = kgr(build_psk(m, amp, phi0 + 2.0 * math.pi / m), params)
+        assert b.mi_bits == pytest.approx(a.mi_bits, abs=1e-10)
+        assert b.holevo_bits == pytest.approx(a.holevo_bits, abs=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=orders, amp=amplitudes, t=transmissivities, phi0=phases)
+    def test_eve_entropy_ignores_global_phase(self, m, amp, t, phi0):
+        s_ref = vn_entropy(eve_ensemble(build_psk(m, amp, 0.0), t))
+        assert vn_entropy(eve_ensemble(build_psk(m, amp, phi0), t)) == pytest.approx(
+            s_ref, abs=1e-10
+        )
