@@ -78,6 +78,7 @@ def cmd_sweep_mi(config: RunConfig) -> list[Table]:
     """MI vs loss for both receivers, both orders, and the visibility band."""
     grid = config.loss_grid()
     sigma_phi = float(config["receiver.phase_jitter_rms"])
+    quad_nodes = int(config["receiver.jitter_quad_nodes"])
     alpha = float(config["constellation.alpha"])
     cases = []
     for m in (2, 4):
@@ -95,6 +96,7 @@ def cmd_sweep_mi(config: RunConfig) -> list[Table]:
                 c,
                 HomodyneParams(transmissivity=t, visibility=xi),
                 phase_jitter_rms=sigma_phi,
+                jitter_quad_nodes=quad_nodes,
             )
             rows.append((loss_db, m, "hd", xi, sigma_phi, hd))
         return rows

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, CoherentSymbol
+from .wf_receiver import DEFAULT_JITTER_NODES, _gauss_hermite_weights
 
 LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
 
@@ -101,22 +102,17 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _mixture_pdf(x: np.ndarray, c: Constellation, params: HomodyneParams, jitter_rms: float) -> np.ndarray:
-    mix = np.zeros_like(x)
-    for s in c.symbols:
-        mix += s.prior * _jittered_pdf(x, s, params, jitter_rms)
-    return mix
-
-
 def _jittered_pdf(
-    x: np.ndarray, symbol: CoherentSymbol, params: HomodyneParams, jitter_rms: float
+    x: np.ndarray,
+    symbol: CoherentSymbol,
+    params: HomodyneParams,
+    jitter_rms: float,
+    quad_nodes: int,
 ) -> np.ndarray:
     if jitter_rms == 0.0:
         return hd_conditional_pdf(x, symbol, params)
-    nodes, weights = np.polynomial.hermite.hermgauss(21)
-    deltas = math.sqrt(2.0) * jitter_rms * nodes
     out = np.zeros_like(x)
-    for delta, w in zip(deltas, weights / math.sqrt(math.pi)):
+    for delta, w in zip(*_gauss_hermite_weights(jitter_rms, quad_nodes)):
         shifted = CoherentSymbol(
             amplitude=symbol.amplitude, phase=symbol.phase + delta, prior=symbol.prior
         )
@@ -134,21 +130,23 @@ def hd_mutual_information(
     params: HomodyneParams,
     phase_jitter_rms: float = 0.0,
     check_convergence: bool = True,
+    jitter_quad_nodes: int = DEFAULT_JITTER_NODES,
 ) -> float:
     """Mutual information of the homodyne benchmark, in bits.
 
     Entropy of the quadrature mixture minus the conditional Gaussian entropy,
     both by composite Simpson quadrature.  With ``phase_jitter_rms`` set, the
-    conditional densities are Gaussian-jitter averaged (and the conditional
-    entropy is then itself integrated per symbol).  Raises
+    conditional densities are Gaussian-jitter averaged over
+    ``jitter_quad_nodes`` Gauss-Hermite nodes (and the conditional entropy is
+    then itself integrated per symbol).  Raises
     :class:`GridAccuracyError` when halving the step moves the result by more
     than 1e-6.
     """
     x = _grid(c, params)
-    result = _hd_mi_on_grid(x, c, params, phase_jitter_rms)
+    result = _hd_mi_on_grid(x, c, params, phase_jitter_rms, jitter_quad_nodes)
     if check_convergence:
         x2 = np.linspace(x[0], x[-1], 2 * len(x) - 1)
-        refined = _hd_mi_on_grid(x2, c, params, phase_jitter_rms)
+        refined = _hd_mi_on_grid(x2, c, params, phase_jitter_rms, jitter_quad_nodes)
         if abs(refined - result) > 1e-6:
             raise GridAccuracyError(
                 f"entropy moved by {abs(refined - result):.3e} when halving the "
@@ -158,16 +156,22 @@ def hd_mutual_information(
 
 
 def _hd_mi_on_grid(
-    x: np.ndarray, c: Constellation, params: HomodyneParams, jitter_rms: float
+    x: np.ndarray,
+    c: Constellation,
+    params: HomodyneParams,
+    jitter_rms: float,
+    quad_nodes: int,
 ) -> float:
     w = _simpson_weights(len(x), float(x[1] - x[0]))
-    h_mix = _differential_entropy_bits(_mixture_pdf(x, c, params, jitter_rms), w)
+    pdfs = [_jittered_pdf(x, s, params, jitter_rms, quad_nodes) for s in c.symbols]
+    mix = np.zeros_like(x)
+    for s, pdf in zip(c.symbols, pdfs):
+        mix += s.prior * pdf
+    h_mix = _differential_entropy_bits(mix, w)
     if jitter_rms == 0.0:
         h_cond = 0.5 * math.log2(2.0 * math.pi * math.e * params.shot_noise_variance)
     else:
         h_cond = 0.0
-        for s in c.symbols:
-            h_cond += s.prior * _differential_entropy_bits(
-                _jittered_pdf(x, s, params, jitter_rms), w
-            )
+        for s, pdf in zip(c.symbols, pdfs):
+            h_cond += s.prior * _differential_entropy_bits(pdf, w)
     return max(0.0, h_mix - h_cond)

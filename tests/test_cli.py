@@ -42,6 +42,21 @@ class TestSweepMi:
             wf, hd = by_key[(m, "wf")], by_key[(m, "hd")]
             assert abs(wf - hd) / hd < 0.02
 
+    def test_jitter_nodes_reach_homodyne(self, tmp_path):
+        hd = {}
+        for nodes in (1, 21):
+            _, out = run_cli(
+                ["sweep-mi", "--set", "channel.loss_db_stop=0",
+                 "--set", "sweep.visibilities=1.0",
+                 "--set", "receiver.phase_jitter_rms=0.25",
+                 "--set", f"receiver.jitter_quad_nodes={nodes}"],
+                tmp_path, f"minodes{nodes}",
+            )
+            _, _, rows = parse_table((out / "sweep_mi.csv").read_text())
+            hd[nodes] = {r[1]: float(r[5]) for r in rows if r[2] == "hd"}
+        # one node sits at zero phase offset: the jitter has no effect
+        assert hd[1]["4"] > hd[21]["4"] + 0.01
+
     def test_quaternary_beats_binary_at_low_loss(self, tmp_path):
         _, out = run_cli(
             ["sweep-mi", "--set", "channel.loss_db_stop=1.75",

@@ -122,6 +122,27 @@ class TestMutualInformation:
             warnings.simplefilter("error")
             hd_mutual_information(qpsk, HomodyneParams(), phase_jitter_rms=0.25)
 
+    def test_jitter_nodes_converge(self, qpsk):
+        params = HomodyneParams(transmissivity=0.5)
+        mi = [
+            hd_mutual_information(
+                qpsk, params, phase_jitter_rms=0.25, jitter_quad_nodes=n
+            )
+            for n in (15, 21, 31)
+        ]
+        assert max(mi) - min(mi) < 1e-9
+
+    def test_jitter_nodes_reach_the_average(self, qpsk):
+        """One node sits at zero phase offset, so it reproduces the jitter-free MI."""
+        params = HomodyneParams(transmissivity=0.5)
+        clean = hd_mutual_information(qpsk, params)
+        one = hd_mutual_information(
+            qpsk, params, phase_jitter_rms=0.25, jitter_quad_nodes=1
+        )
+        default = hd_mutual_information(qpsk, params, phase_jitter_rms=0.25)
+        assert one == pytest.approx(clean, abs=1e-9)
+        assert default < one - 0.05
+
 
 class TestParams:
     @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from wfhsim.cli import main
 from wfhsim.config import ConfigError, load_config, parse_config_text
 from wfhsim.io import (
     format_value,
@@ -50,6 +53,18 @@ class TestTables:
         assert text.splitlines()[0] == "x"
 
 
+def reference_trace_csv(trace) -> str:
+    """The row-by-row rendering the bulk trace writer must reproduce."""
+    rows = [(i * trace.dt, v) for i, v in enumerate(trace.samples)]
+    return render_table(["t_s", "value"], rows, meta={"dt": trace.dt})
+
+
+SPECIAL_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+    math.inf, -math.inf, 0.1, -1.0 / 3.0,
+]
+
+
 class TestTraceFiles:
     def test_csv_round_trip(self, tmp_path):
         trace = PhaseTrace(np.array([0.1, -0.2, 0.3]), 1e-3)
@@ -64,6 +79,62 @@ class TestTraceFiles:
         path.write_text("t_s,value\n0,0.5\n0.001,0.25\n0.002,0.75\n")
         back = read_trace_csv(path)
         assert back.dt == pytest.approx(1e-3)
+
+    @pytest.mark.parametrize("dt", [1e-4, 1.0 / 3.0])
+    def test_csv_bytes_match_row_renderer(self, tmp_path, dt):
+        rng = np.random.default_rng(11)
+        samples = np.concatenate([rng.normal(0.0, 0.3, 10_000), SPECIAL_VALUES])
+        trace = PhaseTrace(samples, dt)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        assert path.read_bytes() == reference_trace_csv(trace).encode()
+        back = read_trace_csv(path)
+        assert np.array_equal(back.samples, trace.samples)
+        assert back.dt == trace.dt
+        assert [math.copysign(1.0, v) for v in back.samples[-11:]] == [
+            math.copysign(1.0, v) for v in SPECIAL_VALUES
+        ]
+
+    def test_csv_bytes_match_row_renderer_for_nan(self, tmp_path):
+        # PhaseTrace rejects NaN, so the writer gets a stand-in with its fields
+        trace = SimpleNamespace(samples=np.array([0.5, math.nan, -math.nan]), dt=0.1)
+        path = tmp_path / "nan.csv"
+        write_trace_csv(path, trace)
+        assert path.read_bytes() == reference_trace_csv(trace).encode()
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_csv_too_short_is_rejected_without_warnings(self, tmp_path, n):
+        # PhaseTrace needs two samples, so the writer gets a stand-in
+        trace = SimpleNamespace(samples=np.arange(n, dtype=float), dt=0.5)
+        path = tmp_path / "short.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            write_trace_csv(path, trace)
+            assert path.read_bytes() == reference_trace_csv(trace).encode()
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                read_trace_csv(path)
+
+    def test_csv_reader_follows_table_grammar(self, tmp_path):
+        text = (
+            "# dt=0.25\n# source=hand edited\n\nt_s,value\n# a note\n"
+            "0,0.5   \n\n0.25,-1.25e-3\n# dt is unchanged\n 0.5 , 3 \n"
+        )
+        path = tmp_path / "edited.csv"
+        path.write_text(text)
+        meta, _, rows = parse_table(text)
+        back = read_trace_csv(path)
+        assert back.samples.tolist() == [float(r[1]) for r in rows]
+        assert back.dt == float(meta["dt"])
+
+    @pytest.mark.parametrize(
+        "row", ["0.2", "0.2,abc", "0.2,", "   "], ids=["one-cell", "text", "empty", "spaces"]
+    )
+    def test_csv_malformed_row_raises(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# dt=0.1\nt_s,value\n0,0.5\n0.1,0.25\n{row}\n")
+        with pytest.raises(ValueError):
+            read_trace_csv(path)
+        assert main(["allan", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
 
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
