@@ -299,14 +299,12 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
             rep_seeds = ss.spawn(reps)
             rep_counts = []
             shots_per_rep = max(1, shots // reps)
+            mi_analytic = wf_mutual_information(c, params).mi_bits
             for r in range(reps):
                 rng = np.random.default_rng(rep_seeds[r])
                 counts = run_experiment(c, params, imperfections, shots_per_rep, rng)
                 rep_counts.append(counts)
-                mi_rows.append(
-                    (m, mean_sig, r, plugin_mi_estimate(counts),
-                     wf_mutual_information(c, params).mi_bits)
-                )
+                mi_rows.append((m, mean_sig, r, plugin_mi_estimate(counts), mi_analytic))
             pooled: dict = {}
             for counts in rep_counts:
                 for key, v in counts.items():

@@ -110,18 +110,24 @@ def run_experiment(
 ) -> dict[tuple[int, int, int], int]:
     """Acquire ``shots`` pulses with symbols drawn i.i.d. from the priors.
 
-    Returns occurrence counts keyed by (symbol index, n, m), ready for
-    :func:`wfhsim.info_metrics.plugin_mi_estimate`.  Deterministic for a
-    given generator state.
+    Returns occurrence counts keyed by (symbol index, n, m), in lexicographic
+    key order, ready for :func:`wfhsim.info_metrics.plugin_mi_estimate`.
+    Deterministic for a given generator state.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     priors = np.array([s.prior for s in c.symbols])
     ks = rng.choice(len(c.symbols), size=shots, p=priors)
     n, m = sample_branch_counts(c, ks, params, imperfections, rng)
-    triples = np.stack([ks, n, m], axis=1)
-    uniq, counts = np.unique(triples, axis=0, return_counts=True)
-    return {(int(k), int(a), int(b)): int(v) for (k, a, b), v in zip(uniq, counts)}
+    # one bin per (k, n, m); the linear index keeps their lexicographic order
+    side = int(max(n.max(), m.max())) + 1
+    counts = np.bincount((ks * side + n) * side + m)
+    cells = np.flatnonzero(counts)
+    k_of, rest = np.divmod(cells, side * side)
+    n_of, m_of = np.divmod(rest, side)
+    return dict(
+        zip(zip(k_of.tolist(), n_of.tolist(), m_of.tolist()), counts[cells].tolist())
+    )
 
 
 def sample_branch_counts(

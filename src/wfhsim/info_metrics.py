@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .constellation import Constellation
-from .wf_receiver import WfReceiverParams, conditional_tables
+from .wf_receiver import JointPnrDistribution, WfReceiverParams, conditional_tables
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,11 @@ def wf_mutual_information(c: Constellation, params: WfReceiverParams) -> MiResul
     conditional entropy, both over the shared truncated table (jitter-averaged
     when the receiver has phase jitter configured).
     """
-    tables = conditional_tables(c, params)
+    return _mi_from_tables(c, conditional_tables(c, params))
+
+
+def _mi_from_tables(c: Constellation, tables: list[JointPnrDistribution]) -> MiResult:
+    """:func:`wf_mutual_information` over already built conditional tables."""
     mixed = np.zeros_like(tables[0].probs)
     h_cond = 0.0
     truncation = 0.0

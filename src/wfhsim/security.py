@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation
-from .info_metrics import MiResult, wf_mutual_information
-from .wf_receiver import WfReceiverParams, conditional_tables
+from .info_metrics import MiResult, _mi_from_tables
+from .wf_receiver import JointPnrDistribution, WfReceiverParams, conditional_tables
 
 # Outcomes below this probability are skipped in the conditional-entropy
 # average; their mass bounds the omitted contribution by ~1e-11 bits.
@@ -147,10 +147,16 @@ def conditional_eve_entropy(c: Constellation, params: WfReceiverParams) -> float
     by their posterior; the average runs over the truncated outcome table,
     skipping outcomes with negligible probability.
     """
-    tables = conditional_tables(c, params)
+    return _eve_entropy_from_tables(c, conditional_tables(c, params), params.transmissivity)
+
+
+def _eve_entropy_from_tables(
+    c: Constellation, tables: list[JointPnrDistribution], transmissivity: float
+) -> float:
+    """:func:`conditional_eve_entropy` over already built conditional tables."""
     cond = np.stack([table.probs.ravel() for table in tables])
     priors = np.array([s.prior for s in c.symbols], dtype=np.float64)
-    overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity).amplitudes)
+    overlaps = overlap_matrix(eve_ensemble(c, transmissivity).amplitudes)
     entropy, _skipped = _conditional_entropy_scan(cond, priors, overlaps)
     return entropy
 
@@ -161,9 +167,10 @@ def kgr(c: Constellation, params: WfReceiverParams) -> KgrResult:
     Negative rates are reported as-is and flagged through
     :attr:`KgrResult.insecure` rather than clamped.
     """
-    mi: MiResult = wf_mutual_information(c, params)
+    tables = conditional_tables(c, params)
+    mi: MiResult = _mi_from_tables(c, tables)
     s_e = vn_entropy(eve_ensemble(c, params.transmissivity))
-    s_e_given_b = conditional_eve_entropy(c, params)
+    s_e_given_b = _eve_entropy_from_tables(c, tables, params.transmissivity)
     holevo = s_e - s_e_given_b
     return KgrResult(
         kgr_bits=mi.mi_bits - holevo,

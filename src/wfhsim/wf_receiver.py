@@ -9,12 +9,12 @@ follows a Skellam distribution.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .constellation import Constellation, CoherentSymbol
 
@@ -159,6 +159,14 @@ def _resolve_n_max(amplitudes, params: WfReceiverParams) -> int:
     return max(auto_n_max(a, params) for a in amplitudes)
 
 
+@functools.lru_cache(maxsize=128)
+def _log_factorials(n_max: int) -> np.ndarray:
+    """Read-only table of log(n!) for n = 0..n_max."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+    table.flags.writeable = False
+    return table
+
+
 def poisson_pmf(mu: float, n_max: int) -> np.ndarray:
     """Poisson probabilities for counts 0..n_max, evaluated in log space."""
     if mu < 0.0:
@@ -168,7 +176,7 @@ def poisson_pmf(mu: float, n_max: int) -> np.ndarray:
         out = np.zeros(n_max + 1)
         out[0] = 1.0
         return out
-    logp = n * math.log(mu) - mu - gammaln(n + 1.0)
+    logp = n * math.log(mu) - mu - _log_factorials(n_max)
     return np.exp(logp)
 
 
@@ -176,8 +184,17 @@ def _joint_table(mu_t: float, mu_r: float, n_max: int) -> np.ndarray:
     return np.outer(poisson_pmf(mu_t, n_max), poisson_pmf(mu_r, n_max))
 
 
-def _gauss_hermite_weights(sigma: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=32)
+def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Hermite nodes and weights for ``nodes`` points."""
     x, w = np.polynomial.hermite.hermgauss(nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_hermite_weights(sigma: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = _hermgauss(nodes)
     return math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)
 
 

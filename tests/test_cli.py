@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import wfhsim
 from wfhsim.cli import main
 from wfhsim.io import parse_table, write_trace_csv
 from wfhsim.phase_metrology import PhaseTrace
@@ -290,3 +295,18 @@ class TestManifest:
         assert manifest["config"]["montecarlo.seed"] == "77"
         assert "version" in manifest
         assert "skellam_m4_sig4.13.csv" in manifest["outputs"]
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is a test-only dependency; a fresh CLI process must not load it
+        paths = [str(Path(wfhsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        code = (
+            "import sys, wfhsim.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "[]"

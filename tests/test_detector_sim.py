@@ -121,6 +121,30 @@ class TestRunExperiment:
             values.append(plugin_mi_estimate(counts))
         assert max(values) - min(values) < 0.05
 
+    @pytest.mark.parametrize(
+        "order, imperfections",
+        [
+            (2, NO_IMPERFECTIONS),
+            (4, DetectorImperfections(dark_mean=0.5, crosstalk_prob=0.2)),
+            (1, DetectorImperfections(dark_mean=0.003, crosstalk_prob=0.01)),
+        ],
+    )
+    def test_counts_match_unique_reference(self, lab_receiver, order, imperfections):
+        if order == 1:
+            c = Constellation((lab_symbol(),), order_m=2, phi0=0.0)
+        else:
+            c = build_psk(order, math.sqrt(4.13))
+        counts = run_experiment(c, lab_receiver, imperfections, 20_000,
+                                np.random.default_rng(41))
+        # the row-sort count the bincount replaced
+        rng = np.random.default_rng(41)
+        ks = rng.choice(len(c.symbols), size=20_000, p=[s.prior for s in c.symbols])
+        n, m = sample_branch_counts(c, ks, lab_receiver, imperfections, rng)
+        uniq, freq = np.unique(np.stack([ks, n, m], axis=1), axis=0, return_counts=True)
+        reference = {(int(k), int(a), int(b)): int(v) for (k, a, b), v in zip(uniq, freq)}
+        assert list(counts.items()) == list(reference.items())
+        assert all(type(x) is int for key in counts for x in key)
+
 
 class TestDifferenceHistograms:
     def test_all_equal_counts_give_point_mass(self):

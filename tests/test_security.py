@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import fock_vn_entropy
+from wfhsim import info_metrics, security
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
+from wfhsim.info_metrics import wf_mutual_information
 from wfhsim.security import (
     Ensemble,
     NumericalFailureError,
@@ -138,6 +140,25 @@ class TestKgr:
     def test_zero_visibility_rate_vanishes(self, qpsk):
         r = kgr(qpsk, WfReceiverParams(transmissivity=0.5, lo_amplitude=3.53, visibility=0.0))
         assert r.kgr_bits == pytest.approx(0.0, abs=1e-9)
+
+    def test_builds_conditional_tables_once(self, qpsk, monkeypatch):
+        params = WfReceiverParams(transmissivity=0.5, phase_jitter_rms=0.1, **CANONICAL)
+        mi = wf_mutual_information(qpsk, params)
+        s_e_given_b = conditional_eve_entropy(qpsk, params)
+        builds = []
+        build = security.conditional_tables
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(security, "conditional_tables", counted)
+        monkeypatch.setattr(info_metrics, "conditional_tables", counted)
+        r = kgr(qpsk, params)
+        assert len(builds) == 1
+        # sharing the tables changes no bit of either term
+        assert r.mi_bits == mi.mi_bits
+        assert r.s_e_given_b_bits == s_e_given_b
 
     @pytest.mark.parametrize("loss_db", [0.0, 1.0, 3.0, 6.0, 10.0])
     def test_quaternary_dominates_binary(self, loss_db):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 from scipy.stats import skellam
 
 from helpers import brute_force_difference
@@ -10,6 +11,8 @@ from wfhsim.info_metrics import shannon_entropy
 from wfhsim.wf_receiver import (
     TruncationError,
     WfReceiverParams,
+    _hermgauss,
+    _log_factorials,
     auto_n_max,
     branch_means,
     difference_dist,
@@ -135,6 +138,30 @@ class TestJointTables:
         # the tail rule keeps tables compact at the canonical parameters
         params = WfReceiverParams(**CANONICAL)
         assert auto_n_max(2.04, params) < 100
+
+
+class TestCachedConstants:
+    def test_log_factorials_match_gammaln(self):
+        n = np.arange(2001)
+        np.testing.assert_allclose(_log_factorials(2000), gammaln(n + 1.0), rtol=1e-12, atol=0)
+
+    def test_log_factorials_cached_read_only(self):
+        table = _log_factorials(50)
+        assert _log_factorials(50) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[3] = 0.0
+
+    def test_hermite_nodes_cached_read_only(self):
+        x, w = _hermgauss(21)
+        again = _hermgauss(21)
+        assert again[0] is x and again[1] is w
+        ref_x, ref_w = np.polynomial.hermite.hermgauss(21)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        for arr in (x, w):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestDifferenceDist:
