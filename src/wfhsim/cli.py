@@ -15,7 +15,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +165,6 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
         traces = four_conditions(
             config.noise_model(seed=base_seed + s),
             config.pi_fast(),
-            config.pi_slow(),
             duration,
             dt,
             actuator=config.actuator(),
@@ -291,7 +290,7 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
         for mean_sig in config["montecarlo.signal_means"]:
             alpha = math.sqrt(float(mean_sig))
             c = build_psk(m, alpha, config.sweep_phi0(m))
-            params = _params_with_lo(config, z)
+            params = replace(config.receiver_params(1.0), lo_amplitude=z)
             mus = [branch_means(s, params) for s in c.symbols]
             d_max = max(default_d_max(*mu) for mu in mus)
             theory = [difference_dist(mu[0], mu[1], d_max) for mu in mus]
@@ -383,19 +382,6 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
     return tables
 
 
-def _params_with_lo(config: RunConfig, lo_amplitude: float):
-    from .wf_receiver import WfReceiverParams
-
-    return WfReceiverParams(
-        lo_amplitude=lo_amplitude,
-        visibility=float(config["receiver.visibility"]),
-        transmissivity=1.0,
-        n_max=config["receiver.n_max"],
-        phase_jitter_rms=float(config["receiver.phase_jitter_rms"]),
-        jitter_quad_nodes=int(config["receiver.jitter_quad_nodes"]),
-    )
-
-
 def cmd_skellam(config: RunConfig) -> list[Table]:
     """Theoretical count-difference distributions for the configured setup."""
     z = math.sqrt(float(config["montecarlo.lo_mean"]))
@@ -404,7 +390,7 @@ def cmd_skellam(config: RunConfig) -> list[Table]:
     for mean_sig in config["montecarlo.signal_means"]:
         alpha = math.sqrt(float(mean_sig))
         c = build_psk(m, alpha, config.sweep_phi0(m))
-        params = _params_with_lo(config, z)
+        params = replace(config.receiver_params(1.0), lo_amplitude=z)
         mus = [branch_means(s, params) for s in c.symbols]
         d_max = max(default_d_max(*mu) for mu in mus)
         dists = [difference_dist(mu[0], mu[1], d_max) for mu in mus]

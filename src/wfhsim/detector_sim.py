@@ -8,14 +8,13 @@ information estimates.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, CoherentSymbol
-from .wf_receiver import DiffDistribution, WfReceiverParams, branch_means
+from .constellation import Constellation
+from .wf_receiver import DiffDistribution, WfReceiverParams, _branch_means
 
 
 @dataclass(frozen=True)
@@ -82,25 +81,6 @@ def _detect(
     return counts
 
 
-def sample_shot(
-    symbol: CoherentSymbol,
-    params: WfReceiverParams,
-    imperfections: DetectorImperfections,
-    rng: np.random.Generator,
-) -> ShotRecord:
-    """Draw one detected pulse for a fixed sent symbol."""
-    phase = symbol.phase
-    if params.phase_jitter_rms > 0.0:
-        phase = phase + rng.normal(0.0, params.phase_jitter_rms)
-    jittered = CoherentSymbol(amplitude=symbol.amplitude, phase=phase, prior=symbol.prior)
-    mu_t, mu_r = branch_means(jittered, params)
-    _check_range(mu_t, imperfections)
-    _check_range(mu_r, imperfections)
-    n = int(_detect(np.array([mu_t]), imperfections, rng)[0])
-    m = int(_detect(np.array([mu_r]), imperfections, rng)[0])
-    return ShotRecord(symbol_index=0, n=n, m=m)
-
-
 def run_experiment(
     c: Constellation,
     params: WfReceiverParams,
@@ -138,22 +118,17 @@ def sample_branch_counts(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized branch counts for a sequence of symbol indices."""
-    amps = np.array([s.amplitude for s in c.symbols])[symbol_indices]
-    phases = np.array([s.phase for s in c.symbols])[symbol_indices]
+    amps = np.array([s.amplitude for s in c.symbols])
+    phases = np.array([s.phase for s in c.symbols])
+    shot_phases = phases[symbol_indices]
     if params.phase_jitter_rms > 0.0:
-        phases = phases + rng.normal(0.0, params.phase_jitter_rms, size=phases.shape)
-    t = params.transmissivity
-    z = params.lo_amplitude
-    total = t * amps**2 + z * z
-    half_cross = params.visibility * math.sqrt(t) * amps * z * np.cos(phases)
-    mu_t = 0.5 * total + half_cross
-    mu_r = 0.5 * total - half_cross
-    np.clip(mu_t, 0.0, None, out=mu_t)
-    np.clip(mu_r, 0.0, None, out=mu_r)
-    for symbol in c.symbols:
-        nominal = branch_means(symbol, params)
-        _check_range(nominal[0], imperfections)
-        _check_range(nominal[1], imperfections)
+        shot_phases = shot_phases + rng.normal(
+            0.0, params.phase_jitter_rms, size=shot_phases.shape
+        )
+    mu_t, mu_r = _branch_means(amps[symbol_indices], shot_phases, params)
+    for nominal in zip(*_branch_means(amps, phases, params)):
+        for mu in nominal:
+            _check_range(mu, imperfections)
     return _detect(mu_t, imperfections, rng), _detect(mu_r, imperfections, rng)
 
 

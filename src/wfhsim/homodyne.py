@@ -61,33 +61,42 @@ class HomodyneParams:
         return math.sqrt(self.shot_noise_variance)
 
 
-def conditional_mean(symbol: CoherentSymbol, params: HomodyneParams) -> float:
-    """Quadrature mean 2 sigma0 xi sqrt(T) a cos(phase) of one symbol."""
+def _conditional_means(amps, phases, params: HomodyneParams) -> np.ndarray:
+    """Quadrature means 2 sigma0 xi sqrt(T) a cos(phase), elementwise."""
     return (
         2.0
         * params.sigma
         * params.visibility
         * math.sqrt(params.transmissivity)
-        * symbol.amplitude
-        * math.cos(symbol.phase)
+        * np.asarray(amps, dtype=np.float64)
+        * np.cos(phases)
     )
+
+
+def conditional_mean(symbol: CoherentSymbol, params: HomodyneParams) -> float:
+    """Quadrature mean 2 sigma0 xi sqrt(T) a cos(phase) of one symbol."""
+    return float(_conditional_means(symbol.amplitude, symbol.phase, params))
+
+
+def _gaussian_pdf(x, mean: float, var: float):
+    return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
 def hd_conditional_pdf(
     x: float | np.ndarray, symbol: CoherentSymbol, params: HomodyneParams
 ) -> float | np.ndarray:
     """Gaussian density of the measured quadrature given one sent symbol."""
-    mean = conditional_mean(symbol, params)
-    var = params.shot_noise_variance
-    return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    return _gaussian_pdf(x, conditional_mean(symbol, params), params.shot_noise_variance)
 
 
 def _grid(c: Constellation, params: HomodyneParams) -> np.ndarray:
     if params.grid is not None:
         x_min, x_max, step = params.grid
     else:
-        means = [conditional_mean(s, params) for s in c.symbols]
-        reach = max(abs(m) for m in means) + GRID_PAD_SIGMAS * params.sigma
+        means = _conditional_means(
+            [s.amplitude for s in c.symbols], [s.phase for s in c.symbols], params
+        )
+        reach = float(np.max(np.abs(means))) + GRID_PAD_SIGMAS * params.sigma
         x_min, x_max, step = -reach, reach, params.sigma / STEPS_PER_SIGMA
     n = int(math.ceil((x_max - x_min) / step)) + 1
     if n % 2 == 0:  # Simpson needs an odd point count
@@ -109,14 +118,12 @@ def _jittered_pdf(
     jitter_rms: float,
     quad_nodes: int,
 ) -> np.ndarray:
-    if jitter_rms == 0.0:
-        return hd_conditional_pdf(x, symbol, params)
+    deltas, weights = _gauss_hermite_weights(jitter_rms, quad_nodes)
+    means = _conditional_means(symbol.amplitude, symbol.phase + deltas, params)
+    # one node at a time: a (node, x) temporary would cost memory, not time
     out = np.zeros_like(x)
-    for delta, w in zip(*_gauss_hermite_weights(jitter_rms, quad_nodes)):
-        shifted = CoherentSymbol(
-            amplitude=symbol.amplitude, phase=symbol.phase + delta, prior=symbol.prior
-        )
-        out += w * hd_conditional_pdf(x, shifted, params)
+    for mean, w in zip(means, weights):
+        out += w * _gaussian_pdf(x, mean, params.shot_noise_variance)
     return out
 
 

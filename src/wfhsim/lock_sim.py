@@ -264,7 +264,6 @@ FOUR_CONDITIONS = (
 def four_conditions(
     noise: NoiseModel,
     pi_fast: PiConfig,
-    pi_slow: PiConfig,  # kept for the slow-lock comparison; not in the four curves
     duration: float,
     dt: float,
     actuator: ActuatorModel | None = None,

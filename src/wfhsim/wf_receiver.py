@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,28 +112,32 @@ class DiffDistribution:
         return float(np.dot((self.support - mu) ** 2, self.probs))
 
 
-def branch_means(symbol: CoherentSymbol, params: WfReceiverParams) -> tuple[float, float]:
+def _branch_means(amps, phases, params: WfReceiverParams) -> tuple[np.ndarray, np.ndarray]:
     """Mean photon numbers (mu_t, mu_r) at the two interferometer outputs.
 
-    mu_t/r = (T a^2 + z^2 +/- 2 xi sqrt(T) a z cos(phase)) / 2.  The split is
-    computed so the sum mu_t + mu_r equals T a^2 + z^2 exactly in floating
-    point (the smaller branch is the exact complement of the larger one).
+    mu_t/r = (T a^2 + z^2 +/- 2 xi sqrt(T) a z cos(phase)) / 2, elementwise
+    over broadcast amplitudes and phases.  The split is computed so the sum
+    mu_t + mu_r equals T a^2 + z^2 exactly in floating point (the smaller
+    branch is the exact complement of the larger one).
     """
     t = params.transmissivity
     z = params.lo_amplitude
-    a = symbol.amplitude
+    a = np.asarray(amps, dtype=np.float64)
     total = t * a * a + z * z
     half = 0.5 * total
-    cross = params.visibility * math.sqrt(t) * a * z * math.cos(symbol.phase)
-    # |cross| <= half by AM-GM; clamp guards the float boundary case.
-    cross = min(max(cross, -half), half)
-    big = half + abs(cross)
-    if big > total:
-        big = total
+    cross = params.visibility * math.sqrt(t) * a * z * np.cos(phases)
+    # |cross| <= half by AM-GM; clip guards the float boundary case.
+    cross = np.clip(cross, -half, half)
+    big = np.minimum(half + np.abs(cross), total)
     small = total - big  # exact (Sterbenz): big in [total/2, total]
-    if cross >= 0.0:
-        return big, small
-    return small, big
+    positive = cross >= 0.0
+    return np.where(positive, big, small), np.where(positive, small, big)
+
+
+def branch_means(symbol: CoherentSymbol, params: WfReceiverParams) -> tuple[float, float]:
+    """Branch means (mu_t, mu_r) of one symbol; see :func:`_branch_means`."""
+    mu_t, mu_r = _branch_means(symbol.amplitude, symbol.phase, params)
+    return float(mu_t), float(mu_r)
 
 
 def homodyne_limit_ok(symbol: CoherentSymbol, params: WfReceiverParams) -> bool:
@@ -143,13 +147,7 @@ def homodyne_limit_ok(symbol: CoherentSymbol, params: WfReceiverParams) -> bool:
 
 def auto_n_max(amplitude: float, params: WfReceiverParams) -> int:
     """Truncation from a Poisson tail bound on the largest possible branch mean."""
-    t = params.transmissivity
-    z = params.lo_amplitude
-    mu_bound = 0.5 * (
-        t * amplitude * amplitude
-        + z * z
-        + 2.0 * params.visibility * math.sqrt(t) * amplitude * z
-    )
+    mu_bound = float(_branch_means(amplitude, 0.0, params)[0])
     return int(math.ceil(mu_bound + 12.0 * math.sqrt(mu_bound) + 20.0))
 
 
@@ -167,21 +165,18 @@ def _log_factorials(n_max: int) -> np.ndarray:
     return table
 
 
-def poisson_pmf(mu: float, n_max: int) -> np.ndarray:
-    """Poisson probabilities for counts 0..n_max, evaluated in log space."""
-    if mu < 0.0:
-        raise ValueError(f"Poisson mean must be >= 0, got {mu}")
+def poisson_pmf(mu, n_max: int) -> np.ndarray:
+    """Poisson probabilities for counts 0..n_max, evaluated in log space.
+
+    An array of k means gives a (k, n_max + 1) array, one row per mean.
+    """
+    mu = np.asarray(mu, dtype=np.float64)[..., None]
+    if np.any(mu < 0.0):
+        raise ValueError(f"Poisson mean must be >= 0, got {mu.min()}")
     n = np.arange(n_max + 1, dtype=np.float64)
-    if mu == 0.0:
-        out = np.zeros(n_max + 1)
-        out[0] = 1.0
-        return out
-    logp = n * math.log(mu) - mu - _log_factorials(n_max)
-    return np.exp(logp)
-
-
-def _joint_table(mu_t: float, mu_r: float, n_max: int) -> np.ndarray:
-    return np.outer(poisson_pmf(mu_t, n_max), poisson_pmf(mu_r, n_max))
+    positive = mu > 0.0
+    logp = n * np.log(np.where(positive, mu, 1.0)) - mu - _log_factorials(n_max)
+    return np.where(positive, np.exp(logp), n == 0.0)
 
 
 @functools.lru_cache(maxsize=32)
@@ -194,6 +189,12 @@ def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_hermite_weights(sigma: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Phase offsets and weights averaging over N(0, sigma^2) phase jitter.
+
+    Zero jitter is the one-node rule: no offset, unit weight.
+    """
+    if sigma == 0.0:
+        return np.zeros(1), np.ones(1)
     x, w = _hermgauss(nodes)
     return math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)
 
@@ -203,9 +204,8 @@ def joint_pnr_conditional(
 ) -> JointPnrDistribution:
     """Joint count table conditioned on one sent symbol.
 
-    With zero phase jitter this is the product of the two branch Poisson laws;
-    otherwise the table is averaged over Gaussian phase jitter by
-    Gauss-Hermite quadrature.
+    The product of the two branch Poisson laws, averaged over Gaussian phase
+    jitter by Gauss-Hermite quadrature: sum_j w_j P_t(delta_j) P_r(delta_j)^T.
     """
     if not homodyne_limit_ok(symbol, params):
         warnings.warn(
@@ -214,21 +214,11 @@ def joint_pnr_conditional(
             stacklevel=2,
         )
     n_max = _resolve_n_max([symbol.amplitude], params)
-    sigma = params.phase_jitter_rms
-    if sigma == 0.0:
-        mu_t, mu_r = branch_means(symbol, params)
-        table = _joint_table(mu_t, mu_r, n_max)
-    else:
-        deltas, weights = _gauss_hermite_weights(sigma, params.jitter_quad_nodes)
-        table = np.zeros((n_max + 1, n_max + 1))
-        for delta, weight in zip(deltas, weights):
-            shifted = CoherentSymbol(
-                amplitude=symbol.amplitude,
-                phase=symbol.phase + delta,
-                prior=symbol.prior,
-            )
-            mu_t, mu_r = branch_means(shifted, params)
-            table += weight * _joint_table(mu_t, mu_r, n_max)
+    deltas, weights = _gauss_hermite_weights(
+        params.phase_jitter_rms, params.jitter_quad_nodes
+    )
+    mu_t, mu_r = _branch_means(symbol.amplitude, symbol.phase + deltas, params)
+    table = (weights[:, None] * poisson_pmf(mu_t, n_max)).T @ poisson_pmf(mu_r, n_max)
     truncation_mass = max(0.0, 1.0 - float(table.sum()))
     if truncation_mass > TRUNCATION_LIMIT:
         raise TruncationError(
@@ -255,14 +245,7 @@ def conditional_tables(
 ) -> list[JointPnrDistribution]:
     """Conditional tables for every symbol, on one shared truncation grid."""
     n_max = _resolve_n_max([s.amplitude for s in c.symbols], params)
-    shared = WfReceiverParams(
-        lo_amplitude=params.lo_amplitude,
-        visibility=params.visibility,
-        transmissivity=params.transmissivity,
-        n_max=n_max,
-        phase_jitter_rms=params.phase_jitter_rms,
-        jitter_quad_nodes=params.jitter_quad_nodes,
-    )
+    shared = replace(params, n_max=n_max)
     return [joint_pnr_conditional(s, shared) for s in c.symbols]
 
 

@@ -73,13 +73,14 @@ def test_criterion_2_information_saturates_at_source_entropy():
 
 
 def test_criterion_3_quaternary_wins_below_two_db():
-    """KNOWN RED at visibility 0.845 (see decisions ledger and README).
+    """KNOWN RED at visibility 0.845 (see README).
 
     With the experiment's antipodal binary encoding and the pinned Gaussian
     jitter model (sigma 0.25 rad), binary MI genuinely exceeds quaternary MI
     between ~0.75 and 2 dB at the lower band edge; an independent per-shot
-    Monte Carlo reproduces the analytic ordering.  The claim holds at
-    visibility 1.0.
+    Monte Carlo reproduces the analytic ordering, see
+    ``test_info_metrics.py::test_binary_beats_quaternary_at_lower_visibility_edge``.
+    The claim holds at visibility 1.0.
     """
     alpha, z = math.sqrt(4.16), math.sqrt(12.5)
     c4, c2 = build_psk(4, alpha), build_psk(2, alpha, 0.0)
@@ -255,7 +256,6 @@ def test_criterion_10_lock_characterization():
         traces = four_conditions(
             config.noise_model(seed=int(config["lock.seed"]) + seed),
             config.pi_fast(),
-            config.pi_slow(),
             duration,
             dt,
             actuator=config.actuator(),

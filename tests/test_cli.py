@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wfhsim
 from wfhsim.cli import main
@@ -12,6 +13,10 @@ from wfhsim.io import parse_table, write_trace_csv
 from wfhsim.phase_metrology import PhaseTrace
 
 SMALL_GRID = ["--set", "channel.loss_db_stop=0.5", "--set", "channel.loss_db_step=0.25"]
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+# columns that label a row; every other column must match to 1e-12 rel + abs
+LABEL_COLUMNS = {"loss_db", "m", "receiver", "visibility", "sigma_phi", "insecure"}
+
 SMALL_LOCK = [
     "--set", "lock.duration_s=2.0",
     "--set", "lock.n_seeds=2",
@@ -247,6 +252,33 @@ class TestEdgeCases:
             )
             outputs.append((out / "sweep_mi.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestBenchmarkReferences:
+    """Refactors reproduce the benchmark's reference tables to 1e-12."""
+
+    @pytest.mark.parametrize(
+        "args, reference",
+        [
+            (["sweep-mi", "--set", "receiver.phase_jitter_rms=0.25"], "jitter-mi/sweep_mi.csv"),
+            (["sweep-kgr", "--set", "channel.loss_db_step=1.0"], "kgr-sweep/sweep_kgr.csv"),
+        ],
+        ids=["jitter-mi", "kgr-sweep"],
+    )
+    def test_matches_reference_table(self, tmp_path, args, reference):
+        code, out = run_cli(args, tmp_path, "ref")
+        assert code == 0
+        ref_path = REFERENCE_DIR / reference
+        meta, header, rows = parse_table((out / ref_path.name).read_text())
+        ref_meta, ref_header, ref_rows = parse_table(ref_path.read_text())
+        assert (meta, header, len(rows)) == (ref_meta, ref_header, len(ref_rows))
+        for row, ref in zip(rows, ref_rows):
+            for name, cell, ref_cell in zip(header, row, ref):
+                if name in LABEL_COLUMNS:
+                    assert cell == ref_cell, name
+                else:
+                    a, b = float(cell), float(ref_cell)
+                    assert abs(a - b) <= 1e-12 + 1e-12 * abs(b), (name, row, ref)
 
 
 class TestErrorHandling:

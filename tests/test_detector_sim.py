@@ -14,7 +14,6 @@ from wfhsim.detector_sim import (
     fidelity,
     run_experiment,
     sample_branch_counts,
-    sample_shot,
 )
 from wfhsim.info_metrics import plugin_mi_estimate
 from wfhsim.wf_receiver import (
@@ -34,12 +33,13 @@ def lab_symbol(sign: float = 1.0) -> CoherentSymbol:
 
 class TestSampleShot:
     def test_dark_port_only_zeros(self):
-        symbol = CoherentSymbol(0.0, 0.0, 1.0)
-        params = WfReceiverParams(lo_amplitude=0.0)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            rec = sample_shot(symbol, params, NO_IMPERFECTIONS, rng)
-            assert (rec.n, rec.m) == (0, 0)
+        dark = Constellation((CoherentSymbol(0.0, 0.0, 1.0),), order_m=2, phi0=0.0)
+        params = WfReceiverParams(lo_amplitude=0.0, phase_jitter_rms=0.25)
+        n, m = sample_branch_counts(
+            dark, np.zeros(50, dtype=np.intp), params, NO_IMPERFECTIONS,
+            np.random.default_rng(0),
+        )
+        assert not n.any() and not m.any()
 
     def test_sample_mean_with_imperfections(self):
         imp = DetectorImperfections(dark_mean=0.01, crosstalk_prob=0.02)
@@ -70,9 +70,10 @@ class TestSampleShot:
 
     def test_out_of_range_mean_warns(self):
         params = WfReceiverParams(lo_amplitude=10.0)
-        with pytest.warns(RangeWarning):
-            sample_shot(CoherentSymbol(0.0, 0.0, 1.0), params, NO_IMPERFECTIONS,
-                        np.random.default_rng(1))
+        vacuum = Constellation((CoherentSymbol(0.0, 0.0, 1.0),), order_m=2, phi0=0.0)
+        with pytest.warns(RangeWarning, match="branch mean 50.000"):
+            sample_branch_counts(vacuum, np.zeros(1, dtype=np.intp), params,
+                                 NO_IMPERFECTIONS, np.random.default_rng(1))
 
 
 class TestRunExperiment:

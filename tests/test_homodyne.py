@@ -9,6 +9,8 @@ from wfhsim.constellation import Constellation, CoherentSymbol, build_psk
 from wfhsim.homodyne import (
     GridAccuracyError,
     HomodyneParams,
+    _grid,
+    _jittered_pdf,
     conditional_mean,
     hd_conditional_pdf,
     hd_mutual_information,
@@ -131,6 +133,20 @@ class TestMutualInformation:
             for n in (15, 21, 31)
         ]
         assert max(mi) - min(mi) < 1e-9
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.25])
+    def test_jittered_pdf_matches_node_loop(self, qpsk, sigma):
+        params = HomodyneParams(transmissivity=0.6, visibility=0.845)
+        x = _grid(qpsk, params)
+        nodes, weights = np.polynomial.hermite.hermgauss(21)
+        for s in qpsk.symbols:
+            ref = np.zeros_like(x)
+            for delta, w in zip(math.sqrt(2.0) * sigma * nodes, weights / math.sqrt(math.pi)):
+                ref += w * hd_conditional_pdf(
+                    x, CoherentSymbol(s.amplitude, s.phase + delta, 1.0), params
+                )
+            got = _jittered_pdf(x, s, params, sigma, 21)
+            assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_jitter_nodes_reach_the_average(self, qpsk):
         """One node sits at zero phase offset, so it reproduces the jitter-free MI."""

@@ -163,7 +163,7 @@ class TestSimulateLock:
 class TestFourConditions:
     def test_zero_noise_gives_four_flat_traces(self):
         traces = four_conditions(
-            NoiseModel(seed=5, **QUIET), default_fast_pi(), default_slow_pi(), 1.0, 1e-3
+            NoiseModel(seed=5, **QUIET), default_fast_pi(), 1.0, 1e-3
         )
         assert set(traces) == set(FOUR_CONDITIONS)
         for tr in traces.values():
@@ -173,7 +173,7 @@ class TestFourConditions:
         rms = {c: [] for c in FOUR_CONDITIONS}
         for seed in range(10):
             traces = four_conditions(
-                NoiseModel(seed=seed), default_fast_pi(), default_slow_pi(), 60.0, 1e-4
+                NoiseModel(seed=seed), default_fast_pi(), 60.0, 1e-4
             )
             for c, tr in traces.items():
                 rms[c].append(rms_phase(tr))
@@ -182,7 +182,7 @@ class TestFourConditions:
 
     def test_box_and_lock_both_reduce_noise(self):
         traces = four_conditions(
-            NoiseModel(seed=12), default_fast_pi(), default_slow_pi(), 20.0, 1e-4
+            NoiseModel(seed=12), default_fast_pi(), 20.0, 1e-4
         )
         r = {c: rms_phase(tr) for c, tr in traces.items()}
         assert r["fast_lock_box_closed"] < r["lock_off_box_open"]

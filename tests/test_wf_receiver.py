@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,15 +7,18 @@ from scipy.special import gammaln
 from scipy.stats import skellam
 
 from helpers import brute_force_difference
-from wfhsim.constellation import CoherentSymbol, build_psk
+from wfhsim import wf_receiver
+from wfhsim.constellation import CoherentSymbol, build_psk, wrap_phase
 from wfhsim.info_metrics import shannon_entropy
 from wfhsim.wf_receiver import (
     TruncationError,
     WfReceiverParams,
+    _branch_means,
     _hermgauss,
     _log_factorials,
     auto_n_max,
     branch_means,
+    conditional_tables,
     difference_dist,
     joint_pnr_conditional,
     joint_pnr_marginal,
@@ -51,6 +55,22 @@ class TestBranchMeans:
         mu_t, mu_r = branch_means(CoherentSymbol(alpha, phase, 1.0), params)
         assert mu_t >= 0.0 and mu_r >= 0.0
         assert mu_t + mu_r == t * alpha * alpha + 3.53 * 3.53
+
+    @pytest.mark.parametrize(
+        "receiver",
+        [dict(lo_amplitude=3.53), dict(lo_amplitude=2.2, visibility=0.845, transmissivity=0.37)],
+    )
+    def test_array_law_matches_scalar_law(self, receiver):
+        params = WfReceiverParams(**receiver)
+        rng = np.random.default_rng(8)
+        amps = rng.uniform(0.0, 4.0, 400)
+        phases = np.array([wrap_phase(p) for p in rng.uniform(-8.0, 8.0, 400)])
+        mu_t, mu_r = _branch_means(amps, phases, params)
+        scalar = [branch_means(CoherentSymbol(a, p, 1.0), params) for a, p in zip(amps, phases)]
+        assert np.array_equal(mu_t, [s[0] for s in scalar])
+        assert np.array_equal(mu_r, [s[1] for s in scalar])
+        t, z = params.transmissivity, params.lo_amplitude
+        assert np.array_equal(mu_t + mu_r, t * amps * amps + z * z)
 
     def test_visibility_monotonicity(self):
         symbol = CoherentSymbol(2.04, 0.3, 1.0)
@@ -133,6 +153,63 @@ class TestJointTables:
             symbol, WfReceiverParams(phase_jitter_rms=0.25, **CANONICAL)
         )
         assert shannon_entropy(jit.probs) > shannon_entropy(base.probs)
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("sigma", [0.1, 0.25])
+    def test_jittered_table_matches_node_loop(self, m, sigma):
+        params = WfReceiverParams(phase_jitter_rms=sigma, **CANONICAL)
+        c = build_psk(m, 2.04)
+        tables = conditional_tables(c, params)
+        x, w = np.polynomial.hermite.hermgauss(params.jitter_quad_nodes)
+        for symbol, table in zip(c.symbols, tables):
+            ref = np.zeros_like(table.probs)
+            for delta, weight in zip(math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)):
+                shifted = CoherentSymbol(symbol.amplitude, symbol.phase + delta, 1.0)
+                mu_t, mu_r = branch_means(shifted, params)
+                ref += weight * np.outer(
+                    poisson_pmf(mu_t, table.n_max), poisson_pmf(mu_r, table.n_max)
+                )
+            assert np.max(np.abs(table.probs - ref)) <= 1e-12
+
+    def test_zero_jitter_is_plain_outer_product(self):
+        params = WfReceiverParams(**CANONICAL)
+        for symbol in build_psk(4, 2.04).symbols:
+            table = joint_pnr_conditional(symbol, params)
+            mu_t, mu_r = branch_means(symbol, params)
+            ref = np.outer(poisson_pmf(mu_t, table.n_max), poisson_pmf(mu_r, table.n_max))
+            assert np.array_equal(table.probs, ref)
+
+    def test_poisson_rows_match_scalar_pmf(self):
+        mus = np.array([0.0, 0.3, 2.5, 15.5, 40.0])
+        rows = poisson_pmf(mus, 60)
+        assert rows.shape == (5, 61)
+        for mu, row in zip(mus, rows):
+            assert np.array_equal(row, poisson_pmf(mu, 60))
+        assert np.array_equal(rows[0], np.eye(61)[0])
+        with pytest.raises(ValueError):
+            poisson_pmf(np.array([1.0, -0.5]), 10)
+
+    def test_conditional_tables_keep_receiver_fields(self, monkeypatch):
+        params = WfReceiverParams(
+            lo_amplitude=3.1,
+            visibility=0.9,
+            transmissivity=0.7,
+            phase_jitter_rms=0.2,
+            jitter_quad_nodes=9,
+        )
+        seen = []
+        build = wf_receiver.joint_pnr_conditional
+        monkeypatch.setattr(
+            wf_receiver,
+            "joint_pnr_conditional",
+            lambda s, p: seen.append(p) or build(s, p),
+        )
+        c = build_psk(4, 2.04)
+        tables = conditional_tables(c, params)
+        n_max = max(auto_n_max(s.amplitude, params) for s in c.symbols)
+        assert [t.n_max for t in tables] == [n_max] * 4
+        # frozen-dataclass equality compares every field
+        assert seen == [replace(params, n_max=n_max)] * 4
 
     def test_auto_truncation_scale(self):
         # the tail rule keeps tables compact at the canonical parameters
