@@ -276,6 +276,13 @@ def _read_trace(path: str):
     return read_trace_csv(p)
 
 
+def _skellam_theory(c, params) -> tuple[int, list]:
+    """Per-symbol Skellam laws of the count difference on one shared window."""
+    mus = [branch_means(s, params) for s in c.symbols]
+    d_max = max(default_d_max(*mu) for mu in mus)
+    return d_max, [difference_dist(mu_t, mu_r, d_max) for mu_t, mu_r in mus]
+
+
 def cmd_montecarlo(config: RunConfig) -> list[Table]:
     """Per-symbol difference histograms with theory overlays, plus plug-in MI."""
     z = math.sqrt(float(config["montecarlo.lo_mean"]))
@@ -283,17 +290,14 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
     reps = int(config["montecarlo.repetitions"])
     seed = int(config["montecarlo.seed"])
     imperfections = config.imperfections()
+    params = replace(config.receiver_params(1.0), lo_amplitude=z)
     tables = []
     summary_rows = []
     mi_rows = []
     for m in (2, 4):
         for mean_sig in config["montecarlo.signal_means"]:
-            alpha = math.sqrt(float(mean_sig))
-            c = build_psk(m, alpha, config.sweep_phi0(m))
-            params = replace(config.receiver_params(1.0), lo_amplitude=z)
-            mus = [branch_means(s, params) for s in c.symbols]
-            d_max = max(default_d_max(*mu) for mu in mus)
-            theory = [difference_dist(mu[0], mu[1], d_max) for mu in mus]
+            c = build_psk(m, math.sqrt(float(mean_sig)), config.sweep_phi0(m))
+            d_max, theory = _skellam_theory(c, params)
             ss = np.random.SeedSequence([seed, m, int(round(mean_sig * 1000))])
             rep_seeds = ss.spawn(reps)
             rep_counts = []
@@ -312,7 +316,7 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
             for k in range(m):
                 try:
                     empirical.append(difference_hist_from_counts(pooled, k, d_max))
-                except ValueError:  # no records for this symbol at tiny shot counts
+                except ValueError:  # no shots for this symbol at tiny shot counts
                     empirical.append(None)
             for k in range(m):
                 emp = empirical[k]
@@ -386,14 +390,11 @@ def cmd_skellam(config: RunConfig) -> list[Table]:
     """Theoretical count-difference distributions for the configured setup."""
     z = math.sqrt(float(config["montecarlo.lo_mean"]))
     m = int(config["constellation.m"])
+    params = replace(config.receiver_params(1.0), lo_amplitude=z)
     tables = []
     for mean_sig in config["montecarlo.signal_means"]:
-        alpha = math.sqrt(float(mean_sig))
-        c = build_psk(m, alpha, config.sweep_phi0(m))
-        params = replace(config.receiver_params(1.0), lo_amplitude=z)
-        mus = [branch_means(s, params) for s in c.symbols]
-        d_max = max(default_d_max(*mu) for mu in mus)
-        dists = [difference_dist(mu[0], mu[1], d_max) for mu in mus]
+        c = build_psk(m, math.sqrt(float(mean_sig)), config.sweep_phi0(m))
+        d_max, dists = _skellam_theory(c, params)
         rows = []
         for i, d in enumerate(range(-d_max, d_max + 1)):
             rows.append(tuple([d] + [float(dist.probs[i]) for dist in dists]))

@@ -22,26 +22,17 @@ class ConfigError(ValueError):
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
-
-
-def _parse_int(s: str) -> int:
-    return int(s)
-
-
-def _parse_str(s: str) -> str:
-    return s
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError("value must be finite")
+    return x
 
 
 def _parse_float_list(s: str) -> tuple[float, ...]:
     parts = [p.strip() for p in s.split(",") if p.strip()]
     if not parts:
         raise ValueError("empty list")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_auto_float(s: str) -> float | None:
-    return None if s.lower() == "auto" else float(s)
+    return tuple(_parse_float(p) for p in parts)
 
 
 def _parse_auto_int(s: str) -> int | None:
@@ -50,34 +41,32 @@ def _parse_auto_int(s: str) -> int | None:
 
 # key -> parser; this is the complete set of accepted keys
 KEY_PARSERS = {
-    "constellation.m": _parse_int,
+    "constellation.m": int,
     "constellation.alpha": _parse_float,
-    "constellation.phi0": _parse_auto_float,
     "receiver.lo_amplitude": _parse_float,
     "receiver.visibility": _parse_float,
     "receiver.phase_jitter_rms": _parse_float,
     "receiver.n_max": _parse_auto_int,
-    "receiver.jitter_quad_nodes": _parse_int,
+    "receiver.jitter_quad_nodes": int,
     "channel.loss_db_start": _parse_float,
     "channel.loss_db_stop": _parse_float,
     "channel.loss_db_step": _parse_float,
     "sweep.visibilities": _parse_float_list,
     "sweep.bpsk_phi0": _parse_float,
     "sweep.qpsk_phi0": _parse_float,
-    "montecarlo.shots": _parse_int,
-    "montecarlo.repetitions": _parse_int,
-    "montecarlo.seed": _parse_int,
+    "montecarlo.shots": int,
+    "montecarlo.repetitions": int,
+    "montecarlo.seed": int,
     "montecarlo.dark_mean": _parse_float,
     "montecarlo.crosstalk_prob": _parse_float,
     "montecarlo.signal_means": _parse_float_list,
     "montecarlo.lo_mean": _parse_float,
     "lock.duration_s": _parse_float,
     "lock.dt_s": _parse_float,
-    "lock.n_seeds": _parse_int,
-    "lock.seed": _parse_int,
+    "lock.n_seeds": int,
+    "lock.seed": int,
     "lock.kp_fast": _parse_float,
     "lock.ki_fast": _parse_float,
-    "lock.ki_slow": _parse_float,
     "lock.actuator_bandwidth_hz": _parse_float,
     "lock.actuator_gain": _parse_float,
     "lock.noise_drift_rate": _parse_float,
@@ -93,12 +82,12 @@ KEY_PARSERS = {
     "lock.noise_air_freq": _parse_float,
     "lock.noise_air_width": _parse_float,
     "lock.noise_box_factor": _parse_float,
-    "lock.allan_min_m": _parse_int,
-    "lock.allan_max_m": _parse_int,
+    "lock.allan_min_m": int,
+    "lock.allan_max_m": int,
     "lock.asd_segment_s": _parse_float,
     "lock.asd_overlap": _parse_float,
-    "output.directory": _parse_str,
-    "output.format": _parse_str,
+    "output.directory": str,
+    "output.format": str,
 }
 
 
@@ -134,16 +123,13 @@ class RunConfig:
 
     # -- typed views -----------------------------------------------------
 
-    def constellation_phi0(self, order_m: int) -> float:
-        phi0 = self.values["constellation.phi0"]
-        return math.pi / (2 * order_m) if phi0 is None else float(phi0)
-
-    def sweep_phi0(self, order_m: int) -> float:
+    def sweep_phi0(self, order_m: int) -> float | None:
+        """Reference phase for order 2 or 4; None leaves :func:`build_psk`'s default."""
         if order_m == 2:
             return float(self.values["sweep.bpsk_phi0"])
         if order_m == 4:
             return float(self.values["sweep.qpsk_phi0"])
-        return math.pi / (2 * order_m)
+        return None
 
     def receiver_params(self, transmissivity: float, visibility: float | None = None) -> WfReceiverParams:
         return WfReceiverParams(
@@ -197,9 +183,6 @@ class RunConfig:
 
     def pi_fast(self) -> PiConfig:
         return PiConfig(kp=float(self.values["lock.kp_fast"]), ki=float(self.values["lock.ki_fast"]))
-
-    def pi_slow(self) -> PiConfig:
-        return PiConfig(kp=0.0, ki=float(self.values["lock.ki_slow"]))
 
     def actuator(self) -> ActuatorModel:
         return ActuatorModel(
@@ -266,7 +249,7 @@ def _check_constellation(config: RunConfig) -> None:
     from .constellation import build_psk
 
     m = int(config["constellation.m"])
-    build_psk(m, float(config["constellation.alpha"]), config.constellation_phi0(m))
+    build_psk(m, float(config["constellation.alpha"]), config.sweep_phi0(m))
 
 
 def _check_sweep(config: RunConfig) -> None:
@@ -291,7 +274,6 @@ def _check_montecarlo(config: RunConfig) -> None:
 def _check_lock(config: RunConfig) -> None:
     config.noise_model(seed=0)
     config.pi_fast()
-    config.pi_slow()
     config.actuator()
     if float(config["lock.dt_s"]) <= 0.0:
         raise ValueError("lock.dt_s must be > 0")

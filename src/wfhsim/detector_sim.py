@@ -1,8 +1,8 @@
 """Shot-by-shot Monte Carlo of the two-detector receiver.
 
 Samples Poissonian branch counts per pulse with optional Gaussian phase
-jitter, dark counts, and single-generation crosstalk, and reduces record
-streams to the empirical distributions used for fidelity checks and plug-in
+jitter, dark counts, and single-generation crosstalk, and reduces the shot
+counts to the empirical distributions used for fidelity checks and plug-in
 information estimates.
 """
 
@@ -41,19 +41,6 @@ class DetectorImperfections:
 
 
 NO_IMPERFECTIONS = DetectorImperfections()
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One detected pulse: symbol index and the two branch counts."""
-
-    symbol_index: int
-    n: int
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.symbol_index < 0 or self.n < 0 or self.m < 0:
-            raise ValueError("symbol index and counts must be >= 0")
 
 
 class RangeWarning(UserWarning):
@@ -96,8 +83,7 @@ def run_experiment(
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    priors = np.array([s.prior for s in c.symbols])
-    ks = rng.choice(len(c.symbols), size=shots, p=priors)
+    ks = rng.choice(len(c), size=shots, p=np.array(c.priors))
     n, m = sample_branch_counts(c, ks, params, imperfections, rng)
     # one bin per (k, n, m); the linear index keeps their lexicographic order
     side = int(max(n.max(), m.max())) + 1
@@ -118,8 +104,8 @@ def sample_branch_counts(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized branch counts for a sequence of symbol indices."""
-    amps = np.array([s.amplitude for s in c.symbols])
-    phases = np.array([s.phase for s in c.symbols])
+    amps = np.array(c.amplitudes)
+    phases = np.array(c.phases)
     shot_phases = phases[symbol_indices]
     if params.phase_jitter_rms > 0.0:
         shot_phases = shot_phases + rng.normal(
@@ -130,19 +116,6 @@ def sample_branch_counts(
         for mu in nominal:
             _check_range(mu, imperfections)
     return _detect(mu_t, imperfections, rng), _detect(mu_r, imperfections, rng)
-
-
-def empirical_difference_dist(records) -> DiffDistribution:
-    """Normalized histogram of the count difference d = n - m of a record stream."""
-    records = list(records)
-    if not records:
-        raise ValueError("no records")
-    diffs = np.array([r.n - r.m for r in records])
-    d_max = int(np.max(np.abs(diffs))) if diffs.size else 0
-    probs = np.zeros(2 * d_max + 1)
-    for d, cnt in zip(*np.unique(diffs, return_counts=True)):
-        probs[d + d_max] = cnt
-    return DiffDistribution(probs=probs / probs.sum(), d_max=d_max)
 
 
 def difference_hist_from_counts(
@@ -160,7 +133,7 @@ def difference_hist_from_counts(
         probs[d + d_max] += v
         total += v
     if total == 0:
-        raise ValueError(f"no records for symbol {symbol_index}")
+        raise ValueError(f"no shots for symbol {symbol_index}")
     return DiffDistribution(probs=probs / total, d_max=d_max)
 
 

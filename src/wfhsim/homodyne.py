@@ -93,9 +93,7 @@ def _grid(c: Constellation, params: HomodyneParams) -> np.ndarray:
     if params.grid is not None:
         x_min, x_max, step = params.grid
     else:
-        means = _conditional_means(
-            [s.amplitude for s in c.symbols], [s.phase for s in c.symbols], params
-        )
+        means = _conditional_means(c.amplitudes, c.phases, params)
         reach = float(np.max(np.abs(means))) + GRID_PAD_SIGMAS * params.sigma
         x_min, x_max, step = -reach, reach, params.sigma / STEPS_PER_SIGMA
     n = int(math.ceil((x_max - x_min) / step)) + 1

@@ -8,7 +8,6 @@ optional ``# key=value`` metadata comment lines.
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -150,6 +149,11 @@ def write_trace_bin(path: Path | str, trace: PhaseTrace) -> None:
 
 
 def read_trace_bin(path: Path | str) -> PhaseTrace:
+    """Read a trace written by :func:`write_trace_bin`.
+
+    A header without ``dt=`` or ``n=``, or a payload that is not exactly
+    ``8 * n`` bytes (so also a negative ``n``), raises ``ValueError``.
+    """
     data = Path(path).read_bytes()
     if not data.startswith(TRACE_MAGIC):
         raise ValueError("not a trace file (bad magic)")
@@ -157,41 +161,12 @@ def read_trace_bin(path: Path | str) -> PhaseTrace:
     fields = dict(
         kv.split(b"=", 1) for kv in data[len(TRACE_MAGIC) : nl].split() if b"=" in kv
     )
+    if b"dt" not in fields or b"n" not in fields:
+        raise ValueError("trace header needs dt= and n=")
     dt = float(fields[b"dt"])
     n = int(fields[b"n"])
+    payload = len(data) - (nl + 1)
+    if payload != 8 * n:
+        raise ValueError(f"trace payload holds {payload} bytes, header says {8 * n}")
     samples = np.frombuffer(data, dtype="<f8", offset=nl + 1, count=n)
     return PhaseTrace(samples=samples.copy(), dt=dt)
-
-
-# ---------------------------------------------------------------- records
-
-RECORDS_MAGIC = b"WFRECORDS1"
-
-
-def write_records_csv(path: Path | str, records) -> None:
-    rows = [(r.symbol_index, r.n, r.m) for r in records]
-    Path(path).write_text(render_table(["k", "n", "m"], rows), newline="\n")
-
-
-def write_records_bin(path: Path | str, records) -> None:
-    """Binary records: magic + count header, then int32 LE (k, n, m) triplets."""
-    rows = [(r.symbol_index, r.n, r.m) for r in records]
-    with open(path, "wb") as fh:
-        fh.write(RECORDS_MAGIC)
-        fh.write(f" n={len(rows)}\n".encode("ascii"))
-        for k, n, m in rows:
-            fh.write(struct.pack("<iii", k, n, m))
-
-
-def read_records_bin(path: Path | str) -> list[tuple[int, int, int]]:
-    data = Path(path).read_bytes()
-    if not data.startswith(RECORDS_MAGIC):
-        raise ValueError("not a records file (bad magic)")
-    nl = data.index(b"\n")
-    n = int(data[len(RECORDS_MAGIC) : nl].split(b"=")[1])
-    out = []
-    off = nl + 1
-    for _ in range(n):
-        out.append(struct.unpack_from("<iii", data, off))
-        off += 12
-    return out

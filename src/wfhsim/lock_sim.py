@@ -93,25 +93,6 @@ class NoiseModel:
             raise ValueError("acoustic_freqs and acoustic_power_split lengths differ")
 
 
-def pi_step(
-    state: float, error: float, dt: float, cfg: PiConfig
-) -> tuple[float, float]:
-    """One PI update.  ``state`` is the accumulated integral term.
-
-    Returns (actuation, new_state); the integral freezes while the output is
-    saturated at the configured limits (anti-windup).
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    lo, hi = cfg.output_limits
-    unsat = cfg.kp * error + cfg.ki * state
-    if unsat > hi:
-        return hi, state
-    if unsat < lo:
-        return lo, state
-    return unsat, state + error * dt
-
-
 def _diffused_tone(
     rng: np.random.Generator, n: int, dt: float, freq: float, width: float, rms: float
 ) -> np.ndarray:
@@ -171,6 +152,9 @@ def _pi_lock_loop(
 ) -> tuple[np.ndarray, int]:
     """Euler-stepped closed loop: disturbance + low-passed PI actuation.
 
+    This is the one implementation of the PI law: the output
+    ``u = kp * e + ki * integral`` is clamped to ``[out_min, out_max]``, and
+    the integral freezes while the output is saturated (anti-windup).
     ``actuator_alpha`` is the per-step smoothing factor of the single-pole
     actuator response.  Returns the residual trace (measured phase minus
     setpoint) and the index of divergence (-1 if the loop stayed bounded).
@@ -288,12 +272,3 @@ def four_conditions(
         out[label] = simulate_lock(duration, dt, pi, actuator, cfg)
     return out
 
-
-def default_fast_pi() -> PiConfig:
-    """Fast lock: integral action to kill drift plus a damping proportional term."""
-    return PiConfig(kp=0.6, ki=40.0)
-
-
-def default_slow_pi() -> PiConfig:
-    """Slow lock: integral-only, sized to track the default drift."""
-    return PiConfig(kp=0.0, ki=5.0)

@@ -112,9 +112,9 @@ def eve_ensemble(c: Constellation, transmissivity: float) -> Ensemble:
     """The eavesdropper's ensemble: each symbol attenuated by sqrt(1 - T)."""
     root = math.sqrt(max(0.0, 1.0 - transmissivity))
     return Ensemble.from_polar(
-        moduli=[root * s.amplitude for s in c.symbols],
-        phases=[s.phase for s in c.symbols],
-        weights=[s.prior for s in c.symbols],
+        moduli=[root * a for a in c.amplitudes],
+        phases=c.phases,
+        weights=c.priors,
     )
 
 
@@ -155,7 +155,7 @@ def _eve_entropy_from_tables(
 ) -> float:
     """:func:`conditional_eve_entropy` over already built conditional tables."""
     cond = np.stack([table.probs.ravel() for table in tables])
-    priors = np.array([s.prior for s in c.symbols], dtype=np.float64)
+    priors = np.array(c.priors, dtype=np.float64)
     overlaps = overlap_matrix(eve_ensemble(c, transmissivity).amplitudes)
     entropy, _skipped = _conditional_entropy_scan(cond, priors, overlaps)
     return entropy

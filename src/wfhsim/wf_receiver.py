@@ -244,7 +244,7 @@ def conditional_tables(
     c: Constellation, params: WfReceiverParams
 ) -> list[JointPnrDistribution]:
     """Conditional tables for every symbol, on one shared truncation grid."""
-    n_max = _resolve_n_max([s.amplitude for s in c.symbols], params)
+    n_max = _resolve_n_max(c.amplitudes, params)
     shared = replace(params, n_max=n_max)
     return [joint_pnr_conditional(s, shared) for s in c.symbols]
 

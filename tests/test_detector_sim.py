@@ -8,9 +8,7 @@ from wfhsim.detector_sim import (
     NO_IMPERFECTIONS,
     DetectorImperfections,
     RangeWarning,
-    ShotRecord,
     difference_hist_from_counts,
-    empirical_difference_dist,
     fidelity,
     run_experiment,
     sample_branch_counts,
@@ -149,21 +147,23 @@ class TestRunExperiment:
 
 class TestDifferenceHistograms:
     def test_all_equal_counts_give_point_mass(self):
-        records = [ShotRecord(0, 3, 3), ShotRecord(0, 5, 5)]
-        dist = empirical_difference_dist(records)
-        assert dist.d_max == 0
-        assert dist.probs == pytest.approx([1.0])
+        counts = {(0, 3, 3): 1, (0, 5, 5): 1, (1, 4, 0): 7}
+        dist = difference_hist_from_counts(counts, 0, 2)
+        assert dist.d_max == 2
+        assert dist.probs == pytest.approx([0.0, 0.0, 1.0, 0.0, 0.0])
 
     def test_swap_mirrors(self):
-        records = [ShotRecord(0, 4, 1), ShotRecord(0, 2, 0), ShotRecord(0, 0, 3)]
-        swapped = [ShotRecord(0, r.m, r.n) for r in records]
-        a = empirical_difference_dist(records)
-        b = empirical_difference_dist(swapped)
+        counts = {(0, 4, 1): 2, (0, 2, 0): 1, (0, 0, 3): 1}
+        swapped = {(k, m, n): v for (k, n, m), v in counts.items()}
+        a = difference_hist_from_counts(counts, 0, 3)
+        b = difference_hist_from_counts(swapped, 0, 3)
         assert a.probs == pytest.approx(b.probs[::-1])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_difference_dist([])
+        with pytest.raises(ValueError, match="no shots"):
+            difference_hist_from_counts({}, 0, 3)
+        with pytest.raises(ValueError, match="no shots"):
+            difference_hist_from_counts({(1, 2, 0): 5}, 0, 3)
 
     def test_lab_point_fidelity_above_threshold(self, lab_bpsk, lab_receiver):
         counts = run_experiment(lab_bpsk, lab_receiver, NO_IMPERFECTIONS, 200_000,

@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 
 from wfhsim.cli import main
-from wfhsim.config import ConfigError, load_config, parse_config_text
+from wfhsim.config import (
+    KEY_PARSERS,
+    ConfigError,
+    _defaults_text,
+    load_config,
+    parse_config_text,
+)
+from wfhsim.constellation import build_psk
 from wfhsim.io import (
     format_value,
     parse_table,
-    read_records_bin,
     read_trace_bin,
     read_trace_csv,
     render_table,
-    write_records_bin,
-    write_records_csv,
     write_trace_bin,
     write_trace_csv,
 )
-from wfhsim.detector_sim import ShotRecord
 from wfhsim.phase_metrology import PhaseTrace
 
 
@@ -151,21 +154,23 @@ class TestTraceFiles:
         with pytest.raises(ValueError):
             read_trace_bin(path)
 
-
-class TestRecordFiles:
-    def test_csv(self, tmp_path):
-        records = [ShotRecord(0, 3, 1), ShotRecord(1, 0, 4)]
-        path = tmp_path / "records.csv"
-        write_records_csv(path, records)
-        _, header, rows = parse_table(path.read_text())
-        assert header == ["k", "n", "m"]
-        assert [[int(c) for c in r] for r in rows] == [[0, 3, 1], [1, 0, 4]]
-
-    def test_binary_round_trip(self, tmp_path):
-        records = [ShotRecord(0, 3, 1), ShotRecord(1, 0, 4), ShotRecord(3, 12, 9)]
-        path = tmp_path / "records.bin"
-        write_records_bin(path, records)
-        assert read_records_bin(path) == [(0, 3, 1), (1, 0, 4), (3, 12, 9)]
+    @pytest.mark.parametrize(
+        "header,payload_bytes",
+        [
+            (b" n=2\n", 16),
+            (b" dt=0.1\n", 16),
+            (b" dt=0.1 n=-1\n", 16),
+            (b" dt=0.1 n=2\n", 24),
+            (b" dt=0.1 n=2\n", 15),
+        ],
+        ids=["no-dt", "no-n", "negative-n", "long-payload", "short-payload"],
+    )
+    def test_binary_header_checked(self, tmp_path, header, payload_bytes):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"WFTRACE1" + header + bytes(payload_bytes))
+        with pytest.raises(ValueError):
+            read_trace_bin(path)
+        assert main(["allan", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
 class TestConfig:
@@ -196,8 +201,32 @@ class TestConfig:
         assert config["montecarlo.shots"] == 7
 
     def test_invalid_value_reports_key(self):
-        with pytest.raises(ConfigError, match="constellation.m"):
-            load_config(overrides={"constellation.m": "four"})
+        for key, value in [
+            ("constellation.m", "four"),
+            ("channel.loss_db_stop", "inf"),
+            ("lock.duration_s", "inf"),
+            ("lock.duration_s", "nan"),
+            ("sweep.visibilities", "1.0, nan"),
+        ]:
+            with pytest.raises(ConfigError, match=f"invalid value for {key}"):
+                load_config(overrides={key: value})
+
+    def test_non_finite_value_exits_with_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["sweep-kgr", "--set", "channel.loss_db_stop=inf", "--out", str(out)]
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith("error: invalid value for channel.loss_db_stop")
+        assert not out.exists()
+
+    def test_defaults_set_exactly_the_known_keys(self):
+        assert set(parse_config_text(_defaults_text())) == set(KEY_PARSERS)
+
+    @pytest.mark.parametrize("key", ["lock.ki_slow", "constellation.phi0"])
+    def test_deleted_keys_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(overrides={key: "0.5"})
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config_text(f"{key} = 0.5\n")
 
     def test_loss_grid(self):
         config = load_config(overrides={
@@ -227,10 +256,13 @@ class TestConfig:
             load_config(overrides={key: value})
 
     def test_auto_phi0(self):
+        # orders 2 and 4 read the sweep keys; every other order takes pi/(2M)
         config = load_config()
-        assert config.constellation_phi0(4) == pytest.approx(math.pi / 8)
-        config2 = load_config(overrides={"constellation.phi0": "0.5"})
-        assert config2.constellation_phi0(4) == 0.5
+        assert config.sweep_phi0(8) is None
+        assert build_psk(8, 1.0, config.sweep_phi0(8)).phi0 == pytest.approx(math.pi / 16)
+        assert config.sweep_phi0(4) == pytest.approx(math.pi / 8)
+        config2 = load_config(overrides={"sweep.qpsk_phi0": "0.5"})
+        assert config2.sweep_phi0(4) == 0.5
 
     def test_format_validation(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wfhsim.config import load_config
 from wfhsim.lock_sim import (
     FOUR_CONDITIONS,
     ActuatorModel,
@@ -8,63 +9,70 @@ from wfhsim.lock_sim import (
     NoiseModel,
     PiConfig,
     _pi_lock_loop,
-    default_fast_pi,
-    default_slow_pi,
     four_conditions,
     generate_noise,
-    pi_step,
     simulate_lock,
 )
 from wfhsim.phase_metrology import overlapping_allan, rms_phase
 
 QUIET = dict(drift_rate=0.0, tone_20hz_rms=0.0, tone_200hz_rms=0.0, white_rms=0.0, air_rms=0.0)
 
+# the fast-lock gains of the shipped defaults.cfg
+FAST_PI = load_config().pi_fast()
+
+
+def controller_io(noise, kp, ki, dt, limits=(-10.0, 10.0)):
+    """Errors e_i and PI outputs u_i of the loop behind a unit, one-step actuator.
+
+    With ``actuator_alpha = actuator_gain = 1`` the actuation at sample i+1
+    is u_i, so ``u_i = residual[i+1] - noise[i+1]`` and ``e_i = -residual[i]``.
+    """
+    noise = np.asarray(noise, dtype=np.float64)
+    residual, diverged = _pi_lock_loop(noise, dt, kp, ki, 0.0, *limits, 1.0, 1.0)
+    assert diverged == -1
+    return -residual[:-1], residual[1:] - noise[1:]
+
 
 class TestPiStep:
+    """The PI law inside the closed loop, read back through the residual."""
+
     def test_zero_gains_zero_output(self):
-        cfg = PiConfig(kp=0.0, ki=0.0)
-        state = 0.0
-        for _ in range(10):
-            out, state = pi_step(state, 1.3, 1e-3, cfg)
-            assert out == 0.0
+        noise = np.random.default_rng(1).normal(0.0, 1.3, 10)
+        _, outputs = controller_io(noise, 0.0, 0.0, 1e-3)
+        assert np.all(outputs == 0.0)
 
     def test_pure_proportional(self):
-        cfg = PiConfig(kp=2.0, ki=0.0)
-        state = 0.0
-        for _ in range(5):
-            out, state = pi_step(state, 0.7, 1e-3, cfg)
-            assert out == pytest.approx(1.4)
+        noise = np.random.default_rng(2).normal(0.0, 0.7, 50)
+        errors, outputs = controller_io(noise, 0.5, 0.0, 1e-3)
+        assert outputs == pytest.approx(0.5 * errors, abs=1e-15)
 
     def test_integral_accumulates(self):
-        cfg = PiConfig(kp=0.0, ki=10.0)
-        state = 0.0
-        outputs = []
-        for _ in range(3):
-            out, state = pi_step(state, 0.5, 0.1, cfg)
-            outputs.append(out)
-        assert outputs == pytest.approx([0.0, 0.5, 1.0])
+        # u_i = ki * dt * (e_0 + ... + e_{i-1}): the first output is zero
+        noise = np.random.default_rng(3).normal(0.5, 0.2, 50)
+        errors, outputs = controller_io(noise, 0.0, 10.0, 0.01)
+        integral = np.concatenate([[0.0], np.cumsum(errors)[:-1] * 0.01])
+        assert outputs[0] == 0.0
+        assert outputs == pytest.approx(10.0 * integral, abs=1e-14)
 
     def test_anti_windup_freezes_integral(self):
-        cfg = PiConfig(kp=0.0, ki=1.0, output_limits=(-0.1, 0.1))
-        state = 0.0
-        for _ in range(100):
-            out, state = pi_step(state, 1.0, 0.01, cfg)
-        assert out == 0.1
-        assert state < 0.12  # stopped integrating once saturated
+        # 100 samples pushing the output into its +0.1 limit, then one sample
+        # that reverses the error: the frozen integral lets the output leave
+        # the limit at once, where a wound-up one (~0.9) would hold it there
+        kp, ki, limits = 0.05, 1.0, (-0.1, 0.1)
+        noise = np.concatenate([np.full(100, -1.0), [1.0, 1.0]])
+        errors, outputs = controller_io(noise, kp, ki, 0.01, limits)
+        assert outputs[50:100] == pytest.approx(0.1, abs=1e-15)
+        assert outputs[100] < 0.1
+        frozen_integral = (outputs[100] - kp * errors[100]) / ki
+        assert frozen_integral < 0.12
 
     def test_integral_removes_steady_state_error(self):
         # constant disturbance, closed loop, ki only
-        cfg = PiConfig(kp=0.0, ki=20.0)
-        actuator_gain, alpha = 1.0, 0.06
-        disturbance, act, state = 0.8, 0.0, 0.0
-        dt = 1e-3
-        err = 0.0
-        for _ in range(200_000):
-            phi = disturbance + act
-            err = -phi
-            out, state = pi_step(state, err, dt, cfg)
-            act += alpha * (actuator_gain * out - act)
-        assert abs(err) < 1e-6
+        residual, diverged = _pi_lock_loop(
+            np.full(200_000, 0.8), 1e-3, 0.0, 20.0, 0.0, -10.0, 10.0, 1.0, 0.06
+        )
+        assert diverged == -1
+        assert abs(residual[-1]) < 1e-6
 
 
 class TestSimulateLock:
@@ -79,8 +87,8 @@ class TestSimulateLock:
         assert np.array_equal(trace.samples, raw)
 
     def test_seeded_determinism(self):
-        a = simulate_lock(1.0, 1e-4, default_fast_pi(), ActuatorModel(), NoiseModel(seed=3))
-        b = simulate_lock(1.0, 1e-4, default_fast_pi(), ActuatorModel(), NoiseModel(seed=3))
+        a = simulate_lock(1.0, 1e-4, FAST_PI, ActuatorModel(), NoiseModel(seed=3))
+        b = simulate_lock(1.0, 1e-4, FAST_PI, ActuatorModel(), NoiseModel(seed=3))
         assert np.array_equal(a.samples, b.samples)
 
     def test_drift_only_locked_allan_decreases(self):
@@ -89,7 +97,7 @@ class TestSimulateLock:
         for seed in range(4):
             nm = NoiseModel(seed=seed, drift_rate=0.028, tone_20hz_rms=0.0,
                             tone_200hz_rms=0.0, white_rms=0.0, air_rms=0.0)
-            tr = simulate_lock(30.0, 1e-4, default_fast_pi(), ActuatorModel(), nm)
+            tr = simulate_lock(30.0, 1e-4, FAST_PI, ActuatorModel(), nm)
             curves.append(overlapping_allan(tr, taus).adev)
         mean_curve = np.mean(curves, axis=0)
         assert np.all(np.diff(mean_curve) <= 0.0)
@@ -99,21 +107,21 @@ class TestSimulateLock:
                         tone_200hz_rms=0.12, drift_rate=0.0, tone_20hz_rms=0.0,
                         white_rms=0.0, air_rms=0.0)
         off = simulate_lock(10.0, 1e-4, None, ActuatorModel(), nm)
-        on = simulate_lock(10.0, 1e-4, default_fast_pi(), ActuatorModel(), nm)
+        on = simulate_lock(10.0, 1e-4, FAST_PI, ActuatorModel(), nm)
         assert abs(rms_phase(on) - rms_phase(off)) / rms_phase(off) < 0.05
 
     def test_in_band_noise_is_reduced(self):
         nm = NoiseModel(seed=11, air_rms=0.2, drift_rate=0.0, tone_20hz_rms=0.0,
                         tone_200hz_rms=0.0, white_rms=0.0)
         off = simulate_lock(20.0, 1e-4, None, ActuatorModel(), nm)
-        on = simulate_lock(20.0, 1e-4, default_fast_pi(), ActuatorModel(), nm)
+        on = simulate_lock(20.0, 1e-4, FAST_PI, ActuatorModel(), nm)
         assert rms_phase(on) < rms_phase(off)
 
     def test_linear_drift_tracked_to_zero_slope(self):
         dt, n = 1e-3, 400_000
         slope = 0.02
         noise = slope * np.arange(n) * dt
-        pi = default_fast_pi()
+        pi = FAST_PI
         residual, diverged = _pi_lock_loop(
             noise, dt, pi.kp, pi.ki, 0.0, -10.0, 10.0, 1.0,
             1.0 - np.exp(-2.0 * np.pi * 10.0 * dt),
@@ -132,7 +140,7 @@ class TestSimulateLock:
         white = rng.normal(0.0, 0.2, n)
         b, a = scipy.signal.butter(4, 3.0, fs=1.0 / dt)  # in-band only (< 10 Hz)
         noise = scipy.signal.lfilter(b, a, white)
-        pi = default_fast_pi()
+        pi = FAST_PI
         residual, _ = _pi_lock_loop(
             noise, dt, pi.kp, pi.ki, 0.0, -10.0, 10.0, 1.0,
             1.0 - np.exp(-2.0 * np.pi * 10.0 * dt),
@@ -144,8 +152,9 @@ class TestSimulateLock:
         nm = NoiseModel(seed=21, drift_rate=0.05, air_rms=0.2, tone_20hz_rms=0.0,
                         tone_200hz_rms=0.0, white_rms=0.0)
         off = rms_phase(simulate_lock(30.0, 1e-4, None, ActuatorModel(), nm))
-        slow = rms_phase(simulate_lock(30.0, 1e-4, default_slow_pi(), ActuatorModel(), nm))
-        fast = rms_phase(simulate_lock(30.0, 1e-4, default_fast_pi(), ActuatorModel(), nm))
+        slow_pi = PiConfig(kp=0.0, ki=5.0)
+        slow = rms_phase(simulate_lock(30.0, 1e-4, slow_pi, ActuatorModel(), nm))
+        fast = rms_phase(simulate_lock(30.0, 1e-4, FAST_PI, ActuatorModel(), nm))
         assert fast < slow < off
 
     def test_divergence_reports_gains(self):
@@ -163,7 +172,7 @@ class TestSimulateLock:
 class TestFourConditions:
     def test_zero_noise_gives_four_flat_traces(self):
         traces = four_conditions(
-            NoiseModel(seed=5, **QUIET), default_fast_pi(), 1.0, 1e-3
+            NoiseModel(seed=5, **QUIET), FAST_PI, 1.0, 1e-3
         )
         assert set(traces) == set(FOUR_CONDITIONS)
         for tr in traces.values():
@@ -173,7 +182,7 @@ class TestFourConditions:
         rms = {c: [] for c in FOUR_CONDITIONS}
         for seed in range(10):
             traces = four_conditions(
-                NoiseModel(seed=seed), default_fast_pi(), 60.0, 1e-4
+                NoiseModel(seed=seed), FAST_PI, 60.0, 1e-4
             )
             for c, tr in traces.items():
                 rms[c].append(rms_phase(tr))
@@ -182,7 +191,7 @@ class TestFourConditions:
 
     def test_box_and_lock_both_reduce_noise(self):
         traces = four_conditions(
-            NoiseModel(seed=12), default_fast_pi(), 20.0, 1e-4
+            NoiseModel(seed=12), FAST_PI, 20.0, 1e-4
         )
         r = {c: rms_phase(tr) for c, tr in traces.items()}
         assert r["fast_lock_box_closed"] < r["lock_off_box_open"]
