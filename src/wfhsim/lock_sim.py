@@ -94,15 +94,17 @@ class NoiseModel:
 
 
 def _diffused_tone(
-    rng: np.random.Generator, n: int, dt: float, freq: float, width: float, rms: float
+    rng: np.random.Generator, t: np.ndarray, dt: float, freq: float, width: float, rms: float
 ) -> np.ndarray:
-    """Sinusoid with random-walk phase: a Lorentzian band of FWHM ``width``."""
+    """Sinusoid with random-walk phase: a Lorentzian band of FWHM ``width``.
+
+    ``t`` is the time axis ``arange(n) * dt`` of the trace.
+    """
     if rms == 0.0:
-        return np.zeros(n)
-    t = np.arange(n) * dt
+        return np.zeros(t.size)
     psi0 = rng.uniform(0.0, 2.0 * math.pi)
     if width > 0.0:
-        psi = np.cumsum(rng.normal(0.0, math.sqrt(2.0 * math.pi * width * dt), n))
+        psi = np.cumsum(rng.normal(0.0, math.sqrt(2.0 * math.pi * width * dt), t.size))
     else:
         psi = 0.0
     return math.sqrt(2.0) * rms * np.sin(2.0 * math.pi * freq * t + psi + psi0)
@@ -123,17 +125,17 @@ def generate_noise(noise: NoiseModel, n: int, dt: float) -> np.ndarray:
         slope = noise.drift_linear_fraction * drift
         out += walk + slope * np.arange(n) * dt
 
+    t = np.arange(n) * dt
     out += _diffused_tone(
-        rng, n, dt, noise.tone_20hz_freq, noise.tone_20hz_width, shield * noise.tone_20hz_rms
+        rng, t, dt, noise.tone_20hz_freq, noise.tone_20hz_width, shield * noise.tone_20hz_rms
     )
-    out += _diffused_tone(rng, n, dt, noise.air_freq, noise.air_width, shield * noise.air_rms)
+    out += _diffused_tone(rng, t, dt, noise.air_freq, noise.air_width, shield * noise.air_rms)
 
     total_power = noise.tone_200hz_rms**2
     split = np.asarray(noise.acoustic_power_split, dtype=np.float64)
     split = split / split.sum() if split.sum() > 0 else split
     for freq, frac in zip(noise.acoustic_freqs, split):
         line_rms = math.sqrt(total_power * frac)
-        t = np.arange(n) * dt
         psi0 = rng.uniform(0.0, 2.0 * math.pi)
         out += math.sqrt(2.0) * line_rms * np.sin(2.0 * math.pi * freq * t + psi0)
     return out
@@ -182,6 +184,93 @@ def _pi_lock_loop(
     return residual, -1
 
 
+# Samples per block of the linear lock response.  256 keeps the Toeplitz at
+# 256 x 512 and leaves n / 256 steps (~2.3k at the defaults) to the Python
+# recurrence over block starts.
+_BLOCK = 256
+
+# Relative distance from the output limits and from the 1e3 rad divergence
+# band inside which the linear response hands the trace to the loop.  Taken
+# relative to the largest term of the PI output, it is ~1e9 times the
+# rounding by which the two differ, so a sample the linear response accepts
+# takes the unsaturated branch in the loop as well.
+_GUARD_MARGIN = 1e-6
+
+
+def _linear_lock_response(
+    noise: np.ndarray,
+    dt: float,
+    kp: float,
+    ki: float,
+    setpoint: float,
+    out_min: float,
+    out_max: float,
+    actuator_gain: float,
+    actuator_alpha: float,
+) -> np.ndarray | None:
+    """Residual of :func:`_pi_lock_loop` for a loop that never saturates.
+
+    Unsaturated, the loop is linear in the state x = (integral, actuation):
+    ``x_{i+1} = A x_i + b e_i`` with ``e_i = noise_i - setpoint`` and residual
+    ``r_i = x_i[1] + e_i``.  The trace is cut into blocks of ``_BLOCK``
+    samples.  The response of every block to its own disturbance is one
+    matrix product against the Toeplitz of ``A^j b``, the block-start states
+    follow a short recurrence in ``A^L``, and their free response ``A^j x``
+    is one more product.
+
+    Returns None, and the caller runs the loop, when A is unstable, or when
+    any output ``u_i = -kp r_i + ki I_i`` comes within ``_GUARD_MARGIN`` of
+    the limits or any ``|r_i|`` of the divergence band.
+    """
+    ag = actuator_alpha * actuator_gain
+    a = np.array([[1.0, -dt], [ag * ki, 1.0 - actuator_alpha - ag * kp]])
+    b = np.array([-dt, -ag * kp])
+    if np.abs(np.linalg.eigvals(a)).max() > 1.0:
+        return None  # A^L could overflow; the loop reports the divergence
+    n, L = noise.shape[0], _BLOCK
+    n_blocks = -(-n // L)
+    e = np.zeros((n_blocks, L))
+    np.subtract(noise, setpoint, out=e.ravel()[:n])
+
+    powers = np.empty((L + 1, 2, 2))  # A^j
+    powers[0] = np.eye(2)
+    for j in range(L):
+        powers[j + 1] = a @ powers[j]
+    impulse = (powers[:L] @ b).T  # (2, L): A^k b
+
+    # block-start states: x_(k+1) = A^L x_k + sum_m A^(L-1-m) b e_(k,m)
+    block_end = e @ impulse[:, ::-1].T
+    (p00, p01), (p10, p11) = powers[L].tolist()
+    s0 = s1 = 0.0
+    starts = []
+    for d0, d1 in block_end.tolist():
+        starts.append((s0, s1))
+        s0, s1 = p00 * s0 + p01 * s1 + d0, p10 * s0 + p11 * s1 + d1
+    starts = np.array(starts)
+
+    # per state component: the in-block forced response (toeplitz[m, j] =
+    # (A^(j-1-m) b)[c] for m < j) plus the free response A^j x_start
+    lag = np.arange(L) - np.arange(L)[:, None] - 1
+    integral, act = (
+        (e @ np.where(lag >= 0, impulse[c][np.maximum(lag, 0)], 0.0) + starts @ powers[:L, c].T)
+        .ravel()[:n]
+        for c in (0, 1)
+    )
+    residual = act + e.ravel()[:n]
+    u = ki * integral - kp * residual
+
+    r_max = max(residual.max(), -residual.min())
+    # unsaturated, |ki I| <= |u| + kp |r|: this bounds every term of u
+    margin = _GUARD_MARGIN * (max(abs(out_min), abs(out_max)) + kp * r_max)
+    if not (
+        np.all(u > out_min + margin)
+        and np.all(u < out_max - margin)
+        and r_max < 1e3 * (1.0 - _GUARD_MARGIN)
+    ):
+        return None
+    return residual
+
+
 def simulate_lock(
     duration: float,
     dt: float,
@@ -219,17 +308,11 @@ def simulate_lock(
     if pi.kp == 0.0 and pi.ki == 0.0:
         raise ValueError("lock enabled but both gains are zero")
     alpha = 1.0 - math.exp(-2.0 * math.pi * actuator.bandwidth_hz * dt)
-    residual, diverged_at = _pi_lock_loop(
-        disturbance,
-        dt,
-        pi.kp,
-        pi.ki,
-        pi.setpoint,
-        pi.output_limits[0],
-        pi.output_limits[1],
-        actuator.gain,
-        alpha,
-    )
+    args = (disturbance, dt, pi.kp, pi.ki, pi.setpoint, *pi.output_limits, actuator.gain, alpha)
+    residual = _linear_lock_response(*args)
+    diverged_at = -1
+    if residual is None:  # saturation, divergence or an unstable loop
+        residual, diverged_at = _pi_lock_loop(*args)
     if diverged_at >= 0:
         raise LockDivergenceError(
             f"loop diverged at t={diverged_at * dt:.3f}s with kp={pi.kp}, ki={pi.ki}"

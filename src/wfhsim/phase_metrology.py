@@ -26,8 +26,8 @@ class PhaseTrace:
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=np.float64)
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if samples.ndim != 1 or samples.size < 2:
             raise ValueError("trace needs at least 2 samples in a 1-D array")
         if np.any(np.isnan(samples)):

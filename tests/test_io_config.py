@@ -139,6 +139,19 @@ class TestTraceFiles:
             read_trace_csv(path)
         assert main(["allan", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("command", ["allan", "asd"])
+    @pytest.mark.parametrize("fmt", ["csv", "bin"])
+    def test_non_finite_dt_exits_with_error(self, tmp_path, capsys, command, fmt):
+        path = tmp_path / f"nan_dt.{fmt}"
+        if fmt == "csv":
+            path.write_text("# dt=nan\nt_s,value\n0,0.5\n1,0.25\n2,0.75\n3,0.5\n")
+        else:
+            path.write_bytes(b"WFTRACE1 dt=nan n=4\n" + np.zeros(4).tobytes())
+        out = tmp_path / "o"
+        assert main([command, "--input", str(path), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (out / f"{command}.csv").exists()
+
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         trace = PhaseTrace(rng.normal(size=1000), 1e-4)

@@ -1,13 +1,19 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
+from wfhsim import lock_sim
 from wfhsim.config import load_config
 from wfhsim.lock_sim import (
+    _BLOCK,
     FOUR_CONDITIONS,
     ActuatorModel,
     LockDivergenceError,
     NoiseModel,
     PiConfig,
+    _linear_lock_response,
     _pi_lock_loop,
     four_conditions,
     generate_noise,
@@ -18,7 +24,8 @@ from wfhsim.phase_metrology import overlapping_allan, rms_phase
 QUIET = dict(drift_rate=0.0, tone_20hz_rms=0.0, tone_200hz_rms=0.0, white_rms=0.0, air_rms=0.0)
 
 # the fast-lock gains of the shipped defaults.cfg
-FAST_PI = load_config().pi_fast()
+CONFIG = load_config()
+FAST_PI = CONFIG.pi_fast()
 
 
 def controller_io(noise, kp, ki, dt, limits=(-10.0, 10.0)):
@@ -167,6 +174,110 @@ class TestSimulateLock:
     def test_duration_guard(self):
         with pytest.raises(ValueError):
             simulate_lock(0.01, 1e-3, None, ActuatorModel(), NoiseModel(seed=0))
+
+
+def loop_args(disturbance, dt, pi, actuator):
+    """The arguments ``simulate_lock`` passes to both lock implementations."""
+    alpha = 1.0 - math.exp(-2.0 * math.pi * actuator.bandwidth_hz * dt)
+    return (disturbance, dt, pi.kp, pi.ki, pi.setpoint, *pi.output_limits,
+            actuator.gain, alpha)
+
+
+def default_lock_args(seed, box_closed, n=None):
+    dt = CONFIG["lock.dt_s"]
+    n = n or int(round(CONFIG["lock.duration_s"] / dt))
+    disturbance = generate_noise(CONFIG.noise_model(seed, box_closed), n, dt)
+    return loop_args(disturbance, dt, FAST_PI, CONFIG.actuator())
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Records the result of every ``_pi_lock_loop`` call."""
+    calls = []
+
+    def spy(*args):
+        result = _pi_lock_loop(*args)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(lock_sim, "_pi_lock_loop", spy)
+    return calls
+
+
+class TestLinearLockResponse:
+    """The blocked state-space path against the loop it replaces."""
+
+    @pytest.mark.parametrize("box_closed", [False, True], ids=["open", "closed"])
+    def test_matches_loop_at_defaults(self, box_closed):
+        for seed in range(5):
+            args = default_lock_args(seed, box_closed)
+            residual, diverged = _pi_lock_loop(*args)
+            assert diverged == -1
+            blocked = _linear_lock_response(*args)
+            assert blocked is not None
+            assert np.max(np.abs(blocked - residual)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [100, _BLOCK, 3 * _BLOCK + 17])
+    def test_partial_blocks(self, n):
+        args = default_lock_args(4, False, n)
+        residual, _ = _pi_lock_loop(*args)
+        blocked = _linear_lock_response(*args)
+        assert blocked.shape == (n,)
+        assert np.max(np.abs(blocked - residual)) <= 1e-12
+
+    def test_saturation_runs_the_loop(self, loop_calls):
+        nm, dt, actuator = NoiseModel(seed=2), 1e-4, ActuatorModel()
+        wide = PiConfig(kp=60.0, ki=4000.0, output_limits=(-100.0, 100.0))
+        narrow = PiConfig(kp=60.0, ki=4000.0, output_limits=(-0.05, 0.05))
+        disturbance = generate_noise(nm, 20_000, dt)
+        # the same stable gains stay linear inside +-100 and saturate at +-0.05
+        assert _linear_lock_response(*loop_args(disturbance, dt, wide, actuator)) is not None
+        assert _linear_lock_response(*loop_args(disturbance, dt, narrow, actuator)) is None
+        trace = simulate_lock(2.0, dt, narrow, actuator, nm)
+        assert len(loop_calls) == 1
+        expected, _ = _pi_lock_loop(*loop_args(disturbance, dt, narrow, actuator))
+        assert np.array_equal(trace.samples, expected)
+
+    def test_divergence_runs_the_loop(self, loop_calls):
+        # a stable loop with wide limits that cannot follow a fast random walk
+        nm = NoiseModel(seed=3, **dict(QUIET, drift_rate=2e4))
+        dt, actuator = 1e-4, ActuatorModel()
+        pi = PiConfig(kp=0.6, ki=40.0, output_limits=(-1e6, 1e6))
+        disturbance = generate_noise(nm, 20_000, dt)
+        args = loop_args(disturbance, dt, pi, actuator)
+        assert _linear_lock_response(*args) is None
+        expected, at = _pi_lock_loop(*args)
+        assert at > 0
+        with pytest.raises(LockDivergenceError, match=f"t={at * dt:.3f}s"):
+            simulate_lock(2.0, dt, pi, actuator, nm)
+        [(residual, diverged)] = loop_calls
+        assert diverged == at
+        # the loop leaves the samples after the divergence unwritten
+        assert np.array_equal(residual[: at + 1], expected[: at + 1])
+
+    def test_unstable_loop_raises_without_warnings(self):
+        unstable = PiConfig(kp=500.0, ki=0.0, output_limits=(-1e6, 1e6))
+        actuator = ActuatorModel(bandwidth_hz=100.0)
+        nm = NoiseModel(seed=1, **dict(QUIET, white_rms=0.05))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            disturbance = generate_noise(nm, 5000, 1e-3)
+            assert _linear_lock_response(*loop_args(disturbance, 1e-3, unstable, actuator)) is None
+            with pytest.raises(LockDivergenceError, match="kp=500"):
+                simulate_lock(5.0, 1e-3, unstable, actuator, nm)
+
+    @pytest.mark.parametrize("box_closed", [False, True], ids=["open", "closed"])
+    def test_defaults_never_run_the_loop(self, monkeypatch, box_closed):
+        # the fast path must not fall back silently where the lock study runs
+        def refuse(*args):
+            raise AssertionError("the per-sample loop ran at the shipped defaults")
+
+        monkeypatch.setattr(lock_sim, "_pi_lock_loop", refuse)
+        trace = simulate_lock(
+            CONFIG["lock.duration_s"], CONFIG["lock.dt_s"], FAST_PI,
+            CONFIG.actuator(), CONFIG.noise_model(7, box_closed),
+        )
+        assert len(trace) == int(round(CONFIG["lock.duration_s"] / CONFIG["lock.dt_s"]))
 
 
 class TestFourConditions:

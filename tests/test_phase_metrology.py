@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -174,3 +176,8 @@ class TestTraceType:
     def test_positive_dt(self):
         with pytest.raises(ValueError):
             PhaseTrace(np.zeros(10), 0.0)
+
+    @pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf])
+    def test_finite_dt(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            PhaseTrace(np.zeros(10), dt)
