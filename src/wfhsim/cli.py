@@ -3,8 +3,8 @@
 Every run resolves its configuration (shipped defaults, optional config file,
 CLI overrides), computes all requested tables in memory, and only then writes
 the output directory together with a ``manifest.json`` recording the resolved
-configuration, the seed, and the package version.  A failed run writes
-nothing.
+configuration, the seed, the package version and the wall time of each
+stage (``timings_s``: compute, write).  A failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -419,6 +420,12 @@ def _write_outputs(
     manifest: dict,
     traces: dict | None = None,
 ) -> list[str]:
+    """Write every table and trace, then ``manifest.json`` with the write time.
+
+    Each file goes to a temporary name and is renamed into place; on any
+    failure the temporary file and every file already written are removed.
+    """
+    start = time.perf_counter()
     outdir.mkdir(parents=True, exist_ok=True)
     payloads: list[tuple[str, bytes]] = []
     for t in tables:
@@ -428,6 +435,7 @@ def _write_outputs(
             payloads.append((f"{t.name}.csv", render_table(t.header, t.rows, t.meta).encode()))
     written: list[Path] = []
     names: list[str] = []
+    tmp = None
     try:
         for name, blob in payloads:
             target = outdir / name
@@ -443,15 +451,17 @@ def _write_outputs(
             os.replace(tmp, target)
             written.append(target)
             names.append(target.name)
-        manifest = dict(manifest, outputs=sorted(names))
+        timings = dict(manifest["timings_s"], write=time.perf_counter() - start)
+        manifest = dict(manifest, outputs=sorted(names), timings_s=timings)
         target = outdir / "manifest.json"
         tmp = outdir / f".manifest.tmp{os.getpid()}"
         tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
         os.replace(tmp, target)
         written.append(target)
     except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for path in [tmp, *written]:
+            if path is not None:
+                path.unlink(missing_ok=True)
         raise
     return names + ["manifest.json"]
 
@@ -507,6 +517,7 @@ def run(args: argparse.Namespace) -> int:
     if args.format is not None:
         overrides["output.format"] = args.format
     config = load_config(args.config, overrides)
+    start = time.perf_counter()
     traces = None
     if args.command == "sweep-mi":
         tables = cmd_sweep_mi(config)
@@ -529,6 +540,7 @@ def run(args: argparse.Namespace) -> int:
         "version": __version__,
         "seed": args.seed,
         "config": config.resolved_strings,
+        "timings_s": {"compute": time.perf_counter() - start},
     }
     outdir = Path(str(config["output.directory"]))
     names = _write_outputs(outdir, tables, str(config["output.format"]), manifest, traces)

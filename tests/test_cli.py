@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import wfhsim
-from wfhsim.cli import main
+from wfhsim import cli
+from wfhsim.cli import Table, _write_outputs, main
 from wfhsim.io import parse_table, write_trace_csv
 from wfhsim.phase_metrology import PhaseTrace
 
@@ -327,6 +328,53 @@ class TestManifest:
         assert manifest["config"]["montecarlo.seed"] == "77"
         assert "version" in manifest
         assert "skellam_m4_sig4.13.csv" in manifest["outputs"]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep-mi", "--set", "channel.loss_db_stop=0", "--set", "sweep.visibilities=1.0"],
+            ["sweep-kgr", "--set", "channel.loss_db_stop=0"],
+            ["lock", "--set", "lock.duration_s=0.5", "--set", "lock.n_seeds=1",
+             "--set", "lock.asd_segment_s=0.1", "--set", "lock.allan_max_m=256"],
+            ["allan"],
+            ["asd", "--segment-s", "0.2"],
+            ["montecarlo", "--set", "montecarlo.shots=1000",
+             "--set", "montecarlo.signal_means=4.13"],
+            ["skellam", "--set", "montecarlo.signal_means=4.13"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_records_stage_timings(self, tmp_path, command):
+        if command[0] in ("allan", "asd"):
+            src = tmp_path / "trace.csv"
+            write_trace_csv(src, PhaseTrace(np.random.default_rng(2).normal(0, 0.1, 4000), 1e-4))
+            command = command + ["--input", str(src)]
+        code, out = run_cli(command, tmp_path, "timed")
+        assert code == 0
+        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        assert set(timings) == {"compute", "write"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
+
+
+class TestFailedWrite:
+    @pytest.mark.parametrize("failing", ["trace", "table"])
+    def test_leaves_no_file(self, tmp_path, monkeypatch, failing):
+        write_bytes = Path.write_bytes
+
+        def write_then_fail(path, *args):
+            write_bytes(Path(path), b"partial")
+            raise OSError("disk full")
+
+        if failing == "trace":
+            monkeypatch.setattr(cli, "write_trace_csv", write_then_fail)
+        else:
+            monkeypatch.setattr(Path, "write_bytes", write_then_fail)
+        tables = [Table("t", ["x"], [(1,)], {}), Table("u", ["x"], [(2,)], {})]
+        traces = {"a": PhaseTrace(np.zeros(4), 0.1)}
+        outdir = tmp_path / "out"
+        with pytest.raises(OSError, match="disk full"):
+            _write_outputs(outdir, tables, "csv", {"timings_s": {"compute": 0.0}}, traces)
+        assert list(outdir.iterdir()) == []
 
 
 class TestStartup:

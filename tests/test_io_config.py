@@ -1,9 +1,13 @@
 import math
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import wfhsim.io
 
 from wfhsim.cli import main
 from wfhsim.config import (
@@ -15,6 +19,8 @@ from wfhsim.config import (
 )
 from wfhsim.constellation import build_psk
 from wfhsim.io import (
+    _BLOCK_ROWS,
+    _g17_rows,
     format_value,
     parse_table,
     read_trace_bin,
@@ -23,6 +29,7 @@ from wfhsim.io import (
     write_trace_bin,
     write_trace_csv,
 )
+from wfhsim.lock_sim import simulate_lock
 from wfhsim.phase_metrology import PhaseTrace
 
 
@@ -38,6 +45,9 @@ class TestFloatFormatting:
 
     def test_bools_lowercase(self):
         assert format_value(True) == "true"
+
+    def test_numpy_bools_lowercase(self):
+        assert (format_value(np.True_), format_value(np.False_)) == ("true", "false")
 
 
 class TestTables:
@@ -184,6 +194,116 @@ class TestTraceFiles:
         with pytest.raises(ValueError):
             read_trace_bin(path)
         assert main(["allan", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+
+
+def percent_rows(t, v) -> bytes:
+    """The ``%`` rendering the vectorized trace formatter must reproduce."""
+    cells = np.column_stack((t, v)).ravel().tolist()
+    return (("%.17g,%.17g\n" * len(t)) % tuple(cells)).encode()
+
+
+def assert_rows_match(values):
+    """Both columns, one of them reversed, render exactly as ``%`` does."""
+    t = np.asarray(values, dtype=np.float64)
+    v = t[::-1].copy()
+    assert _g17_rows(t, v) == percent_rows(t, v)
+
+
+def ulp_neighbours(x: float, steps: int) -> list[float]:
+    out = [x]
+    up = down = x
+    for _ in range(steps):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        out += [float(up), float(down)]
+    return out
+
+
+ANY_DOUBLE = st.floats(allow_nan=False, width=64)
+FAST_RANGE = st.floats(min_value=1e-250, max_value=1e250) | st.floats(
+    min_value=-1e250, max_value=-1e-250
+)
+# doubles just below 10**k whose 17-digit rounding carries to exactly 10**k
+CARRIES = [(-243, 1e-243), (-79, 1e-79), (-14, 1e-14), (98, 1e98)]
+
+
+class TestTraceFormatter:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(ANY_DOUBLE | FAST_RANGE, ANY_DOUBLE | FAST_RANGE), max_size=30))
+    def test_arbitrary_columns_match_percent(self, rows):
+        cells = np.array(rows, dtype=np.float64).reshape(-1, 2)
+        t, v = cells[:, 0].copy(), cells[:, 1].copy()
+        assert _g17_rows(t, v) == percent_rows(t, v)
+
+    def test_random_bits_and_magnitudes_match_percent(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, 40_000, dtype=np.uint64).view(np.float64)
+        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 40_000)
+        signs = rng.choice([-1.0, 1.0], 40_000)
+        assert_rows_match(np.concatenate([bits, magnitudes * signs]))
+
+    @pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16, 1e17])
+    def test_notation_switches(self, switch):
+        values = ulp_neighbours(switch, 40)
+        values += [switch * f for f in (0.99999999999999989, 1.0000000000000002, 0.5, 9.5)]
+        assert_rows_match(values + [-x for x in values])
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = []
+        for k in range(-330, 309):
+            values += ulp_neighbours(float(Fraction(10) ** k), 2)
+        assert_rows_match(values + [-x for x in values])
+
+    def test_rounding_carries_into_next_decade(self):
+        for k, x in CARRIES:
+            assert Fraction(x) < Fraction(10) ** k
+            assert "%.17g" % x == f"1e{k:+03d}"
+        values = [x for _, x in CARRIES] + [np.nextafter(1.0, 0.0), np.nextafter(10.0, 0.0)]
+        assert_rows_match(values + [-x for x in values])
+
+    def test_exact_decimal_ties(self):
+        # 18 significant digits ending in 5: the 17-digit rounding is a tie
+        # that CPython breaks to even, in either direction
+        whole = np.arange(1_000_000_000_000_000, 1_000_000_000_000_400, dtype=np.int64)
+        ties = np.concatenate([whole + 0.25, whole + 0.75, [1234567890123456.75]])
+        assert "%.17g" % 1234567890123456.75 == "1234567890123456.8"
+        assert_rows_match(np.concatenate([ties, -ties]))
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("zeros", [0.0, 0.5, 1.0])
+    def test_block_edges(self, tmp_path, n, zeros):
+        # zero cells fall back: none, about half, or every row of each block
+        rng = np.random.default_rng(n)
+        samples = rng.normal(0.0, 0.3, n)
+        samples[rng.random(n) < zeros] = 0.0
+        trace = SimpleNamespace(samples=samples, dt=1e-4)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        assert path.read_bytes() == reference_trace_csv(trace).encode()
+
+    def test_default_lock_trace_rarely_falls_back(self, tmp_path, monkeypatch):
+        config = load_config()
+        trace = simulate_lock(
+            float(config["lock.duration_s"]),
+            float(config["lock.dt_s"]),
+            config.pi_fast(),
+            config.actuator(),
+            config.noise_model(seed=0, box_closed=True),
+        )
+        fallback_rows = []
+        percent_rows_of = wfhsim.io._percent_rows
+
+        def counting(cells):
+            fallback_rows.extend(cells.tolist())
+            return percent_rows_of(cells)
+
+        monkeypatch.setattr(wfhsim.io, "_percent_rows", counting)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, trace)
+        assert (len(trace), trace.dt) == (600_000, 1e-4)
+        assert fallback_rows[0][0] == 0.0  # the t = 0 row
+        assert len(fallback_rows) <= 3
 
 
 class TestConfig:
