@@ -3,8 +3,10 @@
 Every run resolves its configuration (shipped defaults, optional config file,
 CLI overrides), computes all requested tables in memory, and only then writes
 the output directory together with a ``manifest.json`` recording the resolved
-configuration, the seed, the package version and the wall time of each
-stage (``timings_s``: compute, write).  A failed run writes nothing.
+configuration, the seed, the package version, the wall time of each stage
+(``timings_s``: compute, write) and the runtime it ran on (``runtime``:
+python, numpy, blas).  A failed run writes nothing and removes the output
+directory again if it created it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +65,15 @@ def _workers() -> int:
             raise ValueError(f"{WORKER_ENV} must be >= 1")
         return n
     return os.cpu_count() or 1
+
+
+def _runtime() -> dict:
+    """Python and numpy versions and the BLAS library numpy was built with."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # older numpy has no mode=
+        blas = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
 
 
 def _map_grid(fn, items):
@@ -423,9 +435,11 @@ def _write_outputs(
     """Write every table and trace, then ``manifest.json`` with the write time.
 
     Each file goes to a temporary name and is renamed into place; on any
-    failure the temporary file and every file already written are removed.
+    failure the temporary file and every file already written are removed,
+    and so are the directories this call created, if they are left empty.
     """
     start = time.perf_counter()
+    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     payloads: list[tuple[str, bytes]] = []
     for t in tables:
@@ -462,6 +476,11 @@ def _write_outputs(
         for path in [tmp, *written]:
             if path is not None:
                 path.unlink(missing_ok=True)
+        for d in created:  # deepest first
+            try:
+                d.rmdir()
+            except OSError:  # not empty: something else wrote there
+                break
         raise
     return names + ["manifest.json"]
 
@@ -541,6 +560,7 @@ def run(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "config": config.resolved_strings,
         "timings_s": {"compute": time.perf_counter() - start},
+        "runtime": _runtime(),
     }
     outdir = Path(str(config["output.directory"]))
     names = _write_outputs(outdir, tables, str(config["output.format"]), manifest, traces)

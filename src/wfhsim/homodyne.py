@@ -127,7 +127,9 @@ def _jittered_pdf(
 
 def _differential_entropy_bits(pdf: np.ndarray, weights: np.ndarray) -> float:
     logs = np.log2(pdf, out=np.zeros_like(pdf), where=pdf > 1e-300)
-    return float(np.dot(weights, -pdf * logs))
+    # a numpy reduction, not np.dot: BLAS ddot threads above ~10k points and
+    # its wake-ups cost more than the sum itself
+    return float(np.sum(weights * (-pdf * logs)))
 
 
 def hd_mutual_information(
@@ -145,30 +147,38 @@ def hd_mutual_information(
     ``jitter_quad_nodes`` Gauss-Hermite nodes (and the conditional entropy is
     then itself integrated per symbol).  Raises
     :class:`GridAccuracyError` when halving the step moves the result by more
-    than 1e-6.
+    than 1e-6.  The halved-step densities are evaluated once; the even points
+    of that grid are the base grid, bit for bit, so the base result is read
+    from them.
     """
     x = _grid(c, params)
-    result = _hd_mi_on_grid(x, c, params, phase_jitter_rms, jitter_quad_nodes)
-    if check_convergence:
-        x2 = np.linspace(x[0], x[-1], 2 * len(x) - 1)
-        refined = _hd_mi_on_grid(x2, c, params, phase_jitter_rms, jitter_quad_nodes)
-        if abs(refined - result) > 1e-6:
-            raise GridAccuracyError(
-                f"entropy moved by {abs(refined - result):.3e} when halving the "
-                "grid step; refine the grid"
-            )
+    x_eval = np.linspace(x[0], x[-1], 2 * len(x) - 1) if check_convergence else x
+    pdfs = [
+        _jittered_pdf(x_eval, s, params, phase_jitter_rms, jitter_quad_nodes)
+        for s in c.symbols
+    ]
+    if not check_convergence:
+        return _mi_from_pdfs(pdfs, x, c, params, phase_jitter_rms)
+    # contiguous copies, so the base result sums exactly as with the check off
+    coarse = [np.ascontiguousarray(pdf[::2]) for pdf in pdfs]
+    result = _mi_from_pdfs(coarse, x, c, params, phase_jitter_rms)
+    refined = _mi_from_pdfs(pdfs, x_eval, c, params, phase_jitter_rms)
+    if abs(refined - result) > 1e-6:
+        raise GridAccuracyError(
+            f"entropy moved by {abs(refined - result):.3e} when halving the "
+            "grid step; refine the grid"
+        )
     return result
 
 
-def _hd_mi_on_grid(
+def _mi_from_pdfs(
+    pdfs: list[np.ndarray],
     x: np.ndarray,
     c: Constellation,
     params: HomodyneParams,
     jitter_rms: float,
-    quad_nodes: int,
 ) -> float:
     w = _simpson_weights(len(x), float(x[1] - x[0]))
-    pdfs = [_jittered_pdf(x, s, params, jitter_rms, quad_nodes) for s in c.symbols]
     mix = np.zeros_like(x)
     for s, pdf in zip(c.symbols, pdfs):
         mix += s.prior * pdf

@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -329,36 +330,52 @@ class TestManifest:
         assert "version" in manifest
         assert "skellam_m4_sig4.13.csv" in manifest["outputs"]
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["sweep-mi", "--set", "channel.loss_db_stop=0", "--set", "sweep.visibilities=1.0"],
-            ["sweep-kgr", "--set", "channel.loss_db_stop=0"],
-            ["lock", "--set", "lock.duration_s=0.5", "--set", "lock.n_seeds=1",
-             "--set", "lock.asd_segment_s=0.1", "--set", "lock.allan_max_m=256"],
-            ["allan"],
-            ["asd", "--segment-s", "0.2"],
-            ["montecarlo", "--set", "montecarlo.shots=1000",
-             "--set", "montecarlo.signal_means=4.13"],
-            ["skellam", "--set", "montecarlo.signal_means=4.13"],
-        ],
-        ids=lambda c: c[0],
-    )
-    def test_records_stage_timings(self, tmp_path, command):
+    COMMANDS = [
+        ["sweep-mi", "--set", "channel.loss_db_stop=0", "--set", "sweep.visibilities=1.0"],
+        ["sweep-kgr", "--set", "channel.loss_db_stop=0"],
+        ["lock", "--set", "lock.duration_s=0.5", "--set", "lock.n_seeds=1",
+         "--set", "lock.asd_segment_s=0.1", "--set", "lock.allan_max_m=256"],
+        ["allan"],
+        ["asd", "--segment-s", "0.2"],
+        ["montecarlo", "--set", "montecarlo.shots=1000",
+         "--set", "montecarlo.signal_means=4.13"],
+        ["skellam", "--set", "montecarlo.signal_means=4.13"],
+    ]
+
+    @staticmethod
+    def _manifest(tmp_path, command):
         if command[0] in ("allan", "asd"):
             src = tmp_path / "trace.csv"
             write_trace_csv(src, PhaseTrace(np.random.default_rng(2).normal(0, 0.1, 4000), 1e-4))
             command = command + ["--input", str(src)]
         code, out = run_cli(command, tmp_path, "timed")
         assert code == 0
-        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        return json.loads((out / "manifest.json").read_text())
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_records_stage_timings(self, tmp_path, command):
+        timings = self._manifest(tmp_path, command)["timings_s"]
         assert set(timings) == {"compute", "write"}
         assert all(isinstance(v, float) and v >= 0.0 for v in timings.values())
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_records_runtime(self, tmp_path, command):
+        runtime = self._manifest(tmp_path, command)["runtime"]
+        assert runtime["python"] == platform.python_version()
+        assert runtime["numpy"] == np.__version__
+        assert isinstance(runtime["blas"], str) and runtime["blas"]
+
+    def test_blas_unknown_without_config_modes(self, monkeypatch):
+        monkeypatch.setattr(cli.np, "show_config", lambda: None)
+        assert cli._runtime()["blas"] == "unknown"
+
 
 class TestFailedWrite:
-    @pytest.mark.parametrize("failing", ["trace", "table"])
-    def test_leaves_no_file(self, tmp_path, monkeypatch, failing):
+    TABLES = [Table("t", ["x"], [(1,)], {}), Table("u", ["x"], [(2,)], {})]
+    TRACES = {"a": PhaseTrace(np.zeros(4), 0.1)}
+
+    @staticmethod
+    def _fail_writes(monkeypatch, failing):
         write_bytes = Path.write_bytes
 
         def write_then_fail(path, *args):
@@ -369,12 +386,25 @@ class TestFailedWrite:
             monkeypatch.setattr(cli, "write_trace_csv", write_then_fail)
         else:
             monkeypatch.setattr(Path, "write_bytes", write_then_fail)
-        tables = [Table("t", ["x"], [(1,)], {}), Table("u", ["x"], [(2,)], {})]
-        traces = {"a": PhaseTrace(np.zeros(4), 0.1)}
-        outdir = tmp_path / "out"
+
+    @pytest.mark.parametrize("failing", ["trace", "table"])
+    def test_leaves_no_file(self, tmp_path, monkeypatch, failing):
+        self._fail_writes(monkeypatch, failing)
+        outdir = tmp_path / "new" / "out"
         with pytest.raises(OSError, match="disk full"):
-            _write_outputs(outdir, tables, "csv", {"timings_s": {"compute": 0.0}}, traces)
-        assert list(outdir.iterdir()) == []
+            _write_outputs(outdir, self.TABLES, "csv", {"timings_s": {"compute": 0.0}}, self.TRACES)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failing", ["trace", "table"])
+    def test_keeps_existing_directory(self, tmp_path, monkeypatch, failing):
+        outdir = tmp_path / "out"
+        outdir.mkdir()
+        (outdir / "notes.txt").write_text("keep me\n")
+        self._fail_writes(monkeypatch, failing)
+        with pytest.raises(OSError, match="disk full"):
+            _write_outputs(outdir, self.TABLES, "csv", {"timings_s": {"compute": 0.0}}, self.TRACES)
+        assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
+        assert (outdir / "notes.txt").read_text() == "keep me\n"
 
 
 class TestStartup:

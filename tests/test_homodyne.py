@@ -3,14 +3,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from wfhsim.constellation import Constellation, CoherentSymbol, build_psk
 from wfhsim.homodyne import (
     GridAccuracyError,
     HomodyneParams,
+    _differential_entropy_bits,
     _grid,
     _jittered_pdf,
+    _simpson_weights,
     conditional_mean,
     hd_conditional_pdf,
     hd_mutual_information,
@@ -158,6 +161,45 @@ class TestMutualInformation:
         default = hd_mutual_information(qpsk, params, phase_jitter_rms=0.25)
         assert one == pytest.approx(clean, abs=1e-9)
         assert default < one - 0.05
+
+
+class TestSharedRefinedGrid:
+    """The convergence check evaluates the halved-step grid once and reads the
+    base result from its even points, so it must not change the result."""
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25])
+    @pytest.mark.parametrize("grid", [None, (-14.0, 14.0, 0.01)])
+    def test_check_does_not_change_result(self, qpsk, sigma, grid):
+        params = HomodyneParams(transmissivity=0.5, visibility=0.845, grid=grid)
+        checked = hd_mutual_information(qpsk, params, phase_jitter_rms=sigma)
+        unchecked = hd_mutual_information(
+            qpsk, params, phase_jitter_rms=sigma, check_convergence=False
+        )
+        assert checked == unchecked
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x_min=st.floats(-1e4, 1e4),
+        width=st.floats(1e-6, 1e4),
+        steps=st.floats(1.0, 4000.0),
+    )
+    def test_even_points_of_halved_grid_are_the_grid(self, x_min, width, steps):
+        x_max = x_min + width
+        params = HomodyneParams(grid=(x_min, x_max, (x_max - x_min) / steps))
+        x = _grid(build_psk(4, 2.04), params)
+        halved = np.linspace(x[0], x[-1], 2 * len(x) - 1)
+        assert np.array_equal(halved[::2], x)
+
+    def test_entropy_sum_matches_exact_sum(self, qpsk):
+        params = HomodyneParams()
+        x = _grid(qpsk, params)
+        x2 = np.linspace(x[0], x[-1], 2 * len(x) - 1)
+        mix = sum(s.prior * _jittered_pdf(x2, s, params, 0.25, 21) for s in qpsk.symbols)
+        w = _simpson_weights(len(x2), float(x2[1] - x2[0]))
+        exact = math.fsum(
+            wi * -p * math.log2(p) for wi, p in zip(w.tolist(), mix.tolist()) if p > 1e-300
+        )
+        assert _differential_entropy_bits(mix, w) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 class TestParams:
