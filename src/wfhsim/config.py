@@ -149,7 +149,8 @@ class RunConfig:
         step = float(self.values["channel.loss_db_step"])
         if step <= 0.0 or stop < start:
             raise ConfigError("channel grid needs step > 0 and stop >= start")
-        n = int(round((stop - start) / step))
+        # floored, so no point passes stop; the tolerance absorbs 0.3 / 0.1 < 3
+        n = math.floor((stop - start) / step + 1e-9)
         grid = [start + i * step for i in range(n + 1)]
         if not grid:
             raise ConfigError("empty loss grid")
@@ -194,6 +195,8 @@ class RunConfig:
         dt = float(self.values["lock.dt_s"])
         m = int(self.values["lock.allan_min_m"])
         m_max = int(self.values["lock.allan_max_m"])
+        if m < 1:  # doubling would never pass allan_max_m
+            raise ConfigError(f"lock.allan_min_m must be >= 1, got {m}")
         taus = []
         while m <= m_max:
             taus.append(m * dt)
@@ -262,8 +265,8 @@ def _check_montecarlo(config: RunConfig) -> None:
     config.imperfections()
     if int(config["montecarlo.shots"]) < 1:
         raise ValueError("montecarlo.shots must be >= 1")
-    if int(config["montecarlo.repetitions"]) < 1:
-        raise ValueError("montecarlo.repetitions must be >= 1")
+    if not 1 <= int(config["montecarlo.repetitions"]) <= int(config["montecarlo.shots"]):
+        raise ValueError("montecarlo.repetitions must be in [1, montecarlo.shots]")
     if float(config["montecarlo.lo_mean"]) < 0.0:
         raise ValueError("montecarlo.lo_mean must be >= 0")
     for mean in config["montecarlo.signal_means"]:
@@ -283,5 +286,9 @@ def _check_lock(config: RunConfig) -> None:
         raise ValueError("lock.n_seeds must be >= 1")
     if not config.lock_taus():
         raise ValueError("empty Allan grid: lock.allan_min_m exceeds allan_max_m")
+    dt = float(config["lock.dt_s"])
+    segment = int(round(float(config["lock.asd_segment_s"]) / dt))
+    if not 2 <= segment <= int(round(float(config["lock.duration_s"]) / dt)):
+        raise ValueError(f"lock.asd_segment_s gives {segment} samples, not 2..trace length")
     if not 0.0 <= float(config["lock.asd_overlap"]) <= 0.9:
         raise ValueError("lock.asd_overlap must be in [0, 0.9]")

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation, CoherentSymbol
-from .wf_receiver import DEFAULT_JITTER_NODES, _gauss_hermite_weights
-
-LOG2_2PIE = math.log2(2.0 * math.pi * math.e)
+from .wf_receiver import DEFAULT_JITTER_NODES, _gauss_hermite_weights, _prior_mixture
 
 # Default integration grid: this many steps per shot-noise sigma.
 STEPS_PER_SIGMA = 200
@@ -125,18 +123,18 @@ def _jittered_pdf(
     return out
 
 
-def _differential_entropy_bits(pdf: np.ndarray, weights: np.ndarray) -> float:
+def _differential_entropy_bits(pdf: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Quadrature of -pdf log2 pdf along the last axis, one entropy per density."""
     logs = np.log2(pdf, out=np.zeros_like(pdf), where=pdf > 1e-300)
     # a numpy reduction, not np.dot: BLAS ddot threads above ~10k points and
     # its wake-ups cost more than the sum itself
-    return float(np.sum(weights * (-pdf * logs)))
+    return np.sum(weights * (-pdf * logs), axis=-1)
 
 
 def hd_mutual_information(
     c: Constellation,
     params: HomodyneParams,
     phase_jitter_rms: float = 0.0,
-    check_convergence: bool = True,
     jitter_quad_nodes: int = DEFAULT_JITTER_NODES,
 ) -> float:
     """Mutual information of the homodyne benchmark, in bits.
@@ -152,17 +150,13 @@ def hd_mutual_information(
     from them.
     """
     x = _grid(c, params)
-    x_eval = np.linspace(x[0], x[-1], 2 * len(x) - 1) if check_convergence else x
-    pdfs = [
-        _jittered_pdf(x_eval, s, params, phase_jitter_rms, jitter_quad_nodes)
-        for s in c.symbols
-    ]
-    if not check_convergence:
-        return _mi_from_pdfs(pdfs, x, c, params, phase_jitter_rms)
-    # contiguous copies, so the base result sums exactly as with the check off
-    coarse = [np.ascontiguousarray(pdf[::2]) for pdf in pdfs]
-    result = _mi_from_pdfs(coarse, x, c, params, phase_jitter_rms)
-    refined = _mi_from_pdfs(pdfs, x_eval, c, params, phase_jitter_rms)
+    x_fine = np.linspace(x[0], x[-1], 2 * len(x) - 1)
+    pdfs = np.stack(
+        [_jittered_pdf(x_fine, s, params, phase_jitter_rms, jitter_quad_nodes) for s in c.symbols]
+    )
+    priors = np.array(c.priors)
+    result = _mi_from_pdfs(pdfs[:, ::2], x, priors, params, phase_jitter_rms)
+    refined = _mi_from_pdfs(pdfs, x_fine, priors, params, phase_jitter_rms)
     if abs(refined - result) > 1e-6:
         raise GridAccuracyError(
             f"entropy moved by {abs(refined - result):.3e} when halving the "
@@ -172,21 +166,17 @@ def hd_mutual_information(
 
 
 def _mi_from_pdfs(
-    pdfs: list[np.ndarray],
+    pdfs: np.ndarray,
     x: np.ndarray,
-    c: Constellation,
+    priors: np.ndarray,
     params: HomodyneParams,
     jitter_rms: float,
 ) -> float:
+    """Simpson-quadrature MI of the (M, len(x)) conditional densities on ``x``."""
     w = _simpson_weights(len(x), float(x[1] - x[0]))
-    mix = np.zeros_like(x)
-    for s, pdf in zip(c.symbols, pdfs):
-        mix += s.prior * pdf
-    h_mix = _differential_entropy_bits(mix, w)
+    h_mix = float(_differential_entropy_bits(_prior_mixture(priors, pdfs), w))
     if jitter_rms == 0.0:
         h_cond = 0.5 * math.log2(2.0 * math.pi * math.e * params.shot_noise_variance)
     else:
-        h_cond = 0.0
-        for s, pdf in zip(c.symbols, pdfs):
-            h_cond += s.prior * _differential_entropy_bits(pdf, w)
+        h_cond = float(_prior_mixture(priors, _differential_entropy_bits(pdfs, w)))
     return max(0.0, h_mix - h_cond)

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .constellation import Constellation
-from .wf_receiver import JointPnrDistribution, WfReceiverParams, conditional_tables
+from .wf_receiver import WfReceiverParams, _prior_mixture, _stack, conditional_tables
 
 
 @dataclass(frozen=True)
@@ -20,6 +19,16 @@ class MiResult:
     marginal_entropy_bits: float
     conditional_entropy_bits: float
     truncation_mass: float
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p in bits along the last axis, with 0 log 0 = 0.
+
+    The one Shannon entropy kernel: the public entropies, the plug-in MI
+    estimate and the Holevo spectra all reduce to it.
+    """
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    return -np.sum(p * logs, axis=-1)
 
 
 def shannon_entropy(dist: np.ndarray) -> float:
@@ -35,8 +44,7 @@ def shannon_entropy(dist: np.ndarray) -> float:
         raise ValueError("distribution entries must be >= 0")
     if p.sum() > 1.0 + 1e-9:
         raise ValueError(f"distribution mass {p.sum()!r} exceeds 1")
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    return float(_entropy_bits(p.ravel()))
 
 
 def wf_mutual_information(c: Constellation, params: WfReceiverParams) -> MiResult:
@@ -46,19 +54,17 @@ def wf_mutual_information(c: Constellation, params: WfReceiverParams) -> MiResul
     conditional entropy, both over the shared truncated table (jitter-averaged
     when the receiver has phase jitter configured).
     """
-    return _mi_from_tables(c, conditional_tables(c, params))
+    tables = conditional_tables(c, params)
+    return _mi_from_tables(c, _stack(tables), [t.truncation_mass for t in tables])
 
 
-def _mi_from_tables(c: Constellation, tables: list[JointPnrDistribution]) -> MiResult:
-    """:func:`wf_mutual_information` over already built conditional tables."""
-    mixed = np.zeros_like(tables[0].probs)
-    h_cond = 0.0
-    truncation = 0.0
-    for symbol, table in zip(c.symbols, tables):
-        mixed += symbol.prior * table.probs
-        h_cond += symbol.prior * shannon_entropy(table.probs)
-        truncation += symbol.prior * table.truncation_mass
-    h_marg = shannon_entropy(mixed)
+def _mi_from_tables(
+    c: Constellation, stacked: np.ndarray, truncation_masses: list[float]
+) -> MiResult:
+    """:func:`wf_mutual_information` over already stacked conditional tables."""
+    priors = np.array(c.priors)
+    h_marg = float(_entropy_bits(_prior_mixture(priors, stacked)))
+    h_cond = float(_prior_mixture(priors, _entropy_bits(stacked)))
     mi = h_marg - h_cond
     if -1e-12 < mi < 0.0:  # pure float cancellation; keep the = marg - cond contract
         mi = 0.0
@@ -66,7 +72,7 @@ def _mi_from_tables(c: Constellation, tables: list[JointPnrDistribution]) -> MiR
         mi_bits=mi,
         marginal_entropy_bits=h_marg,
         conditional_entropy_bits=h_cond,
-        truncation_mass=truncation,
+        truncation_mass=float(_prior_mixture(priors, np.array(truncation_masses))),
     )
 
 
@@ -74,29 +80,23 @@ def plugin_mi_estimate(counts: Mapping[tuple[int, int, int], float]) -> float:
     """Plug-in (maximum-likelihood) mutual information of an empirical table.
 
     ``counts`` maps (symbol index, n, m) to an occurrence count.  The estimate
-    carries the usual upward plug-in bias at finite sample size; no correction
-    is applied.
+    H(K) + H(O) - H(K, O) carries the usual upward plug-in bias at finite
+    sample size; no correction is applied.
     """
     if not counts:
         raise ValueError("empty counts table")
-    total = float(sum(counts.values()))
+    keys = np.array(list(counts))
+    values = np.array(list(counts.values()), dtype=np.float64)
+    total = float(values.sum())
     if total <= 0.0:
         raise ValueError("counts must have positive total")
-    if any(v < 0 for v in counts.values()):
+    if np.any(values < 0.0):
         raise ValueError("counts must be >= 0")
-    p_symbol: dict[int, float] = {}
-    p_outcome: dict[tuple[int, int], float] = {}
-    for (k, n, m), v in counts.items():
-        if v == 0:
-            continue
-        p_symbol[k] = p_symbol.get(k, 0.0) + v
-        p_outcome[(n, m)] = p_outcome.get((n, m), 0.0) + v
-    mi = 0.0
-    for (k, n, m), v in counts.items():
-        if v == 0:
-            continue
-        p_joint = v / total
-        mi += p_joint * math.log2(
-            p_joint * total * total / (p_symbol[k] * p_outcome[(n, m)])
-        )
-    return max(0.0, mi)
+    p_joint = values / total
+    n, m = keys[:, 1], keys[:, 2] - keys[:, 2].min()
+    _, symbol = np.unique(keys[:, 0], return_inverse=True)
+    _, outcome = np.unique(n * (m.max() + 1) + m, return_inverse=True)  # one id per (n, m)
+    p_symbol = np.bincount(symbol, weights=p_joint)
+    p_outcome = np.bincount(outcome, weights=p_joint)
+    mi = _entropy_bits(p_symbol) + _entropy_bits(p_outcome) - _entropy_bits(p_joint)
+    return max(0.0, float(mi))

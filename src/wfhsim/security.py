@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation
-from .info_metrics import MiResult, _mi_from_tables
-from .wf_receiver import JointPnrDistribution, WfReceiverParams, conditional_tables
+from .info_metrics import _entropy_bits, _mi_from_tables
+from .wf_receiver import WfReceiverParams, _stack, conditional_tables
 
 # Outcomes below this probability are skipped in the conditional-entropy
 # average; their mass bounds the omitted contribution by ~1e-11 bits.
@@ -47,13 +47,6 @@ class Ensemble:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def from_polar(cls, moduli, phases, weights) -> "Ensemble":
-        amps = np.asarray(moduli, dtype=np.float64) * np.exp(
-            1j * np.asarray(phases, dtype=np.float64)
-        )
-        return cls(amplitudes=amps, weights=np.asarray(weights, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -93,29 +86,25 @@ def _entropy_of_eigvals(eig: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(
             f"Gram eigenvalue {eig.min():.3e} below -1e-10; inputs ill-conditioned"
         )
-    lam = np.clip(eig, 0.0, None)
-    logs = np.log2(lam, out=np.zeros_like(lam), where=lam > 0.0)
-    return -np.sum(lam * logs, axis=-1)
+    return _entropy_bits(np.clip(eig, 0.0, None))
 
 
 def vn_entropy(e: Ensemble) -> float:
     """Von Neumann entropy of the ensemble's density operator, in bits.
 
     Computed as the Shannon entropy of the weighted Gram spectrum; exact for
-    any mixture of pure states, with cost set only by the ensemble size.
+    any mixture of pure states, with cost set only by the ensemble size.  It is
+    the conditional scan with one certain outcome.
     """
-    gram = np.sqrt(np.outer(e.weights, e.weights)) * overlap_matrix(e.amplitudes)
-    return float(_entropy_of_eigvals(np.linalg.eigvalsh(gram)))
+    certain = np.ones((e.weights.size, 1))
+    return _conditional_entropy_scan(certain, e.weights, overlap_matrix(e.amplitudes))[0]
 
 
 def eve_ensemble(c: Constellation, transmissivity: float) -> Ensemble:
     """The eavesdropper's ensemble: each symbol attenuated by sqrt(1 - T)."""
     root = math.sqrt(max(0.0, 1.0 - transmissivity))
-    return Ensemble.from_polar(
-        moduli=[root * a for a in c.amplitudes],
-        phases=c.phases,
-        weights=c.priors,
-    )
+    amps = root * np.array(c.amplitudes) * np.exp(1j * np.array(c.phases))
+    return Ensemble(amplitudes=amps, weights=c.priors)
 
 
 def _conditional_entropy_scan(
@@ -147,18 +136,9 @@ def conditional_eve_entropy(c: Constellation, params: WfReceiverParams) -> float
     by their posterior; the average runs over the truncated outcome table,
     skipping outcomes with negligible probability.
     """
-    return _eve_entropy_from_tables(c, conditional_tables(c, params), params.transmissivity)
-
-
-def _eve_entropy_from_tables(
-    c: Constellation, tables: list[JointPnrDistribution], transmissivity: float
-) -> float:
-    """:func:`conditional_eve_entropy` over already built conditional tables."""
-    cond = np.stack([table.probs.ravel() for table in tables])
-    priors = np.array(c.priors, dtype=np.float64)
-    overlaps = overlap_matrix(eve_ensemble(c, transmissivity).amplitudes)
-    entropy, _skipped = _conditional_entropy_scan(cond, priors, overlaps)
-    return entropy
+    overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity).amplitudes)
+    stacked = _stack(conditional_tables(c, params))
+    return _conditional_entropy_scan(stacked, np.array(c.priors), overlaps)[0]
 
 
 def kgr(c: Constellation, params: WfReceiverParams) -> KgrResult:
@@ -168,9 +148,13 @@ def kgr(c: Constellation, params: WfReceiverParams) -> KgrResult:
     :attr:`KgrResult.insecure` rather than clamped.
     """
     tables = conditional_tables(c, params)
-    mi: MiResult = _mi_from_tables(c, tables)
-    s_e = vn_entropy(eve_ensemble(c, params.transmissivity))
-    s_e_given_b = _eve_entropy_from_tables(c, tables, params.transmissivity)
+    stacked = _stack(tables)
+    mi = _mi_from_tables(c, stacked, [t.truncation_mass for t in tables])
+    eve = eve_ensemble(c, params.transmissivity)
+    s_e = vn_entropy(eve)
+    s_e_given_b, _skipped = _conditional_entropy_scan(
+        stacked, np.array(c.priors), overlap_matrix(eve.amplitudes)
+    )
     holevo = s_e - s_e_given_b
     return KgrResult(
         kgr_bits=mi.mi_bits - holevo,

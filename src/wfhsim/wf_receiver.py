@@ -231,13 +231,26 @@ def joint_pnr_conditional(
 def joint_pnr_marginal(c: Constellation, params: WfReceiverParams) -> JointPnrDistribution:
     """Prior-weighted mixture of the conditional tables of a constellation."""
     tables = conditional_tables(c, params)
-    mixed = np.zeros_like(tables[0].probs)
-    for symbol, table in zip(c.symbols, tables):
-        mixed += symbol.prior * table.probs
+    mixed = _prior_mixture(np.array(c.priors), np.stack([t.probs for t in tables]))
     truncation_mass = max(0.0, 1.0 - float(mixed.sum()))
     return JointPnrDistribution(
         probs=mixed, n_max=tables[0].n_max, truncation_mass=truncation_mass
     )
+
+
+def _prior_mixture(priors: np.ndarray, stacked: np.ndarray) -> np.ndarray:
+    """sum_k priors[k] * stacked[k]: the one prior-weighted mixture.
+
+    Rows of tables or densities are added in symbol order, bit for bit as a
+    loop over the symbols adds them (a 1-D average too, below 8 symbols).  No
+    BLAS call: its threads cost more than a sum this small.
+    """
+    return np.sum(priors.reshape((-1,) + (1,) * (stacked.ndim - 1)) * stacked, axis=0)
+
+
+def _stack(tables: list[JointPnrDistribution]) -> np.ndarray:
+    """The conditional tables as one (M, cells) array, one raveled table a row."""
+    return np.stack([table.probs.ravel() for table in tables])
 
 
 def conditional_tables(

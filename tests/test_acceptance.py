@@ -13,7 +13,6 @@ import pytest
 import conftest
 from helpers import brute_force_difference, fock_vn_entropy
 from wfhsim.cli import main
-from wfhsim.config import load_config
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
 from wfhsim.detector_sim import (
     NO_IMPERFECTIONS,
@@ -23,8 +22,7 @@ from wfhsim.detector_sim import (
 )
 from wfhsim.homodyne import HomodyneParams, hd_mutual_information
 from wfhsim.info_metrics import plugin_mi_estimate, wf_mutual_information
-from wfhsim.lock_sim import four_conditions
-from wfhsim.phase_metrology import PhaseTrace, asd, overlapping_allan, rms_phase
+from wfhsim.phase_metrology import PhaseTrace, asd, overlapping_allan
 from wfhsim.security import eve_ensemble, kgr, vn_entropy
 from wfhsim.wf_receiver import (
     WfReceiverParams,
@@ -240,32 +238,11 @@ def test_criterion_9_spectral_reference_shapes():
     verdict(9, ok, f"Parseval off by {parseval:.2%} (<=2%); tone power off by {tone_err:.2%} (<=1%)")
 
 
-def test_criterion_10_lock_characterization():
-    config = load_config()
-    duration = float(config["lock.duration_s"])
-    dt = float(config["lock.dt_s"])
-    n_seeds = int(config["lock.n_seeds"])
-    taus = config.lock_taus()
-    seg = int(round(float(config["lock.asd_segment_s"]) / dt))
-
-    rms = {}
-    allan = {}
-    spectra = {}
-    freqs = None
-    for seed in range(n_seeds):
-        traces = four_conditions(
-            config.noise_model(seed=int(config["lock.seed"]) + seed),
-            config.pi_fast(),
-            duration,
-            dt,
-            actuator=config.actuator(),
-        )
-        for label, trace in traces.items():
-            rms.setdefault(label, []).append(rms_phase(trace))
-            allan.setdefault(label, []).append(overlapping_allan(trace, taus).adev)
-            spectrum = asd(trace, seg, float(config["lock.asd_overlap"]))
-            spectra.setdefault(label, []).append(spectrum.asd)
-            freqs = spectrum.freqs
+def test_criterion_10_lock_characterization(default_lock_study):
+    rms = default_lock_study.rms
+    allan = default_lock_study.allan
+    spectra = default_lock_study.spectra
+    freqs = default_lock_study.freqs
 
     rms_open = float(np.mean(rms["lock_off_box_open"]))
     rms_locked = float(np.mean(rms["fast_lock_box_closed"]))

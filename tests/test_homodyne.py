@@ -13,6 +13,7 @@ from wfhsim.homodyne import (
     _differential_entropy_bits,
     _grid,
     _jittered_pdf,
+    _mi_from_pdfs,
     _simpson_weights,
     conditional_mean,
     hd_conditional_pdf,
@@ -100,12 +101,8 @@ class TestMutualInformation:
 
     def test_grid_convergence_at_defaults(self, qpsk):
         params = HomodyneParams()
-        base = hd_mutual_information(qpsk, params, check_convergence=False)
-        fine = hd_mutual_information(
-            qpsk,
-            HomodyneParams(grid=(-25.0, 25.0, 1.0 / 400)),
-            check_convergence=False,
-        )
+        base = hd_mutual_information(qpsk, params)
+        fine = hd_mutual_information(qpsk, HomodyneParams(grid=(-25.0, 25.0, 1.0 / 400)))
         assert abs(base - fine) < 1e-8
 
     def test_coarse_grid_rejected(self, qpsk):
@@ -172,10 +169,10 @@ class TestSharedRefinedGrid:
     def test_check_does_not_change_result(self, qpsk, sigma, grid):
         params = HomodyneParams(transmissivity=0.5, visibility=0.845, grid=grid)
         checked = hd_mutual_information(qpsk, params, phase_jitter_rms=sigma)
-        unchecked = hd_mutual_information(
-            qpsk, params, phase_jitter_rms=sigma, check_convergence=False
-        )
-        assert checked == unchecked
+        x = _grid(qpsk, params)
+        pdfs = np.stack([_jittered_pdf(x, s, params, sigma, 21) for s in qpsk.symbols])
+        direct = _mi_from_pdfs(pdfs, x, np.array(qpsk.priors), params, sigma)
+        assert checked == direct
 
     @settings(max_examples=300, deadline=None)
     @given(

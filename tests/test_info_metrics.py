@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
 from wfhsim.detector_sim import NO_IMPERFECTIONS, run_experiment
@@ -33,6 +33,11 @@ class TestShannonEntropy:
     def test_overfull_mass_rejected(self):
         with pytest.raises(ValueError):
             shannon_entropy(np.array([0.9, 0.2]))
+
+    def test_table_entropy_sums_every_cell(self):
+        table = np.array([[0.5, 0.0], [0.125, 0.375]])
+        assert shannon_entropy(table) == shannon_entropy(np.array([0.5, 0.125, 0.375]))
+        assert shannon_entropy(table) == pytest.approx(1.4056390622295665, abs=1e-15)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12).filter(
@@ -123,6 +128,41 @@ class TestPluginEstimate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             plugin_mi_estimate({})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(
+                st.integers(-3, 3), st.integers(0, 60), st.integers(-5, 60)
+            ),
+            st.integers(0, 10_000),
+            min_size=1,
+            max_size=80,
+        ).filter(lambda d: sum(d.values()) > 0)
+    )
+    # labels are any integers: (1, -2) and (0, 0) must stay two outcomes
+    @example({(0, 1, -2): 5, (1, 0, 0): 5, (0, 0, 1): 1})
+    def test_equals_log_ratio_sum(self, counts):
+        # the estimate is H(K) + H(O) - H(K, O); the direct form sums
+        # p(k, o) log2 p(k, o) / (p(k) p(o)) over the occupied cells
+        total = sum(counts.values())
+        p_k, p_o = {}, {}
+        for (k, n, m), v in counts.items():
+            p_k[k] = p_k.get(k, 0) + v
+            p_o[(n, m)] = p_o.get((n, m), 0) + v
+        direct = math.fsum(
+            v / total * math.log2(v * total / (p_k[k] * p_o[(n, m)]))
+            for (k, n, m), v in counts.items()
+            if v > 0
+        )
+        assert plugin_mi_estimate(counts) == pytest.approx(max(0.0, direct), abs=1e-12)
+
+    def test_zero_counts_change_nothing(self):
+        counts = {(0, 3, 1): 40, (1, 1, 3): 25, (1, 3, 1): 10}
+        padded = {**counts, (2, 0, 0): 0, (0, 9, 9): 0}
+        assert plugin_mi_estimate(padded) == pytest.approx(
+            plugin_mi_estimate(counts), abs=1e-15
+        )
 
     @settings(max_examples=25)
     @given(st.integers(min_value=1, max_value=6))

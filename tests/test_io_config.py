@@ -374,6 +374,46 @@ class TestConfig:
             load_config(overrides={"channel.loss_db_step": "-1"})
 
     @pytest.mark.parametrize(
+        "stop,step,n",
+        [("1.0", "0.6", 2), ("1.0", "0.5", 3), ("0.3", "0.1", 4), ("0.29", "0.1", 3)],
+    )
+    def test_loss_grid_ends_at_or_below_stop(self, stop, step, n):
+        config = load_config(
+            overrides={"channel.loss_db_stop": stop, "channel.loss_db_step": step}
+        )
+        grid = config.loss_grid()
+        assert len(grid) == n
+        # the last point is stop up to rounding, and the next one lies beyond it
+        assert grid[-1] <= float(stop) + 1e-12
+        assert grid[-1] + float(step) > float(stop)
+
+    def test_shipped_loss_grids_unchanged(self):
+        assert load_config().loss_grid() == [0.25 * i for i in range(41)]
+        one_db = load_config(overrides={"channel.loss_db_step": "1.0"})
+        assert one_db.loss_grid() == [float(i) for i in range(11)]
+
+    @pytest.mark.parametrize("m", ["0", "-4"])
+    def test_allan_min_m_below_one_rejected(self, m):
+        # doubling from m <= 0 never passes allan_max_m
+        with pytest.raises(ConfigError, match="allan_min_m"):
+            load_config(overrides={"lock.allan_min_m": m})
+
+    def test_repetitions_above_shots_rejected(self):
+        with pytest.raises(ConfigError, match="montecarlo.repetitions"):
+            load_config(overrides={"montecarlo.shots": "4", "montecarlo.repetitions": "5"})
+        load_config(overrides={"montecarlo.shots": "4", "montecarlo.repetitions": "4"})
+
+    @pytest.mark.parametrize("segment_s", ["0.00004", "0.0001", "60.001"])
+    def test_asd_segment_outside_trace_rejected(self, segment_s):
+        # dt = 1e-4 s and a 60 s trace: a segment needs 2 to 600000 samples
+        with pytest.raises(ConfigError, match="asd_segment_s"):
+            load_config(overrides={"lock.asd_segment_s": segment_s})
+
+    @pytest.mark.parametrize("segment_s", ["0.0002", "60.0"])
+    def test_asd_segment_limits_accepted(self, segment_s):
+        load_config(overrides={"lock.asd_segment_s": segment_s})
+
+    @pytest.mark.parametrize(
         "key,value,section",
         [
             ("receiver.visibility", "1.5", "receiver"),

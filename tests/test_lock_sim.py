@@ -289,14 +289,17 @@ class TestFourConditions:
         for tr in traces.values():
             assert np.all(tr.samples == 0.0)
 
-    def test_rms_targets_with_calibrated_defaults(self):
-        rms = {c: [] for c in FOUR_CONDITIONS}
+    def test_rms_targets_with_calibrated_defaults(self, default_lock_study):
+        # the shared study is four_conditions(NoiseModel(seed), FAST_PI, 60.0,
+        # 1e-4) for seeds 0-9: check that its shipped config says exactly that
+        config = default_lock_study.config
+        assert (config["lock.duration_s"], config["lock.dt_s"]) == (60.0, 1e-4)
+        assert (config["lock.seed"], config["lock.n_seeds"]) == (0, 10)
         for seed in range(10):
-            traces = four_conditions(
-                NoiseModel(seed=seed), FAST_PI, 60.0, 1e-4
-            )
-            for c, tr in traces.items():
-                rms[c].append(rms_phase(tr))
+            assert config.noise_model(seed=seed) == NoiseModel(seed=seed)
+        assert config.pi_fast() == FAST_PI
+        assert config.actuator() == ActuatorModel()
+        rms = default_lock_study.rms
         assert np.mean(rms["lock_off_box_open"]) == pytest.approx(0.30, abs=0.02)
         assert np.mean(rms["fast_lock_box_closed"]) == pytest.approx(0.25, abs=0.02)
 

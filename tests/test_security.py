@@ -85,6 +85,16 @@ class TestVnEntropy:
         s = vn_entropy(eve_ensemble(c, 0.4))
         assert 0.0 <= s <= math.log2(m) + 1e-12
 
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_equals_direct_gram_spectrum(self, m):
+        # vn_entropy is the outcome scan with one certain outcome; the direct
+        # form diagonalises sqrt(w_j w_k) <b_j|b_k> itself
+        e = eve_ensemble(build_psk(m, 2.04), 0.5)
+        gram = np.sqrt(np.outer(e.weights, e.weights)) * overlap_matrix(e.amplitudes)
+        lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+        lam = lam[lam > 0.0]
+        assert vn_entropy(e) == pytest.approx(-np.sum(lam * np.log2(lam)), abs=1e-14)
+
     def test_gram_spectrum_is_distribution(self):
         c = build_psk(8, 1.7)
         e = eve_ensemble(c, 0.3)

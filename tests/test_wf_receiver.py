@@ -125,6 +125,26 @@ class TestJointTables:
         dist = joint_pnr_marginal(bpsk, WfReceiverParams(**CANONICAL))
         assert np.max(np.abs(dist.probs - dist.probs.T)) < 1e-15
 
+    @pytest.mark.parametrize("m", [2, 3, 4, 8])
+    def test_marginal_adds_symbols_in_order(self, m):
+        # the mixture is bit for bit the loop that adds one symbol at a time
+        c = build_psk(m, 2.04)
+        params = WfReceiverParams(**CANONICAL)
+        tables = conditional_tables(c, params)
+        loop = np.zeros_like(tables[0].probs)
+        for s, table in zip(c.symbols, tables):
+            loop += s.prior * table.probs
+        assert np.array_equal(joint_pnr_marginal(c, params).probs, loop)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7])
+    def test_prior_average_adds_symbols_in_order(self, m):
+        rng = np.random.default_rng(m)
+        priors, values = rng.random(m), rng.random(m)
+        loop = 0.0
+        for prior, value in zip(priors, values):
+            loop += prior * value
+        assert wf_receiver._prior_mixture(priors, values) == loop
+
     def test_marginal_entropy_exceeds_conditionals(self, qpsk):
         params = WfReceiverParams(**CANONICAL)
         mixed = joint_pnr_marginal(qpsk, params)
