@@ -18,6 +18,7 @@ import os
 import platform
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -93,25 +94,23 @@ def cmd_sweep_mi(config: RunConfig) -> list[Table]:
     sigma_phi = float(config["receiver.phase_jitter_rms"])
     quad_nodes = int(config["receiver.jitter_quad_nodes"])
     alpha = float(config["constellation.alpha"])
-    cases = []
-    for m in (2, 4):
-        c = build_psk(m, alpha, config.sweep_phi0(m))
-        for xi in config["sweep.visibilities"]:
-            cases.append((m, c, float(xi)))
+    cases = [
+        (c, float(xi)) for c in config.sweep_psk(alpha) for xi in config["sweep.visibilities"]
+    ]
 
     def one_point(loss_db: float) -> list[tuple]:
         t = loss_db_to_transmissivity(loss_db)
         rows = []
-        for m, c, xi in cases:
+        for c, xi in cases:
             wf = wf_mutual_information(c, config.receiver_params(t, visibility=xi))
-            rows.append((loss_db, m, "wf", xi, sigma_phi, wf.mi_bits))
+            rows.append((loss_db, c.order_m, "wf", xi, sigma_phi, wf.mi_bits))
             hd = hd_mutual_information(
                 c,
                 HomodyneParams(transmissivity=t, visibility=xi),
                 phase_jitter_rms=sigma_phi,
                 jitter_quad_nodes=quad_nodes,
             )
-            rows.append((loss_db, m, "hd", xi, sigma_phi, hd))
+            rows.append((loss_db, c.order_m, "hd", xi, sigma_phi, hd))
         return rows
 
     rows = [r for point in _map_grid(one_point, grid) for r in point]
@@ -130,15 +129,15 @@ def cmd_sweep_kgr(config: RunConfig) -> list[Table]:
     """Key generation rate vs loss for both orders at the configured visibility."""
     grid = config.loss_grid()
     alpha = float(config["constellation.alpha"])
-    cs = {m: build_psk(m, alpha, config.sweep_phi0(m)) for m in (2, 4)}
+    cs = config.sweep_psk(alpha)
 
     def one_point(loss_db: float) -> list[tuple]:
         t = loss_db_to_transmissivity(loss_db)
         rows = []
-        for m, c in cs.items():
+        for c in cs:
             r = kgr(c, config.receiver_params(t))
             rows.append(
-                (loss_db, m, r.kgr_bits, r.mi_bits, r.holevo_bits, r.insecure)
+                (loss_db, c.order_m, r.kgr_bits, r.mi_bits, r.holevo_bits, r.insecure)
             )
         return rows
 
@@ -172,7 +171,6 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
     allan_curves = {c: [] for c in FOUR_CONDITIONS}
     spectra = {c: [] for c in FOUR_CONDITIONS}
     rms = {c: [] for c in FOUR_CONDITIONS}
-    first_traces = {}
     freqs = None
     for s in range(n_seeds):
         traces = four_conditions(
@@ -182,9 +180,9 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
             dt,
             actuator=config.actuator(),
         )
+        if s == 0:
+            first_traces = traces
         for label, tr in traces.items():
-            if s == 0:
-                first_traces[label] = tr
             allan_curves[label].append(overlapping_allan(tr, taus).adev)
             spectrum = asd(tr, seg, overlap)
             spectra[label].append(spectrum.asd)
@@ -198,47 +196,36 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
         "n_seeds": n_seeds,
         "seed": base_seed,
     }
+    asd_meta = {
+        **meta_common,
+        "window": "hann",
+        "overlap": overlap,
+        "segment_s": config["lock.asd_segment_s"],
+    }
     for label in FOUR_CONDITIONS:
-        a = np.asarray(allan_curves[label])
-        tables.append(
-            Table(
-                name=f"allan_{label}",
-                header=["tau_s", "adev_mean", "adev_std"],
-                rows=[
-                    (tau, float(mu), float(sd))
-                    for tau, mu, sd in zip(taus, a.mean(axis=0), a.std(axis=0))
-                ],
-                meta=dict(meta_common),
-            )
+        tables += [
+            _band_table(f"allan_{label}", "tau_s", "adev", taus, allan_curves[label], meta_common),
+            _band_table(f"asd_{label}", "freq_hz", "asd", freqs, spectra[label], asd_meta),
+        ]
+    tables.append(
+        Table(
+            name="lock_summary",
+            header=["condition", "rms_mean", "rms_std"],
+            rows=[
+                (label, float(np.mean(rms[label])), float(np.std(rms[label])))
+                for label in FOUR_CONDITIONS
+            ],
+            meta=dict(meta_common),
         )
-        p = np.asarray(spectra[label])
-        tables.append(
-            Table(
-                name=f"asd_{label}",
-                header=["freq_hz", "asd_mean", "asd_std"],
-                rows=[
-                    (float(f), float(mu), float(sd))
-                    for f, mu, sd in zip(freqs, p.mean(axis=0), p.std(axis=0))
-                ],
-                meta={
-                    **meta_common,
-                    "window": "hann",
-                    "overlap": overlap,
-                    "segment_s": config["lock.asd_segment_s"],
-                },
-            )
-        )
-    summary = Table(
-        name="lock_summary",
-        header=["condition", "rms_mean", "rms_std"],
-        rows=[
-            (label, float(np.mean(rms[label])), float(np.std(rms[label])))
-            for label in FOUR_CONDITIONS
-        ],
-        meta=dict(meta_common),
     )
-    tables.append(summary)
     return tables, first_traces
+
+
+def _band_table(name: str, x_name: str, y_name: str, x, curves: list, meta: dict) -> Table:
+    """Columns x, mean and std over seeds of the stacked per-seed curves."""
+    a = np.asarray(curves)
+    rows = list(zip(map(float, x), a.mean(axis=0).tolist(), a.std(axis=0).tolist()))
+    return Table(name, [x_name, f"{y_name}_mean", f"{y_name}_std"], rows, dict(meta))
 
 
 def cmd_allan(config: RunConfig, input_path: str) -> list[Table]:
@@ -299,80 +286,60 @@ def _skellam_theory(c, params) -> tuple[int, list]:
 def cmd_montecarlo(config: RunConfig) -> list[Table]:
     """Per-symbol difference histograms with theory overlays, plus plug-in MI."""
     z = math.sqrt(float(config["montecarlo.lo_mean"]))
-    shots = int(config["montecarlo.shots"])
     reps = int(config["montecarlo.repetitions"])
+    shots_per_rep = int(config["montecarlo.shots"]) // reps  # config load keeps reps <= shots
+    shots = shots_per_rep * reps
     seed = int(config["montecarlo.seed"])
     imperfections = config.imperfections()
     params = replace(config.receiver_params(1.0), lo_amplitude=z)
+    cases = [
+        (c, mean_sig)
+        for mean_sig in config["montecarlo.signal_means"]
+        for c in config.sweep_psk(math.sqrt(float(mean_sig)))
+    ]
     tables = []
     summary_rows = []
     mi_rows = []
-    for m in (2, 4):
-        for mean_sig in config["montecarlo.signal_means"]:
-            c = build_psk(m, math.sqrt(float(mean_sig)), config.sweep_phi0(m))
-            d_max, theory = _skellam_theory(c, params)
-            ss = np.random.SeedSequence([seed, m, int(round(mean_sig * 1000))])
-            rep_seeds = ss.spawn(reps)
-            rep_counts = []
-            shots_per_rep = max(1, shots // reps)
-            mi_analytic = wf_mutual_information(c, params).mi_bits
-            for r in range(reps):
-                rng = np.random.default_rng(rep_seeds[r])
-                counts = run_experiment(c, params, imperfections, shots_per_rep, rng)
-                rep_counts.append(counts)
-                mi_rows.append((m, mean_sig, r, plugin_mi_estimate(counts), mi_analytic))
-            pooled: dict = {}
-            for counts in rep_counts:
-                for key, v in counts.items():
-                    pooled[key] = pooled.get(key, 0) + v
-            empirical = []
-            for k in range(m):
-                try:
-                    empirical.append(difference_hist_from_counts(pooled, k, d_max))
-                except ValueError:  # no shots for this symbol at tiny shot counts
-                    empirical.append(None)
-            for k in range(m):
-                emp = empirical[k]
-                nxt = empirical[(k + 1) % m]
-                summary_rows.append(
-                    (
-                        m,
-                        mean_sig,
-                        k,
-                        fidelity(theory[k], emp) if emp is not None else 0.0,
-                        fidelity(theory[k], emp, method="product") if emp is not None else 0.0,
-                        float(np.minimum(emp.probs, nxt.probs).sum())
-                        if emp is not None and nxt is not None
-                        else 0.0,
-                    )
-                )
-            header = ["d"]
-            header += [f"p_empirical_{k}" for k in range(m)]
-            header += [f"p_theory_{k}" for k in range(m)]
-            rows = []
-            for i, d in enumerate(range(-d_max, d_max + 1)):
-                row = [d]
-                row += [
-                    float(empirical[k].probs[i]) if empirical[k] is not None else 0.0
-                    for k in range(m)
-                ]
-                row += [float(theory[k].probs[i]) for k in range(m)]
-                rows.append(tuple(row))
-            tables.append(
-                Table(
-                    name=f"mc_hist_m{m}_sig{mean_sig:g}",
-                    header=header,
-                    rows=rows,
-                    meta={
-                        "lo_mean": config["montecarlo.lo_mean"],
-                        "signal_mean": mean_sig,
-                        "shots": shots,
-                        "seed": seed,
-                        "dark_mean": imperfections.dark_mean,
-                        "crosstalk_prob": imperfections.crosstalk_prob,
-                    },
-                )
+    for c, mean_sig in sorted(cases, key=lambda case: case[0].order_m):  # orders outermost
+        m = c.order_m
+        d_max, theory = _skellam_theory(c, params)
+        ss = np.random.SeedSequence([seed, m, int(round(mean_sig * 1000))])
+        mi_analytic = wf_mutual_information(c, params).mi_bits
+        pooled = Counter()
+        for r, rep_seed in enumerate(ss.spawn(reps)):
+            rng = np.random.default_rng(rep_seed)
+            counts = run_experiment(c, params, imperfections, shots_per_rep, rng)
+            pooled.update(counts)
+            mi_rows.append((m, mean_sig, r, plugin_mi_estimate(counts), mi_analytic))
+        empirical = np.zeros((m, 2 * d_max + 1))  # a symbol that drew no shot keeps zeros
+        for k in range(m):
+            try:
+                empirical[k] = difference_hist_from_counts(pooled, k, d_max).probs
+            except ValueError:  # no shots for this symbol at tiny shot counts
+                pass
+        for k, emp in enumerate(empirical):
+            fidelities = (0.0, 0.0)
+            if emp.any():  # fidelity needs a normalized row
+                fidelities = (fidelity(theory[k], emp), fidelity(theory[k], emp, method="product"))
+            overlap = float(np.minimum(emp, empirical[(k + 1) % m]).sum())
+            summary_rows.append((m, mean_sig, k, *fidelities, overlap))
+        header = ["d", *(f"p_{kind}_{k}" for kind in ("empirical", "theory") for k in range(m))]
+        columns = np.vstack([empirical, [t.probs for t in theory]]).tolist()
+        tables.append(
+            Table(
+                name=f"mc_hist_m{m}_sig{mean_sig:g}",
+                header=header,
+                rows=list(zip(range(-d_max, d_max + 1), *columns)),
+                meta={
+                    "lo_mean": config["montecarlo.lo_mean"],
+                    "signal_mean": mean_sig,
+                    "shots": shots,
+                    "seed": seed,
+                    "dark_mean": imperfections.dark_mean,
+                    "crosstalk_prob": imperfections.crosstalk_prob,
+                },
             )
+        )
     tables.append(
         Table(
             name="mc_summary",
@@ -393,7 +360,7 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
             name="mc_mi",
             header=["m", "signal_mean", "repetition", "mi_bits_plugin", "mi_bits_analytic"],
             rows=mi_rows,
-            meta={"shots_per_repetition": max(1, shots // reps), "seed": seed},
+            meta={"shots_per_repetition": shots_per_rep, "seed": seed},
         )
     )
     return tables
@@ -408,14 +375,11 @@ def cmd_skellam(config: RunConfig) -> list[Table]:
     for mean_sig in config["montecarlo.signal_means"]:
         c = build_psk(m, math.sqrt(float(mean_sig)), config.sweep_phi0(m))
         d_max, dists = _skellam_theory(c, params)
-        rows = []
-        for i, d in enumerate(range(-d_max, d_max + 1)):
-            rows.append(tuple([d] + [float(dist.probs[i]) for dist in dists]))
         tables.append(
             Table(
                 name=f"skellam_m{m}_sig{mean_sig:g}",
                 header=["d"] + [f"p_theory_{k}" for k in range(m)],
-                rows=rows,
+                rows=list(zip(range(-d_max, d_max + 1), *(d.probs.tolist() for d in dists))),
                 meta={"lo_mean": config["montecarlo.lo_mean"], "signal_mean": mean_sig},
             )
         )
@@ -434,44 +398,39 @@ def _write_outputs(
 ) -> list[str]:
     """Write every table and trace, then ``manifest.json`` with the write time.
 
+    A file name given twice raises ValueError before anything is written.
     Each file goes to a temporary name and is renamed into place; on any
     failure the temporary file and every file already written are removed,
     and so are the directories this call created, if they are left empty.
     """
     start = time.perf_counter()
+    render = render_table_json if fmt == "json" else render_table
+
+    def write_table(path: Path, t: Table) -> None:
+        path.write_bytes(render(t.header, t.rows, t.meta).encode())
+
+    def write_manifest(path: Path, manifest: dict) -> None:
+        timings = dict(manifest["timings_s"], write=time.perf_counter() - start)
+        manifest = dict(manifest, outputs=sorted(names[:-1]), timings_s=timings)
+        path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+
+    files = [(f"{t.name}.{fmt}", write_table, t) for t in tables]
+    files += [(f"trace_{label}.csv", write_trace_csv, tr) for label, tr in (traces or {}).items()]
+    files.append(("manifest.json", write_manifest, manifest))  # last: it times the writes
+    names = [name for name, _, _ in files]
+    repeated = [name for name, n in Counter(names).items() if n > 1]
+    if repeated:
+        raise ValueError(f"two outputs would be written to {outdir / repeated[0]}")
     created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    payloads: list[tuple[str, bytes]] = []
-    for t in tables:
-        if fmt == "json":
-            payloads.append((f"{t.name}.json", render_table_json(t.header, t.rows, t.meta).encode()))
-        else:
-            payloads.append((f"{t.name}.csv", render_table(t.header, t.rows, t.meta).encode()))
     written: list[Path] = []
-    names: list[str] = []
     tmp = None
     try:
-        for name, blob in payloads:
-            target = outdir / name
+        for name, write, item in files:
             tmp = outdir / f".{name}.tmp{os.getpid()}"
-            tmp.write_bytes(blob)
-            os.replace(tmp, target)
-            written.append(target)
-            names.append(name)
-        for label, trace in (traces or {}).items():
-            target = outdir / f"trace_{label}.csv"
-            tmp = outdir / f".trace_{label}.tmp{os.getpid()}"
-            write_trace_csv(tmp, trace)
-            os.replace(tmp, target)
-            written.append(target)
-            names.append(target.name)
-        timings = dict(manifest["timings_s"], write=time.perf_counter() - start)
-        manifest = dict(manifest, outputs=sorted(names), timings_s=timings)
-        target = outdir / "manifest.json"
-        tmp = outdir / f".manifest.tmp{os.getpid()}"
-        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, target)
-        written.append(target)
+            write(tmp, item)
+            os.replace(tmp, outdir / name)
+            written.append(outdir / name)
     except BaseException:
         for path in [tmp, *written]:
             if path is not None:
@@ -482,7 +441,7 @@ def _write_outputs(
             except OSError:  # not empty: something else wrote there
                 break
         raise
-    return names + ["manifest.json"]
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:

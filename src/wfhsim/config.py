@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .constellation import Constellation, build_psk
 from .detector_sim import DetectorImperfections
 from .lock_sim import ActuatorModel, NoiseModel, PiConfig
 from .wf_receiver import WfReceiverParams
@@ -131,6 +132,10 @@ class RunConfig:
             return float(self.values["sweep.qpsk_phi0"])
         return None
 
+    def sweep_psk(self, amplitude: float) -> list[Constellation]:
+        """The PSK constellations the order sweeps compare (orders 2 and 4), in order."""
+        return [build_psk(m, amplitude, self.sweep_phi0(m)) for m in (2, 4)]
+
     def receiver_params(self, transmissivity: float, visibility: float | None = None) -> WfReceiverParams:
         return WfReceiverParams(
             lo_amplitude=float(self.values["receiver.lo_amplitude"]),
@@ -249,8 +254,6 @@ def _validate_sections(config: RunConfig) -> None:
 
 
 def _check_constellation(config: RunConfig) -> None:
-    from .constellation import build_psk
-
     m = int(config["constellation.m"])
     build_psk(m, float(config["constellation.alpha"]), config.sweep_phi0(m))
 

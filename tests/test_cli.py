@@ -1,8 +1,12 @@
+import importlib
+import inspect
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +15,17 @@ import pytest
 import wfhsim
 from wfhsim import cli
 from wfhsim.cli import Table, _write_outputs, main
+from wfhsim.config import load_config
+from wfhsim.constellation import build_psk, loss_db_to_transmissivity
+from wfhsim.homodyne import HomodyneParams, hd_mutual_information
+from wfhsim.info_metrics import wf_mutual_information
 from wfhsim.io import parse_table, write_trace_csv
 from wfhsim.phase_metrology import PhaseTrace
+from wfhsim.security import kgr
 
 SMALL_GRID = ["--set", "channel.loss_db_stop=0.5", "--set", "channel.loss_db_step=0.25"]
-REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_DIR = REPO_ROOT / "perfbench" / "reference"
 # columns that label a row; every other column must match to 1e-12 rel + abs
 LABEL_COLUMNS = {"loss_db", "m", "receiver", "visibility", "sigma_phi", "insecure"}
 
@@ -228,6 +238,28 @@ class TestMonteCarloCommand:
                 overlap.setdefault(float(r[1]), []).append(float(r[5]))
         assert np.mean(overlap[1.78]) > np.mean(overlap[4.13])
 
+    def test_metadata_states_shots_sampled(self, tmp_path, monkeypatch):
+        # 10 shots over 4 repetitions: 2 per repetition, 8 per (order, mean)
+        sampled = []
+        run_experiment = cli.run_experiment
+
+        def counting(c, params, imperfections, shots, rng):
+            sampled.append(shots)
+            return run_experiment(c, params, imperfections, shots, rng)
+
+        monkeypatch.setattr(cli, "run_experiment", counting)
+        code, out = run_cli(
+            ["montecarlo", "--set", "montecarlo.shots=10",
+             "--set", "montecarlo.repetitions=4",
+             "--set", "montecarlo.signal_means=4.13"],
+            tmp_path, "mcshots",
+        )
+        assert code == 0
+        assert sum(sampled) == 2 * 8  # orders 2 and 4
+        for name in ("mc_summary.csv", "mc_hist_m2_sig4.13.csv", "mc_hist_m4_sig4.13.csv"):
+            assert "# shots=8\n" in (out / name).read_text()
+        assert "# shots_per_repetition=2\n" in (out / "mc_mi.csv").read_text()
+
 
 class TestEdgeCases:
     def test_single_shot_histogram_is_point_mass(self, tmp_path):
@@ -315,6 +347,135 @@ class TestErrorHandling:
         ])
         assert code == 1
         assert not (tmp_path / "y").exists()
+
+
+class TestDuplicateOutputNames:
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["skellam", "--set", "montecarlo.signal_means=4.130001,4.130002"],
+             "skellam_m4_sig4.13.csv"),
+            (["montecarlo", "--set", "montecarlo.shots=100",
+              "--set", "montecarlo.signal_means=4.13,4.13"],
+             "mc_hist_m2_sig4.13.csv"),
+        ],
+        ids=["skellam", "montecarlo"],
+    )
+    def test_rejected_before_writing(self, tmp_path, capsys, args, name):
+        outdir = tmp_path / "new" / "dup"
+        assert main(args + ["--out", str(outdir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSweepPhases:
+    """sweep.bpsk_phi0 and sweep.qpsk_phi0 reach every command that sweeps the orders."""
+
+    PHASES = {2: 0.7853981633974483, 4: 0.5}
+    ONE_POINT = ["--set", "channel.loss_db_start=1", "--set", "channel.loss_db_stop=1",
+                 "--set", "sweep.visibilities=1.0"]
+    MONTECARLO = ["--set", "montecarlo.shots=40", "--set", "montecarlo.signal_means=4.13"]
+
+    def _rows(self, tmp_path, args, table, phased):
+        phase_args = ["--set", f"sweep.bpsk_phi0={self.PHASES[2]}",
+                      "--set", f"sweep.qpsk_phi0={self.PHASES[4]}"] if phased else []
+        code, out = run_cli(args + phase_args, tmp_path, f"{table}-{phased}")
+        assert code == 0
+        _, header, rows = parse_table((out / f"{table}.csv").read_text())
+        return [dict(zip(header, r)) for r in rows]
+
+    @staticmethod
+    def _close(a: float, b: float) -> bool:
+        return abs(a - b) <= 1e-12 * abs(b)
+
+    def test_sweep_kgr(self, tmp_path):
+        config = load_config()
+        params = config.receiver_params(loss_db_to_transmissivity(1.0))
+        rows = self._rows(tmp_path, ["sweep-kgr"] + self.ONE_POINT, "sweep_kgr", True)
+        default = self._rows(tmp_path, ["sweep-kgr"] + self.ONE_POINT, "sweep_kgr", False)
+        assert [r["m"] for r in rows] == ["2", "4"]
+        for row, base in zip(rows, default):
+            m = int(row["m"])
+            c = build_psk(m, float(config["constellation.alpha"]), self.PHASES[m])
+            assert self._close(float(row["kgr_bits"]), kgr(c, params).kgr_bits)
+            assert not self._close(float(row["kgr_bits"]), float(base["kgr_bits"]))
+
+    def test_sweep_mi(self, tmp_path):
+        config = load_config()
+        t = loss_db_to_transmissivity(1.0)
+        rows = self._rows(tmp_path, ["sweep-mi"] + self.ONE_POINT, "sweep_mi", True)
+        default = self._rows(tmp_path, ["sweep-mi"] + self.ONE_POINT, "sweep_mi", False)
+        assert sorted((r["m"], r["receiver"]) for r in rows) == [
+            ("2", "hd"), ("2", "wf"), ("4", "hd"), ("4", "wf"),
+        ]
+        for row, base in zip(rows, default):
+            m = int(row["m"])
+            c = build_psk(m, float(config["constellation.alpha"]), self.PHASES[m])
+            if row["receiver"] == "wf":
+                params = config.receiver_params(t, visibility=1.0)
+                expected = wf_mutual_information(c, params).mi_bits
+            else:
+                expected = hd_mutual_information(
+                    c,
+                    HomodyneParams(transmissivity=t, visibility=1.0),
+                    phase_jitter_rms=float(config["receiver.phase_jitter_rms"]),
+                    jitter_quad_nodes=int(config["receiver.jitter_quad_nodes"]),
+                )
+            assert self._close(float(row["mi_bits"]), expected)
+            assert not self._close(float(row["mi_bits"]), float(base["mi_bits"]))
+
+    def test_montecarlo_analytic_mi(self, tmp_path):
+        config = load_config()
+        lo_amplitude = math.sqrt(float(config["montecarlo.lo_mean"]))
+        params = replace(config.receiver_params(1.0), lo_amplitude=lo_amplitude)
+        rows = self._rows(tmp_path, ["montecarlo"] + self.MONTECARLO, "mc_mi", True)
+        default = self._rows(tmp_path, ["montecarlo"] + self.MONTECARLO, "mc_mi", False)
+        assert {r["m"] for r in rows} == {"2", "4"}
+        for row, base in zip(rows, default):
+            m = int(row["m"])
+            c = build_psk(m, math.sqrt(4.13), self.PHASES[m])
+            expected = wf_mutual_information(c, params).mi_bits
+            assert self._close(float(row["mi_bits_analytic"]), expected)
+            assert not self._close(float(row["mi_bits_analytic"]), float(base["mi_bits_analytic"]))
+
+
+class TestBenchmarkHooks:
+    """The names the benchmark's tracer reads from the package stay in place."""
+
+    SPAN_STATS = {"self_s", "self_cpu_s", "total_s", "calls", "p50_s", "p75_s"}
+
+    def test_per_layer_functions_exist(self):
+        spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        checked = 0
+        for entry in spec["per_layer"]:
+            parts = entry["name"].split(".")
+            if len(parts) != 3 or parts[2] not in self.SPAN_STATS:
+                continue
+            module, function, _ = parts
+            fn = getattr(importlib.import_module(f"wfhsim.{module}"), function, None)
+            assert inspect.isfunction(fn), entry["name"]
+            assert (fn.__module__, fn.__name__) == (f"wfhsim.{module}", function), entry["name"]
+            assert not function.startswith("_")
+            checked += 1
+        assert checked > 0
+
+    def test_worker_hooks_exist(self):
+        assert isinstance(cli.WORKER_ENV, str)
+        assert cli._workers() >= 1
+
+    def test_run_calls_command_through_module(self, tmp_path, monkeypatch):
+        calls = []
+        cmd_skellam = cli.cmd_skellam
+
+        def patched(config):
+            calls.append(config)
+            return cmd_skellam(config)
+
+        monkeypatch.setattr(cli, "cmd_skellam", patched)
+        code, _ = run_cli(["skellam", "--set", "montecarlo.signal_means=4.13"], tmp_path, "hook")
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestManifest:
