@@ -312,11 +312,8 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
             pooled.update(counts)
             mi_rows.append((m, mean_sig, r, plugin_mi_estimate(counts), mi_analytic))
         empirical = np.zeros((m, 2 * d_max + 1))  # a symbol that drew no shot keeps zeros
-        for k in range(m):
-            try:
-                empirical[k] = difference_hist_from_counts(pooled, k, d_max).probs
-            except ValueError:  # no shots for this symbol at tiny shot counts
-                pass
+        for k in sorted({k for k, _, _ in pooled}):  # an out-of-window difference raises
+            empirical[k] = difference_hist_from_counts(pooled, k, d_max).probs
         for k, emp in enumerate(empirical):
             fidelities = (0.0, 0.0)
             if emp.any():  # fidelity needs a normalized row

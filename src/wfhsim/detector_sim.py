@@ -129,7 +129,9 @@ def difference_hist_from_counts(
             continue
         d = n - m
         if abs(d) > d_max:
-            raise ValueError(f"difference {d} outside [-{d_max}, {d_max}]")
+            raise ValueError(
+                f"symbol {symbol_index}: count difference {d} outside [-{d_max}, {d_max}]"
+            )
         probs[d + d_max] += v
         total += v
     if total == 0:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -260,6 +261,33 @@ class TestMonteCarloCommand:
             assert "# shots=8\n" in (out / name).read_text()
         assert "# shots_per_repetition=2\n" in (out / "mc_mi.csv").read_text()
 
+    def test_difference_outside_window_fails_the_run(self, tmp_path, capsys):
+        # 30 dark counts a shot push symbol 0's differences out of the theory
+        # window; its shots exist, so the run must not report them as missing
+        code, out = run_cli(
+            ["montecarlo", "--set", "montecarlo.crosstalk_prob=0.99",
+             "--set", "montecarlo.dark_mean=30", "--set", "montecarlo.shots=2000",
+             "--set", "montecarlo.signal_means=4.13"],
+            tmp_path, "mcwindow",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        pattern = r"^error: symbol 0: count difference -?\d+ outside \[-\d+, \d+\]$"
+        assert re.search(pattern, err, re.M)
+        assert not out.exists()
+
+    def test_default_run_keeps_every_symbol(self, tmp_path):
+        code, out = run_cli(["montecarlo"], tmp_path, "mcdefault")
+        assert code == 0
+        for m in (2, 4):
+            for mean in ("4.13", "1.78"):
+                _, _, rows = parse_table((out / f"mc_hist_m{m}_sig{mean}.csv").read_text())
+                empirical = np.array([[float(v) for v in r[1 : 1 + m]] for r in rows])
+                assert np.allclose(empirical.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+        _, _, summary = parse_table((out / "mc_summary.csv").read_text())
+        assert len(summary) == 2 * (2 + 4)
+        assert min(float(r[3]) for r in summary) > 0.99
+
 
 class TestEdgeCases:
     def test_single_shot_histogram_is_point_mass(self, tmp_path):
@@ -286,6 +314,28 @@ class TestEdgeCases:
             )
             outputs.append((out / "sweep_mi.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.slow
+    def test_homodyne_result_ignores_threading(self, tmp_path):
+        """The jitter node sum is a BLAS product: BLAS threads and the pool change no byte."""
+        paths = [str(Path(wfhsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        scrubbed = ("OPENBLAS_NUM_THREADS", cli.WORKER_ENV)
+        base = {k: v for k, v in os.environ.items() if k not in scrubbed}
+        base["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        outputs = []
+        for name, env in (
+            ("blas1", {"OPENBLAS_NUM_THREADS": "1"}),
+            ("blas2", {"OPENBLAS_NUM_THREADS": "2"}),
+            ("serial", {cli.WORKER_ENV: "1"}),
+        ):
+            out = tmp_path / name
+            subprocess.run(
+                [sys.executable, "-m", "wfhsim.cli", "sweep-mi",
+                 "--set", "receiver.phase_jitter_rms=0.25", *SMALL_GRID, "--out", str(out)],
+                env=base | env, capture_output=True, check=True,
+            )
+            outputs.append((out / "sweep_mi.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestBenchmarkReferences:

@@ -12,7 +12,7 @@ from wfhsim.homodyne import (
     HomodyneParams,
     _differential_entropy_bits,
     _grid,
-    _jittered_pdf,
+    _jittered_pdfs,
     _mi_from_pdfs,
     _simpson_weights,
     conditional_mean,
@@ -145,7 +145,7 @@ class TestMutualInformation:
                 ref += w * hd_conditional_pdf(
                     x, CoherentSymbol(s.amplitude, s.phase + delta, 1.0), params
                 )
-            got = _jittered_pdf(x, s, params, sigma, 21)
+            got = _jittered_pdfs(x, [s], params, sigma, 21)[0]
             assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_jitter_nodes_reach_the_average(self, qpsk):
@@ -170,7 +170,7 @@ class TestSharedRefinedGrid:
         params = HomodyneParams(transmissivity=0.5, visibility=0.845, grid=grid)
         checked = hd_mutual_information(qpsk, params, phase_jitter_rms=sigma)
         x = _grid(qpsk, params)
-        pdfs = np.stack([_jittered_pdf(x, s, params, sigma, 21) for s in qpsk.symbols])
+        pdfs = _jittered_pdfs(x, qpsk.symbols, params, sigma, 21)
         direct = _mi_from_pdfs(pdfs, x, np.array(qpsk.priors), params, sigma)
         assert checked == direct
 
@@ -191,12 +191,53 @@ class TestSharedRefinedGrid:
         params = HomodyneParams()
         x = _grid(qpsk, params)
         x2 = np.linspace(x[0], x[-1], 2 * len(x) - 1)
-        mix = sum(s.prior * _jittered_pdf(x2, s, params, 0.25, 21) for s in qpsk.symbols)
+        pdfs = _jittered_pdfs(x2, qpsk.symbols, params, 0.25, 21)
+        mix = sum(s.prior * pdf for s, pdf in zip(qpsk.symbols, pdfs))
         w = _simpson_weights(len(x2), float(x2[1] - x2[0]))
         exact = math.fsum(
             wi * -p * math.log2(p) for wi, p in zip(w.tolist(), mix.tolist()) if p > 1e-300
         )
         assert _differential_entropy_bits(mix, w) == pytest.approx(exact, rel=1e-14, abs=0)
+
+
+class TestBlockedJitterAverage:
+    """The blocked (E @ V) * U jitter average against the direct node loop."""
+
+    @staticmethod
+    def _node_loop(x, symbol, params, sigma):
+        nodes, weights = np.polynomial.hermite.hermgauss(21)
+        ref = np.zeros_like(x)
+        for delta, w in zip(math.sqrt(2.0) * sigma * nodes, weights / math.sqrt(math.pi)):
+            ref += w * hd_conditional_pdf(
+                x, CoherentSymbol(symbol.amplitude, symbol.phase + delta, 1.0), params
+            )
+        return ref
+
+    def _assert_matches_node_loop(self, c, params, sigma):
+        x = _grid(c, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _jittered_pdfs(x, c.symbols, params, sigma, 21)
+        for s, row in zip(c.symbols, got):
+            assert np.max(np.abs(row - self._node_loop(x, s, params, sigma))) <= 1e-12
+
+    # None is the default grid, blocks of ~sqrt(n) points, and at alpha = 40 the
+    # exponent bound caps them; a step of 0.7 or 1.5 sigma gives one-point blocks
+    @pytest.mark.parametrize(
+        "grid", [None, (-30.0, 30.0, 0.7), (-40.0, 40.0, 1.5), (-100.0, 100.0, 0.05)]
+    )
+    @pytest.mark.parametrize("sigma", [0.0, 0.25, 1.0])
+    def test_matches_node_loop(self, grid, sigma):
+        for alpha in (0.3, 2.04, 10.0, 40.0):
+            for m in (2, 4, 8):
+                c = build_psk(m, alpha)
+                self._assert_matches_node_loop(c, HomodyneParams(grid=grid), sigma)
+
+    @pytest.mark.parametrize("alpha", [2.04, 40.0])
+    def test_grid_far_beyond_the_means(self, alpha):
+        """Blocks one sigma long would put e^950 in U here; the bound shrinks them."""
+        params = HomodyneParams(grid=(-1000.0, 1000.0, 0.02))
+        self._assert_matches_node_loop(build_psk(4, alpha), params, 0.25)
 
 
 class TestParams:
