@@ -248,8 +248,10 @@ def cmd_allan(config: RunConfig, input_path: str) -> list[Table]:
 
 def cmd_asd(config: RunConfig, input_path: str, segment_s: float, overlap: float) -> list[Table]:
     trace = _read_trace(input_path)
-    seg = int(round(segment_s / trace.dt))
-    spectrum = asd(trace, seg, overlap)
+    samples = segment_s / trace.dt
+    if not math.isfinite(samples):
+        raise ValueError(f"--segment-s {segment_s} gives no finite sample count")
+    spectrum = asd(trace, int(round(samples)), overlap)
     return [
         Table(
             name="asd",

@@ -15,6 +15,7 @@ from pathlib import Path
 from .constellation import Constellation, build_psk
 from .detector_sim import DetectorImperfections
 from .lock_sim import ActuatorModel, NoiseModel, PiConfig
+from .phase_metrology import _octave_ladder
 from .wf_receiver import WfReceiverParams
 
 
@@ -167,7 +168,7 @@ class RunConfig:
             crosstalk_prob=float(self.values["montecarlo.crosstalk_prob"]),
         )
 
-    def noise_model(self, seed: int, box_closed: bool = False) -> NoiseModel:
+    def noise_model(self, seed: int) -> NoiseModel:
         v = self.values
         return NoiseModel(
             drift_rate=float(v["lock.noise_drift_rate"]),
@@ -175,7 +176,6 @@ class RunConfig:
             tone_200hz_rms=float(v["lock.noise_tone_200hz_rms"]),
             white_rms=float(v["lock.noise_white_rms"]),
             air_rms=float(v["lock.noise_air_rms"]),
-            box_closed=box_closed,
             seed=seed,
             drift_linear_fraction=float(v["lock.noise_drift_linear_fraction"]),
             tone_20hz_freq=float(v["lock.noise_tone_20hz_freq"]),
@@ -197,16 +197,11 @@ class RunConfig:
         )
 
     def lock_taus(self) -> list[float]:
-        dt = float(self.values["lock.dt_s"])
         m = int(self.values["lock.allan_min_m"])
-        m_max = int(self.values["lock.allan_max_m"])
         if m < 1:  # doubling would never pass allan_max_m
             raise ConfigError(f"lock.allan_min_m must be >= 1, got {m}")
-        taus = []
-        while m <= m_max:
-            taus.append(m * dt)
-            m *= 2
-        return taus
+        m_max = int(self.values["lock.allan_max_m"])
+        return _octave_ladder(m, m_max, float(self.values["lock.dt_s"]))
 
 
 def load_config(
@@ -249,7 +244,7 @@ def _validate_sections(config: RunConfig) -> None:
             check()
         except ConfigError:
             raise
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"invalid {section} configuration: {exc}") from exc
 
 

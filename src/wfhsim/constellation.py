@@ -51,14 +51,6 @@ class CoherentSymbol:
     def complex_amplitude(self) -> complex:
         return self.amplitude * cmath.exp(1j * self.phase)
 
-    @property
-    def mean_photons(self) -> float:
-        return self.amplitude * self.amplitude
-
-    @classmethod
-    def from_complex(cls, value: complex, prior: float) -> "CoherentSymbol":
-        return cls(amplitude=abs(value), phase=cmath.phase(value), prior=prior)
-
 
 @dataclass(frozen=True)
 class Constellation:

@@ -19,17 +19,15 @@ from .wf_receiver import DiffDistribution, WfReceiverParams, _branch_means
 
 @dataclass(frozen=True)
 class DetectorImperfections:
-    """Dark counts (mean per gate), crosstalk probability, trusted mean range.
+    """Dark counts (mean per gate) and crosstalk probability.
 
     ``crosstalk_prob`` is the chance that each primary count triggers exactly
     one extra count (a single duplication generation; the measured crosstalk
-    is ~1%, so higher generations are negligible).  Branch means outside
-    ``valid_mean_range`` trigger a :class:`RangeWarning`.
+    is ~1%, so higher generations are negligible).
     """
 
     dark_mean: float = 0.0
     crosstalk_prob: float = 0.0
-    valid_mean_range: tuple[float, float] = (0.5, 15.0)
 
     def __post_init__(self) -> None:
         if self.dark_mean < 0.0:
@@ -42,13 +40,16 @@ class DetectorImperfections:
 
 NO_IMPERFECTIONS = DetectorImperfections()
 
+# Branch means outside this range trigger a :class:`RangeWarning`.
+VALID_MEAN_RANGE = (0.5, 15.0)
+
 
 class RangeWarning(UserWarning):
     """A branch mean left the trusted detection range."""
 
 
-def _check_range(mu: float, imperfections: DetectorImperfections) -> None:
-    lo, hi = imperfections.valid_mean_range
+def _check_range(mu: float) -> None:
+    lo, hi = VALID_MEAN_RANGE
     if not lo <= mu <= hi:
         warnings.warn(
             f"branch mean {mu:.3f} outside trusted range [{lo}, {hi}]",
@@ -114,7 +115,7 @@ def sample_branch_counts(
     mu_t, mu_r = _branch_means(amps[symbol_indices], shot_phases, params)
     for nominal in zip(*_branch_means(amps, phases, params)):
         for mu in nominal:
-            _check_range(mu, imperfections)
+            _check_range(mu)
     return _detect(mu_t, imperfections, rng), _detect(mu_r, imperfections, rng)
 
 

@@ -2,7 +2,9 @@
 
 A balanced homodyne receiver measuring a single quadrature sees each symbol
 as a Gaussian with shot-noise variance; the mutual information follows from
-the differential entropy of the Gaussian mixture.
+the differential entropy of the Gaussian mixture.  Quadratures are in
+shot-noise units (sigma0 = 1): the means, the width and the automatic grid
+all scale with sigma0, so the information does not depend on it.
 """
 
 from __future__ import annotations
@@ -30,23 +32,18 @@ class GridAccuracyError(ValueError):
 
 @dataclass(frozen=True)
 class HomodyneParams:
-    """Shot-noise variance, channel transmissivity and integration grid.
+    """Channel transmissivity, integration grid and visibility.
 
     ``grid`` is (x_min, x_max, step); None lets the integrator pick a grid
     covering every conditional mean plus a 10-sigma pad.  ``visibility``
     scales the conditional means for imperfect mode overlap (1 = ideal).
     """
 
-    shot_noise_variance: float = 1.0
     transmissivity: float = 1.0
     grid: tuple[float, float, float] | None = None
     visibility: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.shot_noise_variance <= 0.0:
-            raise ValueError(
-                f"shot_noise_variance must be > 0, got {self.shot_noise_variance}"
-            )
         if not 0.0 <= self.transmissivity <= 1.0:
             raise ValueError(
                 f"transmissivity must be in [0, 1], got {self.transmissivity}"
@@ -58,16 +55,11 @@ class HomodyneParams:
             if not (x_max > x_min and step > 0.0):
                 raise ValueError(f"malformed grid {self.grid}")
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.shot_noise_variance)
-
 
 def _conditional_means(amps, phases, params: HomodyneParams) -> np.ndarray:
-    """Quadrature means 2 sigma0 xi sqrt(T) a cos(phase), elementwise."""
+    """Quadrature means 2 xi sqrt(T) a cos(phase), elementwise."""
     return (
         2.0
-        * params.sigma
         * params.visibility
         * math.sqrt(params.transmissivity)
         * np.asarray(amps, dtype=np.float64)
@@ -76,19 +68,16 @@ def _conditional_means(amps, phases, params: HomodyneParams) -> np.ndarray:
 
 
 def conditional_mean(symbol: CoherentSymbol, params: HomodyneParams) -> float:
-    """Quadrature mean 2 sigma0 xi sqrt(T) a cos(phase) of one symbol."""
+    """Quadrature mean 2 xi sqrt(T) a cos(phase) of one symbol."""
     return float(_conditional_means(symbol.amplitude, symbol.phase, params))
-
-
-def _gaussian_pdf(x, mean: float, var: float):
-    return np.exp(-((x - mean) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
 
 
 def hd_conditional_pdf(
     x: float | np.ndarray, symbol: CoherentSymbol, params: HomodyneParams
 ) -> float | np.ndarray:
-    """Gaussian density of the measured quadrature given one sent symbol."""
-    return _gaussian_pdf(x, conditional_mean(symbol, params), params.shot_noise_variance)
+    """Unit-variance Gaussian density of the measured quadrature given one sent symbol."""
+    mean = conditional_mean(symbol, params)
+    return np.exp(-((x - mean) ** 2) / 2.0) / math.sqrt(2.0 * math.pi)
 
 
 def _grid(c: Constellation, params: HomodyneParams) -> np.ndarray:
@@ -96,8 +85,8 @@ def _grid(c: Constellation, params: HomodyneParams) -> np.ndarray:
         x_min, x_max, step = params.grid
     else:
         means = _conditional_means(c.amplitudes, c.phases, params)
-        reach = float(np.max(np.abs(means))) + GRID_PAD_SIGMAS * params.sigma
-        x_min, x_max, step = -reach, reach, params.sigma / STEPS_PER_SIGMA
+        reach = float(np.max(np.abs(means))) + GRID_PAD_SIGMAS
+        x_min, x_max, step = -reach, reach, 1.0 / STEPS_PER_SIGMA
     n = int(math.ceil((x_max - x_min) / step)) + 1
     if n % 2 == 0:  # Simpson needs an odd point count
         n += 1
@@ -120,42 +109,39 @@ def _jittered_pdfs(
 ) -> np.ndarray:
     """Jitter-averaged densities of ``symbols`` on the increasing uniform grid ``x``.
 
-    Row k is sum_j w_j N(x; m_kj, v) over the Gauss-Hermite phase nodes j.
+    Row k is sum_j w_j N(x; m_kj, 1) over the Gauss-Hermite phase nodes j.
     The grid is cut into blocks of B points starting at X_b, and with d = i h
 
-        exp(-(X_b + d - m)^2 / 2v) = E[b, j] V[j, i] U[b, i],
-        E = exp(-(X_b - m_j)^2 / 2v),  V = exp(d m_j / v),
-        U = exp(-d X_b / v - d^2 / 2v),
+        exp(-(X_b + d - m)^2 / 2) = E[b, j] V[j, i] U[b, i],
+        E = exp(-(X_b - m_j)^2 / 2),  V = exp(d m_j),
+        U = exp(-d X_b - d^2 / 2),
 
     so each symbol's row is one (E @ V) * U product, with the node weight and
     the Gaussian normalisation folded into V, and U is shared by every symbol.
-    B is about sqrt(len(x)), with B h <= sigma and B h <= _FACTOR_EXPONENT v
-    over the largest |x| or |m|, so no factor's exponent leaves +-(that bound
+    B is about sqrt(len(x)), with B h <= 1 and B h <= _FACTOR_EXPONENT over
+    the largest |x| or |m|, so no factor's exponent leaves +-(that bound
     + 1/2).  B = 1 (a grid coarser than that) is the direct evaluation.
     """
     deltas, weights = _gauss_hermite_weights(jitter_rms, quad_nodes)
     amps = np.array([s.amplitude for s in symbols])
     phases = np.array([s.phase for s in symbols])
     means = _conditional_means(amps[:, None], phases[:, None] + deltas, params)
-    var = params.shot_noise_variance
     n = len(x)
     # the linspace step: x[1] - x[0] differs from it by up to ~1e-12 relative
     h = (x[-1] - x[0]) / (n - 1)
     reach = max(abs(x[0]), abs(x[-1]), float(np.max(np.abs(means))))
-    span = min(params.sigma, _FACTOR_EXPONENT * var / reach)
+    span = min(1.0, _FACTOR_EXPONENT / reach)
     block = max(1, min(math.isqrt(n), int(span / h)))
     starts = x[::block]
     offsets = h * np.arange(block)
-    e = np.exp(-((starts[:, None] - means[:, None, :]) ** 2) / (2.0 * var))
-    v = (weights / math.sqrt(2.0 * math.pi * var))[:, None] * np.exp(
-        means[:, :, None] * offsets / var
-    )
+    e = np.exp(-((starts[:, None] - means[:, None, :]) ** 2) / 2.0)
+    v = (weights / math.sqrt(2.0 * math.pi))[:, None] * np.exp(means[:, :, None] * offsets)
     out = np.empty((len(symbols), len(starts), block))
     # 2-D products: a stacked matmul with one node (sigma = 0) skips BLAS and
     # takes ~3x longer
     for e_k, v_k, out_k in zip(e, v, out):
         np.dot(e_k, v_k, out=out_k)
-    out *= np.exp(-(starts[:, None] * offsets + 0.5 * offsets**2) / var)
+    out *= np.exp(-(starts[:, None] * offsets + 0.5 * offsets**2))
     return out.reshape(len(symbols), -1)[:, :n]
 
 
@@ -194,8 +180,8 @@ def hd_mutual_information(
         x_fine[1::2], c.symbols, params, phase_jitter_rms, jitter_quad_nodes
     )
     priors = np.array(c.priors)
-    result = _mi_from_pdfs(base, x, priors, params, phase_jitter_rms)
-    refined = _mi_from_pdfs(pdfs, x_fine, priors, params, phase_jitter_rms)
+    result = _mi_from_pdfs(base, x, priors, phase_jitter_rms)
+    refined = _mi_from_pdfs(pdfs, x_fine, priors, phase_jitter_rms)
     if abs(refined - result) > 1e-6:
         raise GridAccuracyError(
             f"entropy moved by {abs(refined - result):.3e} when halving the "
@@ -208,14 +194,13 @@ def _mi_from_pdfs(
     pdfs: np.ndarray,
     x: np.ndarray,
     priors: np.ndarray,
-    params: HomodyneParams,
     jitter_rms: float,
 ) -> float:
     """Simpson-quadrature MI of the (M, len(x)) conditional densities on ``x``."""
     w = _simpson_weights(len(x), float(x[1] - x[0]))
     h_mix = float(_differential_entropy_bits(_prior_mixture(priors, pdfs), w))
     if jitter_rms == 0.0:
-        h_cond = 0.5 * math.log2(2.0 * math.pi * math.e * params.shot_noise_variance)
+        h_cond = 0.5 * math.log2(2.0 * math.pi * math.e)
     else:
         h_cond = float(_prior_mixture(priors, _differential_entropy_bits(pdfs, w)))
     return max(0.0, h_mix - h_cond)

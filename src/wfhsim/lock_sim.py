@@ -33,7 +33,6 @@ class PiConfig:
 
     kp: float = 0.0
     ki: float = 0.0
-    setpoint: float = 0.0
     output_limits: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self) -> None:
@@ -146,7 +145,6 @@ def _pi_lock_loop(
     dt: float,
     kp: float,
     ki: float,
-    setpoint: float,
     out_min: float,
     out_max: float,
     actuator_gain: float,
@@ -158,16 +156,15 @@ def _pi_lock_loop(
     ``u = kp * e + ki * integral`` is clamped to ``[out_min, out_max]``, and
     the integral freezes while the output is saturated (anti-windup).
     ``actuator_alpha`` is the per-step smoothing factor of the single-pole
-    actuator response.  Returns the residual trace (measured phase minus
-    setpoint) and the index of divergence (-1 if the loop stayed bounded).
+    actuator response.  Returns the residual phase trace and the index of
+    divergence (-1 if the loop stayed bounded).
     """
     n = noise.shape[0]
     residual = np.empty(n, dtype=np.float64)
     integral = 0.0
     act = 0.0
     for i in range(n):
-        phi = noise[i] + act
-        r = phi - setpoint
+        r = noise[i] + act
         residual[i] = r
         if abs(r) > 1e3:
             return residual, i
@@ -202,7 +199,6 @@ def _linear_lock_response(
     dt: float,
     kp: float,
     ki: float,
-    setpoint: float,
     out_min: float,
     out_max: float,
     actuator_gain: float,
@@ -211,7 +207,7 @@ def _linear_lock_response(
     """Residual of :func:`_pi_lock_loop` for a loop that never saturates.
 
     Unsaturated, the loop is linear in the state x = (integral, actuation):
-    ``x_{i+1} = A x_i + b e_i`` with ``e_i = noise_i - setpoint`` and residual
+    ``x_{i+1} = A x_i + b e_i`` with ``e_i = noise_i`` and residual
     ``r_i = x_i[1] + e_i``.  The trace is cut into blocks of ``_BLOCK``
     samples.  The response of every block to its own disturbance is one
     matrix product against the Toeplitz of ``A^j b``, the block-start states
@@ -230,7 +226,7 @@ def _linear_lock_response(
     n, L = noise.shape[0], _BLOCK
     n_blocks = -(-n // L)
     e = np.zeros((n_blocks, L))
-    np.subtract(noise, setpoint, out=e.ravel()[:n])
+    e.ravel()[:n] = noise
 
     powers = np.empty((L + 1, 2, 2))  # A^j
     powers[0] = np.eye(2)
@@ -281,7 +277,7 @@ def simulate_lock(
     """Run the Euler-discretized loop and return the residual phase trace.
 
     ``pi`` of None disables the lock entirely, in which case the residual is
-    exactly the raw noise trace (minus the setpoint, which is then 0).
+    exactly the raw noise trace.
     Reproducible from the noise seed; raises :class:`LockDivergenceError` if
     the loop leaves +-1e3 rad.
     """
@@ -308,7 +304,7 @@ def simulate_lock(
     if pi.kp == 0.0 and pi.ki == 0.0:
         raise ValueError("lock enabled but both gains are zero")
     alpha = 1.0 - math.exp(-2.0 * math.pi * actuator.bandwidth_hz * dt)
-    args = (disturbance, dt, pi.kp, pi.ki, pi.setpoint, *pi.output_limits, actuator.gain, alpha)
+    args = (disturbance, dt, pi.kp, pi.ki, *pi.output_limits, actuator.gain, alpha)
     residual = _linear_lock_response(*args)
     diverged_at = -1
     if residual is None:  # saturation, divergence or an unstable loop
@@ -333,14 +329,13 @@ def four_conditions(
     pi_fast: PiConfig,
     duration: float,
     dt: float,
-    actuator: ActuatorModel | None = None,
+    actuator: ActuatorModel,
 ) -> dict[str, PhaseTrace]:
     """The four standard operating conditions: {lock off, fast lock} x {box}.
 
     Each condition runs on an independent child seed derived from the model's
     base seed, mirroring independently acquired measurements.
     """
-    actuator = actuator or ActuatorModel()
     children = np.random.SeedSequence(noise.seed).spawn(4)
     seeds = [int(c.generate_state(1)[0]) for c in children]
     plan = [

@@ -37,14 +37,6 @@ class PhaseTrace:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size * self.dt
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.size) * self.dt
-
 
 @dataclass(frozen=True)
 class AllanCurve:
@@ -103,15 +95,18 @@ def fringe_to_phase(
     return PhaseTrace(samples=phase, dt=dt), clip_fraction
 
 
-def octave_taus(trace: PhaseTrace, max_fraction: float = 0.125) -> np.ndarray:
-    """Octave-spaced averaging times m*dt, m = 1, 2, 4, ... up to N*max_fraction."""
-    m_max = int(len(trace) * max_fraction)
+def _octave_ladder(m: int, m_max: int, dt: float) -> list[float]:
+    """Averaging times m*dt, 2m*dt, 4m*dt, ... up to m_max*dt; needs m >= 1."""
     taus = []
-    m = 1
     while m <= m_max:
-        taus.append(m * trace.dt)
+        taus.append(m * dt)
         m *= 2
-    return np.array(taus)
+    return taus
+
+
+def octave_taus(trace: PhaseTrace) -> np.ndarray:
+    """Octave-spaced averaging times m*dt, m = 1, 2, 4, ... up to N/8."""
+    return np.array(_octave_ladder(1, int(len(trace) * 0.125), trace.dt))
 
 
 def overlapping_allan(trace: PhaseTrace, taus) -> AllanCurve:

@@ -398,6 +398,28 @@ class TestErrorHandling:
         assert code == 1
         assert not (tmp_path / "y").exists()
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep-kgr", "--set", "channel.loss_db_step=1e-320"],
+            ["lock", "--set", "lock.asd_segment_s=1e308"],
+            ["lock", "--set", "lock.duration_s=1e308"],
+            ["asd", "--segment-s", "inf"],
+            ["asd", "--segment-s", "1e308"],
+        ],
+        ids=["loss-step", "asd-segment", "duration", "segment-inf", "segment-1e308"],
+    )
+    def test_finite_value_without_sample_count_rejected(self, tmp_path, capsys, args):
+        if args[0] == "asd":
+            src = tmp_path / "trace.csv"
+            write_trace_csv(src, PhaseTrace(np.zeros(400), 1e-4))
+            args = [*args, "--input", str(src)]
+        code = main([*args, "--out", str(tmp_path / "w")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "w").exists()
+
 
 class TestDuplicateOutputNames:
     @pytest.mark.parametrize(

@@ -171,7 +171,7 @@ class TestSharedRefinedGrid:
         checked = hd_mutual_information(qpsk, params, phase_jitter_rms=sigma)
         x = _grid(qpsk, params)
         pdfs = _jittered_pdfs(x, qpsk.symbols, params, sigma, 21)
-        direct = _mi_from_pdfs(pdfs, x, np.array(qpsk.priors), params, sigma)
+        direct = _mi_from_pdfs(pdfs, x, np.array(qpsk.priors), sigma)
         assert checked == direct
 
     @settings(max_examples=300, deadline=None)
@@ -244,7 +244,6 @@ class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(shot_noise_variance=0.0),
             dict(transmissivity=1.2),
             dict(visibility=-0.1),
             dict(grid=(1.0, -1.0, 0.1)),

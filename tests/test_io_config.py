@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -289,7 +290,7 @@ class TestTraceFormatter:
             float(config["lock.dt_s"]),
             config.pi_fast(),
             config.actuator(),
-            config.noise_model(seed=0, box_closed=True),
+            replace(config.noise_model(seed=0), box_closed=True),
         )
         fallback_rows = []
         percent_rows_of = wfhsim.io._percent_rows

@@ -60,12 +60,12 @@ class TestLockLoopKernel:
     def test_lock_disabled_passes_noise_through(self):
         # both gains zero: the controller never actuates
         noise = np.linspace(-0.5, 0.5, 100)
-        residual, diverged = _pi_lock_loop(noise, 1e-3, 0.0, 0.0, 0.0, -1.0, 1.0, 1.0, 0.1)
+        residual, diverged = _pi_lock_loop(noise, 1e-3, 0.0, 0.0, -1.0, 1.0, 1.0, 0.1)
         assert diverged == -1
         assert np.array_equal(residual, noise)
 
     def test_divergence_index_reported(self):
         noise = np.zeros(100)
         noise[10] = 2e3
-        residual, diverged = _pi_lock_loop(noise, 1e-3, 0.0, 1.0, 0.0, -10.0, 10.0, 1.0, 0.1)
+        residual, diverged = _pi_lock_loop(noise, 1e-3, 0.0, 1.0, -10.0, 10.0, 1.0, 0.1)
         assert diverged == 10

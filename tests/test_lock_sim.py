@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ def controller_io(noise, kp, ki, dt, limits=(-10.0, 10.0)):
     is u_i, so ``u_i = residual[i+1] - noise[i+1]`` and ``e_i = -residual[i]``.
     """
     noise = np.asarray(noise, dtype=np.float64)
-    residual, diverged = _pi_lock_loop(noise, dt, kp, ki, 0.0, *limits, 1.0, 1.0)
+    residual, diverged = _pi_lock_loop(noise, dt, kp, ki, *limits, 1.0, 1.0)
     assert diverged == -1
     return -residual[:-1], residual[1:] - noise[1:]
 
@@ -76,7 +77,7 @@ class TestPiStep:
     def test_integral_removes_steady_state_error(self):
         # constant disturbance, closed loop, ki only
         residual, diverged = _pi_lock_loop(
-            np.full(200_000, 0.8), 1e-3, 0.0, 20.0, 0.0, -10.0, 10.0, 1.0, 0.06
+            np.full(200_000, 0.8), 1e-3, 0.0, 20.0, -10.0, 10.0, 1.0, 0.06
         )
         assert diverged == -1
         assert abs(residual[-1]) < 1e-6
@@ -130,7 +131,7 @@ class TestSimulateLock:
         noise = slope * np.arange(n) * dt
         pi = FAST_PI
         residual, diverged = _pi_lock_loop(
-            noise, dt, pi.kp, pi.ki, 0.0, -10.0, 10.0, 1.0,
+            noise, dt, pi.kp, pi.ki, -10.0, 10.0, 1.0,
             1.0 - np.exp(-2.0 * np.pi * 10.0 * dt),
         )
         assert diverged == -1
@@ -149,7 +150,7 @@ class TestSimulateLock:
         noise = scipy.signal.lfilter(b, a, white)
         pi = FAST_PI
         residual, _ = _pi_lock_loop(
-            noise, dt, pi.kp, pi.ki, 0.0, -10.0, 10.0, 1.0,
+            noise, dt, pi.kp, pi.ki, -10.0, 10.0, 1.0,
             1.0 - np.exp(-2.0 * np.pi * 10.0 * dt),
         )
         assert residual.var() <= noise.var() * 1.05
@@ -179,14 +180,13 @@ class TestSimulateLock:
 def loop_args(disturbance, dt, pi, actuator):
     """The arguments ``simulate_lock`` passes to both lock implementations."""
     alpha = 1.0 - math.exp(-2.0 * math.pi * actuator.bandwidth_hz * dt)
-    return (disturbance, dt, pi.kp, pi.ki, pi.setpoint, *pi.output_limits,
-            actuator.gain, alpha)
+    return (disturbance, dt, pi.kp, pi.ki, *pi.output_limits, actuator.gain, alpha)
 
 
 def default_lock_args(seed, box_closed, n=None):
     dt = CONFIG["lock.dt_s"]
     n = n or int(round(CONFIG["lock.duration_s"] / dt))
-    disturbance = generate_noise(CONFIG.noise_model(seed, box_closed), n, dt)
+    disturbance = generate_noise(replace(CONFIG.noise_model(seed), box_closed=box_closed), n, dt)
     return loop_args(disturbance, dt, FAST_PI, CONFIG.actuator())
 
 
@@ -275,7 +275,7 @@ class TestLinearLockResponse:
         monkeypatch.setattr(lock_sim, "_pi_lock_loop", refuse)
         trace = simulate_lock(
             CONFIG["lock.duration_s"], CONFIG["lock.dt_s"], FAST_PI,
-            CONFIG.actuator(), CONFIG.noise_model(7, box_closed),
+            CONFIG.actuator(), replace(CONFIG.noise_model(7), box_closed=box_closed),
         )
         assert len(trace) == int(round(CONFIG["lock.duration_s"] / CONFIG["lock.dt_s"]))
 
@@ -283,7 +283,7 @@ class TestLinearLockResponse:
 class TestFourConditions:
     def test_zero_noise_gives_four_flat_traces(self):
         traces = four_conditions(
-            NoiseModel(seed=5, **QUIET), FAST_PI, 1.0, 1e-3
+            NoiseModel(seed=5, **QUIET), FAST_PI, 1.0, 1e-3, ActuatorModel()
         )
         assert set(traces) == set(FOUR_CONDITIONS)
         for tr in traces.values():
@@ -305,7 +305,7 @@ class TestFourConditions:
 
     def test_box_and_lock_both_reduce_noise(self):
         traces = four_conditions(
-            NoiseModel(seed=12), FAST_PI, 20.0, 1e-4
+            NoiseModel(seed=12), FAST_PI, 20.0, 1e-4, ActuatorModel()
         )
         r = {c: rms_phase(tr) for c, tr in traces.items()}
         assert r["fast_lock_box_closed"] < r["lock_off_box_open"]

@@ -5,6 +5,7 @@ import pytest
 import scipy.signal
 from hypothesis import given, settings, strategies as st
 
+from wfhsim.config import load_config
 from wfhsim.phase_metrology import (
     ClippingWarning,
     PhaseTrace,
@@ -95,6 +96,10 @@ class TestOverlappingAllan:
         trace = PhaseTrace(np.zeros(1024), 0.5)
         taus = octave_taus(trace)
         assert list(taus) == [0.5 * m for m in (1, 2, 4, 8, 16, 32, 64, 128)]
+        # the lock study's ladder starts at allan_min_m and stops at allan_max_m
+        config = load_config(overrides={"lock.allan_min_m": "3", "lock.allan_max_m": "48"})
+        dt = config["lock.dt_s"]
+        assert config.lock_taus() == [dt * m for m in (3, 6, 12, 24, 48)]
 
 
 class TestAsd:
