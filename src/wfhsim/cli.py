@@ -20,12 +20,13 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, io
 from .config import ConfigError, RunConfig, load_config
 from .constellation import build_psk, loss_db_to_transmissivity
 from .detector_sim import (
@@ -35,15 +36,9 @@ from .detector_sim import (
 )
 from .homodyne import HomodyneParams, hd_mutual_information
 from .info_metrics import plugin_mi_estimate, wf_mutual_information
-from .io import (
-    read_trace_bin,
-    read_trace_csv,
-    render_table,
-    render_table_json,
-    write_trace_csv,
-)
+from .io import RENDERERS, read_trace_bin, read_trace_csv, write_trace_csv
 from .lock_sim import FOUR_CONDITIONS, four_conditions
-from .phase_metrology import asd, octave_taus, overlapping_allan, rms_phase
+from .phase_metrology import _sample_count, asd, octave_taus, overlapping_allan, rms_phase
 from .security import kgr
 from .wf_receiver import branch_means, default_d_max, difference_dist
 
@@ -88,20 +83,24 @@ def _map_grid(fn, items):
 # ------------------------------------------------------------------ commands
 
 
+def _loss_sweep(config: RunConfig, name: str, header: list[str], point_rows, meta: dict):
+    """One table of the rows ``point_rows(constellations, loss_db, t)`` gives at each loss."""
+    alpha = float(config["constellation.alpha"])
+    cs = config.sweep_psk(alpha)
+    grid = config.loss_grid()
+    points = _map_grid(lambda db: point_rows(cs, db, loss_db_to_transmissivity(db)), grid)
+    meta = {"alpha": alpha, "lo_amplitude": config["receiver.lo_amplitude"], **meta}
+    return [Table(name, header, [r for point in points for r in point], meta)]
+
+
 def cmd_sweep_mi(config: RunConfig) -> list[Table]:
     """MI vs loss for both receivers, both orders, and the visibility band."""
-    grid = config.loss_grid()
     sigma_phi = float(config["receiver.phase_jitter_rms"])
     quad_nodes = int(config["receiver.jitter_quad_nodes"])
-    alpha = float(config["constellation.alpha"])
-    cases = [
-        (c, float(xi)) for c in config.sweep_psk(alpha) for xi in config["sweep.visibilities"]
-    ]
 
-    def one_point(loss_db: float) -> list[tuple]:
-        t = loss_db_to_transmissivity(loss_db)
+    def one_point(cs, loss_db: float, t: float) -> list[tuple]:
         rows = []
-        for c, xi in cases:
+        for c, xi in product(cs, config["sweep.visibilities"]):
             wf = wf_mutual_information(c, config.receiver_params(t, visibility=xi))
             rows.append((loss_db, c.order_m, "wf", xi, sigma_phi, wf.mi_bits))
             hd = hd_mutual_information(
@@ -111,28 +110,15 @@ def cmd_sweep_mi(config: RunConfig) -> list[Table]:
                 jitter_quad_nodes=quad_nodes,
             )
             rows.append((loss_db, c.order_m, "hd", xi, sigma_phi, hd))
-        return rows
+        return sorted(rows, key=lambda r: (r[1], r[2], -r[3]))  # hd before wf, xi falling
 
-    rows = [r for point in _map_grid(one_point, grid) for r in point]
-    rows.sort(key=lambda r: (r[0], r[1], r[2], -r[3]))
-    return [
-        Table(
-            name="sweep_mi",
-            header=["loss_db", "m", "receiver", "visibility", "sigma_phi", "mi_bits"],
-            rows=rows,
-            meta={"alpha": alpha, "lo_amplitude": config["receiver.lo_amplitude"]},
-        )
-    ]
+    header = ["loss_db", "m", "receiver", "visibility", "sigma_phi", "mi_bits"]
+    return _loss_sweep(config, "sweep_mi", header, one_point, {})
 
 
 def cmd_sweep_kgr(config: RunConfig) -> list[Table]:
     """Key generation rate vs loss for both orders at the configured visibility."""
-    grid = config.loss_grid()
-    alpha = float(config["constellation.alpha"])
-    cs = config.sweep_psk(alpha)
-
-    def one_point(loss_db: float) -> list[tuple]:
-        t = loss_db_to_transmissivity(loss_db)
+    def one_point(cs, loss_db: float, t: float) -> list[tuple]:
         rows = []
         for c in cs:
             r = kgr(c, config.receiver_params(t))
@@ -141,21 +127,12 @@ def cmd_sweep_kgr(config: RunConfig) -> list[Table]:
             )
         return rows
 
-    rows = [r for point in _map_grid(one_point, grid) for r in point]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return [
-        Table(
-            name="sweep_kgr",
-            header=["loss_db", "m", "kgr_bits", "mi_bits", "holevo_bits", "insecure"],
-            rows=rows,
-            meta={
-                "alpha": alpha,
-                "lo_amplitude": config["receiver.lo_amplitude"],
-                "visibility": config["receiver.visibility"],
-                "sigma_phi": config["receiver.phase_jitter_rms"],
-            },
-        )
-    ]
+    header = ["loss_db", "m", "kgr_bits", "mi_bits", "holevo_bits", "insecure"]
+    meta = {
+        "visibility": config["receiver.visibility"],
+        "sigma_phi": config["receiver.phase_jitter_rms"],
+    }
+    return _loss_sweep(config, "sweep_kgr", header, one_point, meta)
 
 
 def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
@@ -165,7 +142,7 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
     n_seeds = int(config["lock.n_seeds"])
     base_seed = int(config["lock.seed"])
     taus = config.lock_taus()
-    seg = int(round(float(config["lock.asd_segment_s"]) / dt))
+    seg = _sample_count(float(config["lock.asd_segment_s"]), dt)
     overlap = float(config["lock.asd_overlap"])
 
     allan_curves = {c: [] for c in FOUR_CONDITIONS}
@@ -248,10 +225,7 @@ def cmd_allan(config: RunConfig, input_path: str) -> list[Table]:
 
 def cmd_asd(config: RunConfig, input_path: str, segment_s: float, overlap: float) -> list[Table]:
     trace = _read_trace(input_path)
-    samples = segment_s / trace.dt
-    if not math.isfinite(samples):
-        raise ValueError(f"--segment-s {segment_s} gives no finite sample count")
-    spectrum = asd(trace, int(round(samples)), overlap)
+    spectrum = asd(trace, _sample_count(segment_s, trace.dt), overlap)
     return [
         Table(
             name="asd",
@@ -287,13 +261,12 @@ def _skellam_theory(c, params) -> tuple[int, list]:
 
 def cmd_montecarlo(config: RunConfig) -> list[Table]:
     """Per-symbol difference histograms with theory overlays, plus plug-in MI."""
-    z = math.sqrt(float(config["montecarlo.lo_mean"]))
     reps = int(config["montecarlo.repetitions"])
     shots_per_rep = int(config["montecarlo.shots"]) // reps  # config load keeps reps <= shots
     shots = shots_per_rep * reps
     seed = int(config["montecarlo.seed"])
     imperfections = config.imperfections()
-    params = replace(config.receiver_params(1.0), lo_amplitude=z)
+    params = config.montecarlo_receiver()
     cases = [
         (c, mean_sig)
         for mean_sig in config["montecarlo.signal_means"]
@@ -367,9 +340,8 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
 
 def cmd_skellam(config: RunConfig) -> list[Table]:
     """Theoretical count-difference distributions for the configured setup."""
-    z = math.sqrt(float(config["montecarlo.lo_mean"]))
     m = int(config["constellation.m"])
-    params = replace(config.receiver_params(1.0), lo_amplitude=z)
+    params = config.montecarlo_receiver()
     tables = []
     for mean_sig in config["montecarlo.signal_means"]:
         c = build_psk(m, math.sqrt(float(mean_sig)), config.sweep_phi0(m))
@@ -403,7 +375,7 @@ def _write_outputs(
     and so are the directories this call created, if they are left empty.
     """
     start = time.perf_counter()
-    render = render_table_json if fmt == "json" else render_table
+    render = getattr(io, RENDERERS[fmt].__name__)  # the module binding, which a tracer wraps
 
     def write_table(path: Path, t: Table) -> None:
         path.write_bytes(render(t.header, t.rows, t.meta).encode())
@@ -453,9 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="run configuration file")
     common.add_argument("--seed", type=int, help="override montecarlo.seed and lock.seed")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument(
-        "--format", choices=("csv", "json"), help="output table format"
-    )
+    common.add_argument("--format", choices=tuple(RENDERERS), help="output table format")
     common.add_argument(
         "--set",
         metavar="KEY=VALUE",

@@ -8,14 +8,15 @@ full path so typos fail loudly instead of silently using defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
 from .constellation import Constellation, build_psk
 from .detector_sim import DetectorImperfections
+from .io import RENDERERS
 from .lock_sim import ActuatorModel, NoiseModel, PiConfig
-from .phase_metrology import _octave_ladder
+from .phase_metrology import _octave_ladder, _sample_count
 from .wf_receiver import WfReceiverParams
 
 
@@ -149,6 +150,11 @@ class RunConfig:
             jitter_quad_nodes=int(self.values["receiver.jitter_quad_nodes"]),
         )
 
+    def montecarlo_receiver(self) -> WfReceiverParams:
+        """The count-difference runs' receiver: no loss, LO mean ``montecarlo.lo_mean``."""
+        z = math.sqrt(float(self.values["montecarlo.lo_mean"]))
+        return replace(self.receiver_params(1.0), lo_amplitude=z)
+
     def loss_grid(self) -> list[float]:
         start = float(self.values["channel.loss_db_start"])
         stop = float(self.values["channel.loss_db_stop"])
@@ -222,8 +228,8 @@ def load_config(
             values[key] = KEY_PARSERS[key](text)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid value for {key}: {text!r} ({exc})") from exc
-    if values["output.format"] not in ("csv", "json"):
-        raise ConfigError("output.format must be 'csv' or 'json'")
+    if values["output.format"] not in RENDERERS:
+        raise ConfigError(f"output.format must be one of {', '.join(RENDERERS)}")
     config = RunConfig(values=values, resolved_strings=dict(raw))
     _validate_sections(config)
     return config
@@ -255,8 +261,7 @@ def _check_constellation(config: RunConfig) -> None:
 
 def _check_sweep(config: RunConfig) -> None:
     for xi in config["sweep.visibilities"]:
-        if not 0.0 <= float(xi) <= 1.0:
-            raise ValueError(f"visibility {xi} outside [0, 1]")
+        config.receiver_params(1.0, visibility=xi)
 
 
 def _check_montecarlo(config: RunConfig) -> None:
@@ -282,11 +287,15 @@ def _check_lock(config: RunConfig) -> None:
         raise ValueError("lock.duration_s must be >= 100 * lock.dt_s")
     if int(config["lock.n_seeds"]) < 1:
         raise ValueError("lock.n_seeds must be >= 1")
-    if not config.lock_taus():
+    taus = config.lock_taus()
+    if not taus:
         raise ValueError("empty Allan grid: lock.allan_min_m exceeds allan_max_m")
     dt = float(config["lock.dt_s"])
-    segment = int(round(float(config["lock.asd_segment_s"]) / dt))
-    if not 2 <= segment <= int(round(float(config["lock.duration_s"]) / dt)):
+    n = _sample_count(float(config["lock.duration_s"]), dt)
+    if 2 * _sample_count(taus[-1], dt) >= n:
+        raise ValueError(f"lock.allan_max_m: Allan time {taus[-1]:g} s is not under half the trace")
+    segment = _sample_count(float(config["lock.asd_segment_s"]), dt)
+    if not 2 <= segment <= n:
         raise ValueError(f"lock.asd_segment_s gives {segment} samples, not 2..trace length")
     if not 0.0 <= float(config["lock.asd_overlap"]) <= 0.9:
         raise ValueError("lock.asd_overlap must be in [0, 0.9]")

@@ -51,6 +51,10 @@ def render_table_json(header, rows, meta: dict | None = None) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
+# output.format -> table renderer; the one list of table formats
+RENDERERS = {"csv": render_table, "json": render_table_json}
+
+
 def _read_meta_line(line: str, meta: dict) -> None:
     """Record a stripped ``# key=value`` line in ``meta``; other comments add nothing."""
     body = line[1:].strip()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .phase_metrology import PhaseTrace
+from .phase_metrology import PhaseTrace, _sample_count
 
 
 class LockDivergenceError(RuntimeError):
@@ -97,7 +97,7 @@ def _diffused_tone(
 ) -> np.ndarray:
     """Sinusoid with random-walk phase: a Lorentzian band of FWHM ``width``.
 
-    ``t`` is the time axis ``arange(n) * dt`` of the trace.
+    ``t`` is the time axis ``arange(n) * dt`` of the trace; rms 0 draws nothing from ``rng``.
     """
     if rms == 0.0:
         return np.zeros(t.size)
@@ -134,9 +134,7 @@ def generate_noise(noise: NoiseModel, n: int, dt: float) -> np.ndarray:
     split = np.asarray(noise.acoustic_power_split, dtype=np.float64)
     split = split / split.sum() if split.sum() > 0 else split
     for freq, frac in zip(noise.acoustic_freqs, split):
-        line_rms = math.sqrt(total_power * frac)
-        psi0 = rng.uniform(0.0, 2.0 * math.pi)
-        out += math.sqrt(2.0) * line_rms * np.sin(2.0 * math.pi * freq * t + psi0)
+        out += _diffused_tone(rng, t, dt, freq, 0.0, math.sqrt(total_power * frac))
     return out
 
 
@@ -297,7 +295,7 @@ def simulate_lock(
             "20 samples per cycle",
             stacklevel=2,
         )
-    n = int(round(duration / dt))
+    n = _sample_count(duration, dt)
     disturbance = generate_noise(noise, n, dt)
     if pi is None:
         return PhaseTrace(samples=disturbance, dt=dt)

@@ -95,6 +95,14 @@ def fringe_to_phase(
     return PhaseTrace(samples=phase, dt=dt), clip_fraction
 
 
+def _sample_count(seconds: float, dt: float) -> int:
+    """The one seconds-to-samples rule: round(seconds / dt), which must be finite."""
+    samples = seconds / dt
+    if not math.isfinite(samples):
+        raise ValueError(f"{seconds} s at dt = {dt} s gives no finite sample count")
+    return int(round(samples))
+
+
 def _octave_ladder(m: int, m_max: int, dt: float) -> list[float]:
     """Averaging times m*dt, 2m*dt, 4m*dt, ... up to m_max*dt; needs m >= 1."""
     taus = []

@@ -145,10 +145,19 @@ def homodyne_limit_ok(symbol: CoherentSymbol, params: WfReceiverParams) -> bool:
     return params.lo_amplitude**2 >= 3.0 * params.transmissivity * symbol.amplitude**2
 
 
+def _tail_bound(centre: float, variance: float) -> int:
+    """The one count cut, ceil(centre + 12 sd + 20); a non-finite cut is a TruncationError."""
+    bound = centre + 12.0 * math.sqrt(variance) + 20.0
+    if not math.isfinite(bound):
+        raise TruncationError(f"count cut {bound} is not finite; the branch means overflow")
+    return int(math.ceil(bound))
+
+
 def auto_n_max(amplitude: float, params: WfReceiverParams) -> int:
     """Truncation from a Poisson tail bound on the largest possible branch mean."""
-    mu_bound = float(_branch_means(amplitude, 0.0, params)[0])
-    return int(math.ceil(mu_bound + 12.0 * math.sqrt(mu_bound) + 20.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed mean fails the cut
+        mu_bound = float(_branch_means(amplitude, 0.0, params)[0])
+    return _tail_bound(mu_bound, mu_bound)
 
 
 def _resolve_n_max(amplitudes, params: WfReceiverParams) -> int:
@@ -275,8 +284,8 @@ def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> DiffD
         d_max = default_d_max(mu_t, mu_r)
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    # Internal Poisson truncation generous enough that the correlation below
-    # carries all mass the requested window could possibly hold.
+    # Internal Poisson cut, wider than _tail_bound's (sharing it moves the far theory
+    # tail): the correlation below carries all mass the requested window could hold.
     n_hi = int(math.ceil(max(mu_t, mu_r) + 12.0 * math.sqrt(max(mu_t, mu_r, 1.0)) + 25.0))
     n_hi = max(n_hi, d_max + 1)
     p_t = poisson_pmf(mu_t, n_hi)
@@ -297,5 +306,4 @@ def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> DiffD
 
 
 def default_d_max(mu_t: float, mu_r: float) -> int:
-    spread = math.sqrt(mu_t + mu_r)
-    return int(math.ceil(abs(mu_t - mu_r) + 12.0 * spread + 20.0))
+    return _tail_bound(abs(mu_t - mu_r), mu_t + mu_r)

@@ -406,8 +406,14 @@ class TestErrorHandling:
             ["lock", "--set", "lock.duration_s=1e308"],
             ["asd", "--segment-s", "inf"],
             ["asd", "--segment-s", "1e308"],
+            ["sweep-mi", "--set", "constellation.alpha=1e300"],
+            ["sweep-mi", "--set", "receiver.lo_amplitude=1e200"],
+            ["sweep-kgr", "--set", "constellation.alpha=1e160"],
         ],
-        ids=["loss-step", "asd-segment", "duration", "segment-inf", "segment-1e308"],
+        ids=[
+            "loss-step", "asd-segment", "duration", "segment-inf", "segment-1e308",
+            "mi-alpha", "mi-lo-amplitude", "kgr-alpha",
+        ],
     )
     def test_finite_value_without_sample_count_rejected(self, tmp_path, capsys, args):
         if args[0] == "asd":

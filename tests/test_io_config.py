@@ -410,6 +410,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="asd_segment_s"):
             load_config(overrides={"lock.asd_segment_s": segment_s})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"lock.duration_s": "1"},  # 10000 samples; the default ladder tops out at m = 65536
+            {"lock.duration_s": "0.0128", "lock.allan_max_m": "64", "lock.asd_segment_s": "0.001"},
+        ],
+        ids=["default-ladder", "2m-equals-n"],
+    )
+    def test_allan_time_outside_trace_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="allan_max_m"):
+            load_config(overrides=overrides)
+
+    def test_allan_time_inside_trace_accepted(self):
+        # 129 samples hold m = 64, the top of the 64..64 ladder
+        load_config(
+            overrides={"lock.duration_s": "0.0129", "lock.allan_max_m": "64", "lock.asd_segment_s": "0.001"}
+        )
+
     @pytest.mark.parametrize("segment_s", ["0.0002", "60.0"])
     def test_asd_segment_limits_accepted(self, segment_s):
         load_config(overrides={"lock.asd_segment_s": segment_s})

@@ -176,6 +176,16 @@ class TestSimulateLock:
         with pytest.raises(ValueError):
             simulate_lock(0.01, 1e-3, None, ActuatorModel(), NoiseModel(seed=0))
 
+    def test_duration_without_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="finite sample count"):
+            simulate_lock(1e308, 1e-4, None, ActuatorModel(), NoiseModel(seed=0))
+
+    def test_zero_power_line_draws_nothing(self):
+        # a silent acoustic line leaves the random stream alone, like a silent tone
+        pair = NoiseModel(seed=4, acoustic_freqs=(100.0, 200.0), acoustic_power_split=(0.0, 1.0))
+        single = NoiseModel(seed=4, acoustic_freqs=(200.0,), acoustic_power_split=(1.0,))
+        assert np.array_equal(generate_noise(pair, 5000, 1e-4), generate_noise(single, 5000, 1e-4))
+
 
 def loop_args(disturbance, dt, pi, actuator):
     """The arguments ``simulate_lock`` passes to both lock implementations."""
