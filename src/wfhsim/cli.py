@@ -141,14 +141,14 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
     dt = float(config["lock.dt_s"])
     n_seeds = int(config["lock.n_seeds"])
     base_seed = int(config["lock.seed"])
-    taus = config.lock_taus()
+    ms = config.lock_taus()
     seg = _sample_count(float(config["lock.asd_segment_s"]), dt)
     overlap = float(config["lock.asd_overlap"])
 
     allan_curves = {c: [] for c in FOUR_CONDITIONS}
     spectra = {c: [] for c in FOUR_CONDITIONS}
     rms = {c: [] for c in FOUR_CONDITIONS}
-    freqs = None
+    taus = freqs = None
     for s in range(n_seeds):
         traces = four_conditions(
             config.noise_model(seed=base_seed + s),
@@ -160,10 +160,11 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
         if s == 0:
             first_traces = traces
         for label, tr in traces.items():
-            allan_curves[label].append(overlapping_allan(tr, taus).adev)
+            allan = overlapping_allan(tr, ms)
+            allan_curves[label].append(allan.adev)
             spectrum = asd(tr, seg, overlap)
             spectra[label].append(spectrum.asd)
-            freqs = spectrum.freqs
+            taus, freqs = allan.taus, spectrum.freqs
             rms[label].append(rms_phase(tr))
 
     tables = []
@@ -208,11 +209,7 @@ def _band_table(name: str, x_name: str, y_name: str, x, curves: list, meta: dict
 def cmd_allan(config: RunConfig, input_path: str) -> list[Table]:
     trace = _read_trace(input_path)
     curve = overlapping_allan(trace, octave_taus(trace))
-    rows = [
-        (float(t), float(a), int(c))
-        for t, a, c in zip(curve.taus, curve.adev, curve.counts)
-        if c > 0
-    ]
+    rows = [(float(t), float(a), int(c)) for t, a, c in zip(curve.taus, curve.adev, curve.counts)]
     return [
         Table(
             name="allan",

@@ -202,12 +202,12 @@ class RunConfig:
             gain=float(self.values["lock.actuator_gain"]),
         )
 
-    def lock_taus(self) -> list[float]:
+    def lock_taus(self) -> list[int]:
+        """The lock study's Allan averaging factors m, in octaves from allan_min_m."""
         m = int(self.values["lock.allan_min_m"])
         if m < 1:  # doubling would never pass allan_max_m
             raise ConfigError(f"lock.allan_min_m must be >= 1, got {m}")
-        m_max = int(self.values["lock.allan_max_m"])
-        return _octave_ladder(m, m_max, float(self.values["lock.dt_s"]))
+        return _octave_ladder(m, int(self.values["lock.allan_max_m"]))
 
 
 def load_config(
@@ -287,13 +287,13 @@ def _check_lock(config: RunConfig) -> None:
         raise ValueError("lock.duration_s must be >= 100 * lock.dt_s")
     if int(config["lock.n_seeds"]) < 1:
         raise ValueError("lock.n_seeds must be >= 1")
-    taus = config.lock_taus()
-    if not taus:
+    ms = config.lock_taus()
+    if not ms:
         raise ValueError("empty Allan grid: lock.allan_min_m exceeds allan_max_m")
     dt = float(config["lock.dt_s"])
     n = _sample_count(float(config["lock.duration_s"]), dt)
-    if 2 * _sample_count(taus[-1], dt) >= n:
-        raise ValueError(f"lock.allan_max_m: Allan time {taus[-1]:g} s is not under half the trace")
+    if 2 * ms[-1] >= n:
+        raise ValueError(f"lock.allan_max_m: Allan factor {ms[-1]} is not under half the {n}-sample trace")
     segment = _sample_count(float(config["lock.asd_segment_s"]), dt)
     if not 2 <= segment <= n:
         raise ValueError(f"lock.asd_segment_s gives {segment} samples, not 2..trace length")

@@ -54,16 +54,14 @@ def wf_mutual_information(c: Constellation, params: WfReceiverParams) -> MiResul
     conditional entropy, both over the shared truncated table (jitter-averaged
     when the receiver has phase jitter configured).
     """
-    tables = conditional_tables(c, params)
-    return _mi_from_tables(c, _stack(tables), [t.truncation_mass for t in tables])
+    return _mi_from_tables(c, _stack(conditional_tables(c, params)))
 
 
-def _mi_from_tables(
-    c: Constellation, stacked: np.ndarray, truncation_masses: list[float]
-) -> MiResult:
+def _mi_from_tables(c: Constellation, stacked: np.ndarray) -> MiResult:
     """:func:`wf_mutual_information` over already stacked conditional tables."""
     priors = np.array(c.priors)
-    h_marg = float(_entropy_bits(_prior_mixture(priors, stacked)))
+    mixture = _prior_mixture(priors, stacked)
+    h_marg = float(_entropy_bits(mixture))
     h_cond = float(_prior_mixture(priors, _entropy_bits(stacked)))
     mi = h_marg - h_cond
     if -1e-12 < mi < 0.0:  # pure float cancellation; keep the = marg - cond contract
@@ -72,7 +70,7 @@ def _mi_from_tables(
         mi_bits=mi,
         marginal_entropy_bits=h_marg,
         conditional_entropy_bits=h_cond,
-        truncation_mass=float(_prior_mixture(priors, np.array(truncation_masses))),
+        truncation_mass=max(0.0, 1.0 - float(mixture.sum())),
     )
 
 

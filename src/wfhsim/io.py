@@ -343,13 +343,16 @@ def write_trace_bin(path: Path | str, trace: PhaseTrace) -> None:
 def read_trace_bin(path: Path | str) -> PhaseTrace:
     """Read a trace written by :func:`write_trace_bin`.
 
-    A header without ``dt=`` or ``n=``, or a payload that is not exactly
-    ``8 * n`` bytes (so also a negative ``n``), raises ``ValueError``.
+    A header line without a newline, ``dt=`` or ``n=``, or a payload that is
+    not exactly ``8 * n`` bytes (so also a negative ``n``), raises
+    ``ValueError``.
     """
     data = Path(path).read_bytes()
     if not data.startswith(TRACE_MAGIC):
         raise ValueError("not a trace file (bad magic)")
-    nl = data.index(b"\n")
+    nl = data.find(b"\n")
+    if nl < 0:
+        raise ValueError("trace header line has no terminating newline")
     fields = dict(
         kv.split(b"=", 1) for kv in data[len(TRACE_MAGIC) : nl].split() if b"=" in kv
     )

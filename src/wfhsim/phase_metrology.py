@@ -8,6 +8,7 @@ spectral density, and the RMS phase noise.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -40,12 +41,7 @@ class PhaseTrace:
 
 @dataclass(frozen=True)
 class AllanCurve:
-    """Allan deviation vs averaging time; counts holds the terms per estimate.
-
-    Entries with ``counts == 0`` mark averaging times that could not be
-    evaluated (not a multiple of dt, or too long for the trace); their adev
-    is NaN.
-    """
+    """Allan deviation vs averaging time; counts holds the terms per estimate."""
 
     taus: np.ndarray
     adev: np.ndarray
@@ -103,46 +99,40 @@ def _sample_count(seconds: float, dt: float) -> int:
     return int(round(samples))
 
 
-def _octave_ladder(m: int, m_max: int, dt: float) -> list[float]:
-    """Averaging times m*dt, 2m*dt, 4m*dt, ... up to m_max*dt; needs m >= 1."""
-    taus = []
+def _octave_ladder(m: int, m_max: int) -> list[int]:
+    """Averaging factors m, 2m, 4m, ... up to m_max; needs m >= 1."""
+    ms = []
     while m <= m_max:
-        taus.append(m * dt)
+        ms.append(m)
         m *= 2
-    return taus
+    return ms
 
 
-def octave_taus(trace: PhaseTrace) -> np.ndarray:
-    """Octave-spaced averaging times m*dt, m = 1, 2, 4, ... up to N/8."""
-    return np.array(_octave_ladder(1, int(len(trace) * 0.125), trace.dt))
+def octave_taus(trace: PhaseTrace) -> list[int]:
+    """Octave-spaced averaging factors m = 1, 2, 4, ... up to N/8."""
+    return _octave_ladder(1, int(len(trace) * 0.125))
 
 
-def overlapping_allan(trace: PhaseTrace, taus) -> AllanCurve:
-    """Overlapping Allan deviation of a phase trace at the given averaging times.
+def overlapping_allan(trace: PhaseTrace, ms) -> AllanCurve:
+    """Overlapping Allan deviation of a phase trace at averaging factors m.
 
     sigma^2(tau) = mean of (phi_{i+2m} - 2 phi_{i+m} + phi_i)^2 / (2 tau^2)
     over all overlapping start indices, for tau = m*dt.  The second difference
     makes the estimate exactly insensitive to constant offsets and linear
-    drift.  Averaging times that are not integer multiples of dt, or need more
-    samples than available, yield NaN entries with counts == 0.
+    drift.  Each m must be a whole sample count with 1 <= m and 2m < len(trace);
+    anything else raises ValueError.
     """
     phi = trace.samples
     n = phi.size
-    taus = np.asarray(taus, dtype=np.float64)
-    adev = np.full(taus.shape, np.nan)
-    counts = np.zeros(taus.shape, dtype=np.int64)
-    for idx, tau in enumerate(taus):
-        m_float = tau / trace.dt
-        m = int(round(m_float))
-        if m < 1 or abs(m_float - m) > 1e-9:
-            continue
-        if 2 * m >= n:
-            continue
+    ms = [operator.index(m) for m in ms]
+    if any(m < 1 or 2 * m >= n for m in ms):
+        raise ValueError(f"averaging factors {ms} need 1 <= m and 2m < {n} samples")
+    taus = np.array([m * trace.dt for m in ms])
+    adev = np.empty(len(ms))
+    counts = np.array([n - 2 * m for m in ms], dtype=np.int64)
+    for idx, (m, tau) in enumerate(zip(ms, taus)):
         d2 = phi[2 * m :] - 2.0 * phi[m : n - m] + phi[: n - 2 * m]
-        n_terms = d2.size
-        var = float(np.dot(d2, d2)) / (2.0 * tau * tau * n_terms)
-        adev[idx] = math.sqrt(var)
-        counts[idx] = n_terms
+        adev[idx] = math.sqrt(float(np.dot(d2, d2)) / (2.0 * tau * tau * d2.size))
     return AllanCurve(taus=taus, adev=adev, counts=counts)
 
 

@@ -147,9 +147,8 @@ def kgr(c: Constellation, params: WfReceiverParams) -> KgrResult:
     Negative rates are reported as-is and flagged through
     :attr:`KgrResult.insecure` rather than clamped.
     """
-    tables = conditional_tables(c, params)
-    stacked = _stack(tables)
-    mi = _mi_from_tables(c, stacked, [t.truncation_mass for t in tables])
+    stacked = _stack(conditional_tables(c, params))
+    mi = _mi_from_tables(c, stacked)
     eve = eve_ensemble(c, params.transmissivity)
     s_e = vn_entropy(eve)
     s_e_given_b, _skipped = _conditional_entropy_scan(

@@ -167,24 +167,24 @@ def _resolve_n_max(amplitudes, params: WfReceiverParams) -> int:
 
 
 @functools.lru_cache(maxsize=128)
-def _log_factorials(n_max: int) -> np.ndarray:
-    """Read-only table of log(n!) for n = 0..n_max."""
-    table = np.array([math.lgamma(k + 1.0) for k in range(n_max + 1)])
+def _log_factorials(n_max: int, n_min: int = 0) -> np.ndarray:
+    """Read-only table of log(n!) for n = n_min..n_max."""
+    table = np.array([math.lgamma(k + 1.0) for k in range(n_min, n_max + 1)])
     table.flags.writeable = False
     return table
 
 
-def poisson_pmf(mu, n_max: int) -> np.ndarray:
-    """Poisson probabilities for counts 0..n_max, evaluated in log space.
+def poisson_pmf(mu, n_max: int, n_min: int = 0) -> np.ndarray:
+    """Poisson probabilities for counts n_min..n_max, evaluated in log space.
 
-    An array of k means gives a (k, n_max + 1) array, one row per mean.
+    An array of k means gives a (k, n_max - n_min + 1) array, one row per mean.
     """
     mu = np.asarray(mu, dtype=np.float64)[..., None]
     if np.any(mu < 0.0):
         raise ValueError(f"Poisson mean must be >= 0, got {mu.min()}")
-    n = np.arange(n_max + 1, dtype=np.float64)
+    n = np.arange(n_min, n_max + 1, dtype=np.float64)
     positive = mu > 0.0
-    logp = n * np.log(np.where(positive, mu, 1.0)) - mu - _log_factorials(n_max)
+    logp = n * np.log(np.where(positive, mu, 1.0)) - mu - _log_factorials(n_max, n_min)
     return np.where(positive, np.exp(logp), n == 0.0)
 
 
@@ -272,11 +272,13 @@ def conditional_tables(
 
 
 def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> DiffDistribution:
-    """Skellam law of the branch count difference, by truncated convolution.
+    """Skellam law of the branch count difference, by truncated correlation.
 
-    P(d) = sum_m P_{m+d}(mu_t) P_m(mu_r).  ``d_max`` of None picks a span from
-    the Skellam moments; an explicit span that captures less than 1 - 1e-9 of
-    the mass raises :class:`TruncationError`.
+    P(d) = sum_m P_{m+d}(mu_t) P_m(mu_r), each branch's Poisson row taken over
+    the one count cut's window about its mean; differences outside that
+    support get 0.  ``d_max`` of None picks a span from the Skellam moments; a
+    span that captures less than 1 - 1e-9 of the mass raises
+    :class:`TruncationError`.
     """
     if mu_t < 0.0 or mu_r < 0.0:
         raise ValueError("branch means must be >= 0")
@@ -284,18 +286,15 @@ def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> DiffD
         d_max = default_d_max(mu_t, mu_r)
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    # Internal Poisson cut, wider than _tail_bound's (sharing it moves the far theory
-    # tail): the correlation below carries all mass the requested window could hold.
-    n_hi = int(math.ceil(max(mu_t, mu_r) + 12.0 * math.sqrt(max(mu_t, mu_r, 1.0)) + 25.0))
-    n_hi = max(n_hi, d_max + 1)
-    p_t = poisson_pmf(mu_t, n_hi)
-    p_r = poisson_pmf(mu_r, n_hi)
-    # correlate gives P(d) = sum_m p_t[m + d] p_r[m] for d in [-n_hi, n_hi].
-    full = np.correlate(p_t, p_r, mode="full")
-    center = n_hi
-    lo = center - d_max
-    hi = center + d_max + 1
-    probs = full[lo:hi].copy()
+    # each row spans the one count cut about its mean, above and mirrored below
+    lo_t, lo_r = (max(0, -_tail_bound(-mu, mu)) for mu in (mu_t, mu_r))
+    hi_t, hi_r = _tail_bound(mu_t, mu_t), _tail_bound(mu_r, mu_r)
+    # correlate gives P(d) = sum_m p_t[m + d] p_r[m] for d in [lo_t - hi_r, hi_t - lo_r].
+    lags = np.correlate(poisson_pmf(mu_t, hi_t, lo_t), poisson_pmf(mu_r, hi_r, lo_r), mode="full")
+    d = np.arange(lo_t - hi_r, hi_t - lo_r + 1)
+    kept = np.abs(d) <= d_max
+    probs = np.zeros(2 * d_max + 1)
+    probs[d[kept] + d_max] = lags[kept]
     mass = float(probs.sum())
     if mass < 1.0 - 1e-9:
         raise TruncationError(

@@ -72,7 +72,7 @@ def default_lock_study():
     """
     config = load_config()
     dt = float(config["lock.dt_s"])
-    taus = config.lock_taus()
+    ms = config.lock_taus()
     seg = int(round(float(config["lock.asd_segment_s"]) / dt))
     study = LockStudy(config=config)
     for seed in range(int(config["lock.n_seeds"])):
@@ -85,7 +85,7 @@ def default_lock_study():
         )
         for label, trace in traces.items():
             study.rms.setdefault(label, []).append(rms_phase(trace))
-            study.allan.setdefault(label, []).append(overlapping_allan(trace, taus).adev)
+            study.allan.setdefault(label, []).append(overlapping_allan(trace, ms).adev)
             spectrum = asd(trace, seg, float(config["lock.asd_overlap"]))
             study.spectra.setdefault(label, []).append(spectrum.asd)
             study.freqs = spectrum.freqs

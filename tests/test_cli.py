@@ -207,10 +207,9 @@ class TestTraceCommands:
         _, _, rows = parse_table((allan_out / "allan.csv").read_text())
         trace = read_trace_csv(trace_file)
         direct = overlapping_allan(trace, octave_taus(trace))
-        by_tau = {float(r[0]): float(r[1]) for r in rows}
-        for tau, adev, count in zip(direct.taus, direct.adev, direct.counts):
-            if count > 0:
-                assert by_tau[float(tau)] == adev
+        assert len(rows) == len(octave_taus(trace)) > 0
+        for row, tau, adev in zip(rows, direct.taus, direct.adev):
+            assert (float(row[0]), float(row[1])) == (tau, adev)
 
 
 class TestMonteCarloCommand:
@@ -304,6 +303,12 @@ class TestEdgeCases:
         totals = sorted([emp0.sum(), emp1.sum()])
         assert totals == [0.0, 1.0]
         assert max(emp0.max(), emp1.max()) == 1.0
+
+    def test_skellam_under_bright_reference(self, tmp_path):
+        code, out = run_cli(["skellam", "--set", "montecarlo.lo_mean=1e5"], tmp_path, "bright")
+        assert code == 0
+        _, _, rows = parse_table((out / "skellam_m4_sig4.13.csv").read_text())
+        assert np.array([r[1:] for r in rows], dtype=float).sum(axis=0) == pytest.approx(1.0)
 
     def test_worker_pool_changes_nothing(self, tmp_path, monkeypatch):
         outputs = []

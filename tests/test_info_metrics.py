@@ -11,7 +11,7 @@ from wfhsim.info_metrics import (
     shannon_entropy,
     wf_mutual_information,
 )
-from wfhsim.wf_receiver import WfReceiverParams
+from wfhsim.wf_receiver import WfReceiverParams, joint_pnr_marginal
 
 CANONICAL = dict(lo_amplitude=3.53, visibility=1.0)
 
@@ -61,6 +61,12 @@ class TestWfMutualInformation:
         assert res.mi_bits == pytest.approx(
             res.marginal_entropy_bits - res.conditional_entropy_bits, abs=1e-12
         )
+
+    def test_truncation_mass_is_the_mixture_loss(self, qpsk):
+        params = WfReceiverParams(n_max=40, **CANONICAL)
+        lost = 1.0 - joint_pnr_marginal(qpsk, params).probs.sum()
+        assert lost > 1e-9
+        assert wf_mutual_information(qpsk, params).truncation_mass == pytest.approx(lost, rel=1e-9)
 
     def test_close_to_homodyne_at_canonical_point(self, qpsk):
         from wfhsim.homodyne import HomodyneParams, hd_mutual_information

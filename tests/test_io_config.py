@@ -196,6 +196,14 @@ class TestTraceFiles:
             read_trace_bin(path)
         assert main(["allan", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
 
+    def test_binary_header_without_newline_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"WFTRACE1 dt=0.001 n=2")
+        with pytest.raises(ValueError, match="header line"):
+            read_trace_bin(path)
+        assert main(["allan", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "header line" in capsys.readouterr().err
+
 
 def percent_rows(t, v) -> bytes:
     """The ``%`` rendering the vectorized trace formatter must reproduce."""

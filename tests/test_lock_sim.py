@@ -100,13 +100,13 @@ class TestSimulateLock:
         assert np.array_equal(a.samples, b.samples)
 
     def test_drift_only_locked_allan_decreases(self):
-        taus = [64e-4 * 2**j for j in range(9)]
+        ms = [64 * 2**j for j in range(9)]
         curves = []
         for seed in range(4):
             nm = NoiseModel(seed=seed, drift_rate=0.028, tone_20hz_rms=0.0,
                             tone_200hz_rms=0.0, white_rms=0.0, air_rms=0.0)
             tr = simulate_lock(30.0, 1e-4, FAST_PI, ActuatorModel(), nm)
-            curves.append(overlapping_allan(tr, taus).adev)
+            curves.append(overlapping_allan(tr, ms).adev)
         mean_curve = np.mean(curves, axis=0)
         assert np.all(np.diff(mean_curve) <= 0.0)
 

@@ -43,30 +43,31 @@ class TestFringeToPhase:
 class TestOverlappingAllan:
     def test_constant_trace_is_zero(self):
         trace = PhaseTrace(np.full(4096, 1.234), 1e-3)
-        curve = overlapping_allan(trace, [1e-3, 4e-3, 64e-3])
+        curve = overlapping_allan(trace, [1, 4, 64])
         assert np.all(curve.adev == 0.0)
 
     def test_linear_ramp_annihilated(self):
         t = np.arange(8192) * 1e-3
         trace = PhaseTrace(0.73 * t + 0.2, 1e-3)
-        curve = overlapping_allan(trace, [1e-3, 8e-3, 128e-3])
+        curve = overlapping_allan(trace, [1, 8, 128])
         assert np.all(curve.adev < 1e-12)
 
     def test_white_noise_slope(self):
         rng = np.random.default_rng(11)
         s = 0.2
         trace = PhaseTrace(rng.normal(0.0, s, 100_000), 1e-3)
-        taus = [m * 1e-3 for m in (1, 2, 4, 8)]
-        curve = overlapping_allan(trace, taus)
-        expected = np.sqrt(3.0) * s / np.asarray(taus)
+        curve = overlapping_allan(trace, [1, 2, 4, 8])
+        expected = np.sqrt(3.0) * s / (1e-3 * np.array([1, 2, 4, 8]))
         assert curve.adev == pytest.approx(expected, rel=0.05)
 
-    def test_invalid_taus_get_error_entries(self):
+    def test_factors_outside_trace_rejected(self):
         trace = PhaseTrace(np.zeros(100), 1e-3)
-        curve = overlapping_allan(trace, [1e-3, 1.5e-3, 1.0])
-        assert curve.counts[0] > 0
-        assert curve.counts[1] == 0 and np.isnan(curve.adev[1])  # not multiple of dt
-        assert curve.counts[2] == 0 and np.isnan(curve.adev[2])  # longer than trace
+        assert overlapping_allan(trace, [1, 49]).counts.tolist() == [98, 2]
+        for m in (0, 50):
+            with pytest.raises(ValueError, match="2m < 100"):
+                overlapping_allan(trace, [1, m])
+        with pytest.raises(TypeError):  # seconds are not a sample count
+            overlapping_allan(trace, [1e-3])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -77,29 +78,29 @@ class TestOverlappingAllan:
         rng = np.random.default_rng(3)
         base = rng.normal(0.0, 0.1, 4096)
         t = np.arange(4096) * 1e-3
-        taus = [1e-3, 16e-3]
-        a = overlapping_allan(PhaseTrace(base, 1e-3), taus).adev
-        b = overlapping_allan(PhaseTrace(base + offset + slope * t, 1e-3), taus).adev
+        a = overlapping_allan(PhaseTrace(base, 1e-3), [1, 16]).adev
+        b = overlapping_allan(PhaseTrace(base + offset + slope * t, 1e-3), [1, 16]).adev
         assert b == pytest.approx(a, abs=1e-9)
 
     def test_quadrature_additivity_of_independent_noise(self):
         rng = np.random.default_rng(5)
         x = rng.normal(0.0, 0.3, 50_000)
         y = rng.normal(0.0, 0.4, 50_000)
-        taus = [m * 1e-3 for m in (1, 4, 16)]
-        ax = overlapping_allan(PhaseTrace(x, 1e-3), taus).adev
-        ay = overlapping_allan(PhaseTrace(y, 1e-3), taus).adev
-        axy = overlapping_allan(PhaseTrace(x + y, 1e-3), taus).adev
+        ms = [1, 4, 16]
+        ax = overlapping_allan(PhaseTrace(x, 1e-3), ms).adev
+        ay = overlapping_allan(PhaseTrace(y, 1e-3), ms).adev
+        axy = overlapping_allan(PhaseTrace(x + y, 1e-3), ms).adev
         assert np.all(axy <= np.sqrt(ax**2 + ay**2) * 1.05)
 
     def test_octave_grid(self):
         trace = PhaseTrace(np.zeros(1024), 0.5)
-        taus = octave_taus(trace)
-        assert list(taus) == [0.5 * m for m in (1, 2, 4, 8, 16, 32, 64, 128)]
+        assert octave_taus(trace) == [1, 2, 4, 8, 16, 32, 64, 128]
+        assert overlapping_allan(trace, octave_taus(trace)).taus.tolist() == [
+            0.5 * m for m in (1, 2, 4, 8, 16, 32, 64, 128)
+        ]
         # the lock study's ladder starts at allan_min_m and stops at allan_max_m
         config = load_config(overrides={"lock.allan_min_m": "3", "lock.allan_max_m": "48"})
-        dt = config["lock.dt_s"]
-        assert config.lock_taus() == [dt * m for m in (3, 6, 12, 24, 48)]
+        assert config.lock_taus() == [3, 6, 12, 24, 48]
 
 
 class TestAsd:

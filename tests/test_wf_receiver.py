@@ -26,6 +26,15 @@ from wfhsim.wf_receiver import (
 )
 
 CANONICAL = dict(lo_amplitude=3.53, visibility=1.0, transmissivity=1.0)
+# Branch means of QPSK symbol 0 at signal mean 4.13 under a bright reference
+# (montecarlo.lo_mean), where the count windows sit far above count 0.
+BRIGHT_MEANS = [
+    pytest.param(
+        branch_means(build_psk(4, math.sqrt(4.13)).symbols[0], WfReceiverParams(math.sqrt(lo))),
+        id=f"lo_mean={lo:g}",
+    )
+    for lo in (1e4, 1e5, 1e6)
+]
 
 
 class TestBranchMeans:
@@ -276,7 +285,7 @@ class TestDifferenceDist:
         assert d.mean() == pytest.approx(14.402, abs=1e-3)
         assert d.variance() == pytest.approx(16.622, abs=1e-3)
 
-    @pytest.mark.parametrize("mu", [(15.512, 1.110), (8.311, 8.311), (1.0, 2.0)])
+    @pytest.mark.parametrize("mu", [(15.512, 1.110), (8.311, 8.311), (1.0, 2.0), *BRIGHT_MEANS])
     def test_matches_bessel_closed_form(self, mu):
         d = difference_dist(*mu)
         support = d.support
@@ -290,6 +299,13 @@ class TestDifferenceDist:
         d = difference_dist(*mu, d_max=50)
         ref = brute_force_difference(joint, 50)
         assert np.max(np.abs(d.probs - ref)) < 1e-12
+
+    @pytest.mark.parametrize("mu", [(400.0, 30.0), (400.0, 250.0)])
+    def test_windows_above_zero_match_brute_force(self, mu):
+        # the count windows start at 140 and 0, then at 140 and 40
+        joint = np.outer(poisson_pmf(mu[0], 700), poisson_pmf(mu[1], 700))
+        d = difference_dist(*mu)
+        assert np.max(np.abs(d.probs - brute_force_difference(joint, d.d_max))) < 1e-12
 
     def test_insufficient_window_raises(self):
         with pytest.raises(TruncationError):
