@@ -11,10 +11,18 @@ directory again if it created it.
 
 from __future__ import annotations
 
+import os
+
+# One OpenBLAS thread unless the caller exported OPENBLAS_NUM_THREADS.  It must
+# be set before numpy loads, because OpenBLAS starts its workers at import:
+# on 2 CPUs `--version` took a median 0.31 s with them and 0.23 s without.
+# The arrays here are too small for BLAS threads to pay off: they spin,
+# adding CPU time without saving wall time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import math
-import os
 import platform
 import sys
 import time

@@ -130,9 +130,17 @@ def overlapping_allan(trace: PhaseTrace, ms) -> AllanCurve:
     taus = np.array([m * trace.dt for m in ms])
     adev = np.empty(len(ms))
     counts = np.array([n - 2 * m for m in ms], dtype=np.int64)
+    buf = np.empty(max(n - 2, 0))  # holds the longest difference, m = 1
     for idx, (m, tau) in enumerate(zip(ms, taus)):
-        d2 = phi[2 * m :] - 2.0 * phi[m : n - m] + phi[: n - 2 * m]
-        adev[idx] = math.sqrt(float(np.dot(d2, d2)) / (2.0 * tau * tau * d2.size))
+        # the second difference in one reused buffer, summed by a numpy
+        # reduction, not np.dot: BLAS ddot splits a long sum across threads,
+        # which would make the result depend on the thread count
+        d2 = buf[: n - 2 * m]
+        np.multiply(phi[m : n - m], 2.0, out=d2)
+        np.subtract(phi[2 * m :], d2, out=d2)
+        np.add(d2, phi[: n - 2 * m], out=d2)
+        np.square(d2, out=d2)
+        adev[idx] = math.sqrt(float(d2.sum()) / (2.0 * tau * tau * d2.size))
     return AllanCurve(taus=taus, adev=adev, counts=counts)
 
 
@@ -157,7 +165,7 @@ def asd(
     starts = range(0, n - segment_length + 1, step)
     # periodic Hann, the usual Welch convention
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
-    win_power = float(np.dot(window, window))  # compensates window loss
+    win_power = float(np.square(window).sum())  # compensates window loss; a numpy sum
     fs = 1.0 / trace.dt
     psd = np.zeros(segment_length // 2 + 1)
     n_seg = 0

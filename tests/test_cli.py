@@ -43,6 +43,22 @@ def run_cli(args, tmp_path, name):
     return code, out
 
 
+def child_env(*scrubbed):
+    """This process's environment without `scrubbed`, with wfhsim importable."""
+    paths = [str(Path(wfhsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {k: v for k, v in os.environ.items() if k not in scrubbed}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
+def run_python(code, env):
+    """stdout of a fresh interpreter running `code`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip()
+
+
 class TestSweepMi:
     def test_writes_expected_columns(self, tmp_path):
         code, out = run_cli(["sweep-mi"] + SMALL_GRID, tmp_path, "mi")
@@ -211,6 +227,28 @@ class TestTraceCommands:
         for row, tau, adev in zip(rows, direct.taus, direct.adev):
             assert (float(row[0]), float(row[1])) == (tau, adev)
 
+    @pytest.mark.slow
+    def test_metrology_ignores_threading(self, tmp_path):
+        """The Allan and window-power sums run over >10k points, where BLAS ddot
+        splits a sum across threads; as numpy reductions they change no byte."""
+        rng = np.random.default_rng(5)
+        src = tmp_path / "trace.csv"
+        write_trace_csv(src, PhaseTrace(np.cumsum(rng.normal(0, 0.01, 200_000)), 1e-4))
+        base = child_env("OPENBLAS_NUM_THREADS")
+        outputs = []
+        for threads in ("1", "2"):
+            files = []
+            for args, name in ((["allan"], "allan.csv"), (["asd", "--segment-s", "4"], "asd.csv")):
+                out = tmp_path / f"{name}-{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "wfhsim.cli", *args, "--input", str(src),
+                     "--out", str(out)],
+                    env=base | {"OPENBLAS_NUM_THREADS": threads}, capture_output=True, check=True,
+                )
+                files.append((out / name).read_bytes())
+            outputs.append(files)
+        assert outputs[0] == outputs[1]
+
 
 class TestMonteCarloCommand:
     def test_summary_meets_fidelity_bar(self, tmp_path):
@@ -323,10 +361,7 @@ class TestEdgeCases:
     @pytest.mark.slow
     def test_homodyne_result_ignores_threading(self, tmp_path):
         """The jitter node sum is a BLAS product: BLAS threads and the pool change no byte."""
-        paths = [str(Path(wfhsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        scrubbed = ("OPENBLAS_NUM_THREADS", cli.WORKER_ENV)
-        base = {k: v for k, v in os.environ.items() if k not in scrubbed}
-        base["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        base = child_env("OPENBLAS_NUM_THREADS", cli.WORKER_ENV)
         outputs = []
         for name, env in (
             ("blas1", {"OPENBLAS_NUM_THREADS": "1"}),
@@ -654,13 +689,46 @@ class TestFailedWrite:
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         # scipy is a test-only dependency; a fresh CLI process must not load it
-        paths = [str(Path(wfhsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         code = (
             "import sys, wfhsim.cli; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert run_python(code, child_env()) == "[]"
+
+    def test_package_import_loads_no_numpy(self):
+        code = "import sys, wfhsim; print('numpy' in sys.modules)"
+        assert run_python(code, child_env()) == "False"
+
+    def test_exports_are_the_submodules_objects(self):
+        code = (
+            "import sys, wfhsim, wfhsim.security\n"
+            "names = [n for n in wfhsim.__all__ if n != '__version__']\n"
+            "print(sorted(n for n in names if getattr(wfhsim, n) is not "
+            "getattr(sys.modules[getattr(wfhsim, n).__module__], n)), "
+            "len(names), wfhsim.kgr is wfhsim.security.kgr)"
         )
-        assert proc.stdout.strip() == "[]"
+        assert run_python(code, child_env()) == "[] 25 True"
+
+    def test_unknown_attribute_raises(self):
+        code = (
+            "import wfhsim\n"
+            "try:\n"
+            "    wfhsim.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)"
+        )
+        assert run_python(code, child_env()) == "module 'wfhsim' has no attribute 'no_such_name'"
+
+    def test_cli_defaults_to_one_blas_thread(self):
+        code = (
+            "import os, wfhsim.cli\n"
+            "task = '/proc/self/task'\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], "
+            "len(os.listdir(task)) if os.path.isdir(task) else 1)"
+        )
+        # the value, and on Linux the process's thread count: OpenBLAS started no workers
+        assert run_python(code, child_env("OPENBLAS_NUM_THREADS")) == "1 1"
+
+    def test_cli_keeps_exported_blas_threads(self):
+        code = "import os, wfhsim.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_python(code, child_env() | {"OPENBLAS_NUM_THREADS": "3"}) == "3"
