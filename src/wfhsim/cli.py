@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__, io
 from .config import ConfigError, RunConfig, load_config
-from .constellation import build_psk, loss_db_to_transmissivity
+from .constellation import Constellation, loss_db_to_transmissivity
 from .detector_sim import (
     difference_hist_from_counts,
     fidelity,
@@ -248,8 +248,6 @@ def cmd_asd(config: RunConfig, input_path: str, segment_s: float, overlap: float
 
 def _read_trace(path: str):
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"trace file {path} not found")
     with open(p, "rb") as fh:
         head = fh.read(8)
     if head.startswith(b"WFTRACE"):
@@ -264,6 +262,16 @@ def _skellam_theory(c, params) -> tuple[int, list]:
     return d_max, [difference_dist(mu_t, mu_r, d_max) for mu_t, mu_r in mus]
 
 
+def _signal_cases(config: RunConfig) -> list[tuple[Constellation, float]]:
+    """Each swept constellation at each ``montecarlo.signal_means`` entry, orders outermost."""
+    cases = [
+        (c, mean_sig)
+        for mean_sig in config["montecarlo.signal_means"]
+        for c in config.sweep_psk(math.sqrt(float(mean_sig)))
+    ]
+    return sorted(cases, key=lambda case: case[0].order_m)
+
+
 def cmd_montecarlo(config: RunConfig) -> list[Table]:
     """Per-symbol difference histograms with theory overlays, plus plug-in MI."""
     reps = int(config["montecarlo.repetitions"])
@@ -272,15 +280,10 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
     seed = int(config["montecarlo.seed"])
     imperfections = config.imperfections()
     params = config.montecarlo_receiver()
-    cases = [
-        (c, mean_sig)
-        for mean_sig in config["montecarlo.signal_means"]
-        for c in config.sweep_psk(math.sqrt(float(mean_sig)))
-    ]
     tables = []
     summary_rows = []
     mi_rows = []
-    for c, mean_sig in sorted(cases, key=lambda case: case[0].order_m):  # orders outermost
+    for c, mean_sig in _signal_cases(config):
         m = c.order_m
         d_max, theory = _skellam_theory(c, params)
         ss = np.random.SeedSequence([seed, m, int(round(mean_sig * 1000))])
@@ -344,17 +347,15 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
 
 
 def cmd_skellam(config: RunConfig) -> list[Table]:
-    """Theoretical count-difference distributions for the configured setup."""
-    m = int(config["constellation.m"])
+    """Theoretical count-difference distributions: ``montecarlo``'s theory columns."""
     params = config.montecarlo_receiver()
     tables = []
-    for mean_sig in config["montecarlo.signal_means"]:
-        c = build_psk(m, math.sqrt(float(mean_sig)), config.sweep_phi0(m))
+    for c, mean_sig in _signal_cases(config):
         d_max, dists = _skellam_theory(c, params)
         tables.append(
             Table(
-                name=f"skellam_m{m}_sig{mean_sig:g}",
-                header=["d"] + [f"p_theory_{k}" for k in range(m)],
+                name=f"skellam_m{c.order_m}_sig{mean_sig:g}",
+                header=["d"] + [f"p_theory_{k}" for k in range(c.order_m)],
                 rows=list(zip(range(-d_max, d_max + 1), *(d.probs.tolist() for d in dists))),
                 meta={"lo_mean": config["montecarlo.lo_mean"], "signal_mean": mean_sig},
             )
@@ -507,7 +508,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,25 +38,17 @@ def _parse_float_list(s: str) -> tuple[float, ...]:
     return tuple(_parse_float(p) for p in parts)
 
 
-def _parse_auto_int(s: str) -> int | None:
-    return None if s.lower() == "auto" else int(s)
-
-
 # key -> parser; this is the complete set of accepted keys
 KEY_PARSERS = {
-    "constellation.m": int,
     "constellation.alpha": _parse_float,
     "receiver.lo_amplitude": _parse_float,
     "receiver.visibility": _parse_float,
     "receiver.phase_jitter_rms": _parse_float,
-    "receiver.n_max": _parse_auto_int,
     "receiver.jitter_quad_nodes": int,
     "channel.loss_db_start": _parse_float,
     "channel.loss_db_stop": _parse_float,
     "channel.loss_db_step": _parse_float,
     "sweep.visibilities": _parse_float_list,
-    "sweep.bpsk_phi0": _parse_float,
-    "sweep.qpsk_phi0": _parse_float,
     "montecarlo.shots": int,
     "montecarlo.repetitions": int,
     "montecarlo.seed": int,
@@ -126,17 +118,13 @@ class RunConfig:
 
     # -- typed views -----------------------------------------------------
 
-    def sweep_phi0(self, order_m: int) -> float | None:
-        """Reference phase for order 2 or 4; None leaves :func:`build_psk`'s default."""
-        if order_m == 2:
-            return float(self.values["sweep.bpsk_phi0"])
-        if order_m == 4:
-            return float(self.values["sweep.qpsk_phi0"])
-        return None
-
     def sweep_psk(self, amplitude: float) -> list[Constellation]:
-        """The PSK constellations the order sweeps compare (orders 2 and 4), in order."""
-        return [build_psk(m, amplitude, self.sweep_phi0(m)) for m in (2, 4)]
+        """The PSK constellations the commands compare (orders 2 and 4), in order.
+
+        Order 2 is the antipodal pair {0, pi} the experiment sent; every other
+        order takes :func:`build_psk`'s reference phase pi/(2M).
+        """
+        return [build_psk(m, amplitude, 0.0 if m == 2 else None) for m in (2, 4)]
 
     def receiver_params(self, transmissivity: float, visibility: float | None = None) -> WfReceiverParams:
         return WfReceiverParams(
@@ -145,7 +133,6 @@ class RunConfig:
                 self.values["receiver.visibility"] if visibility is None else visibility
             ),
             transmissivity=transmissivity,
-            n_max=self.values["receiver.n_max"],
             phase_jitter_rms=float(self.values["receiver.phase_jitter_rms"]),
             jitter_quad_nodes=int(self.values["receiver.jitter_quad_nodes"]),
         )
@@ -238,7 +225,7 @@ def load_config(
 def _validate_sections(config: RunConfig) -> None:
     """Re-run the module-level invariants on the loaded values."""
     checks = (
-        ("constellation", lambda: _check_constellation(config)),
+        ("constellation", lambda: config.sweep_psk(float(config["constellation.alpha"]))),
         ("receiver", lambda: config.receiver_params(1.0)),
         ("channel", config.loss_grid),
         ("sweep", lambda: _check_sweep(config)),
@@ -252,11 +239,6 @@ def _validate_sections(config: RunConfig) -> None:
             raise
         except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"invalid {section} configuration: {exc}") from exc
-
-
-def _check_constellation(config: RunConfig) -> None:
-    m = int(config["constellation.m"])
-    build_psk(m, float(config["constellation.alpha"]), config.sweep_phi0(m))
 
 
 def _check_sweep(config: RunConfig) -> None:

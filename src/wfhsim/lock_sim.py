@@ -85,11 +85,17 @@ class NoiseModel:
     box_factor: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("drift_rate", "tone_20hz_rms", "tone_200hz_rms", "white_rms", "air_rms"):
+        for name in (
+            "drift_rate", "tone_20hz_rms", "tone_200hz_rms", "white_rms", "air_rms",
+            "tone_20hz_width", "air_width", "box_factor",
+        ):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
         if len(self.acoustic_freqs) != len(self.acoustic_power_split):
             raise ValueError("acoustic_freqs and acoustic_power_split lengths differ")
+        split = self.acoustic_power_split
+        if any(p < 0.0 for p in split) or sum(split) <= 0.0:
+            raise ValueError("acoustic_power_split needs entries >= 0 with a positive sum")
 
 
 def _diffused_tone(
@@ -132,7 +138,7 @@ def generate_noise(noise: NoiseModel, n: int, dt: float) -> np.ndarray:
 
     total_power = noise.tone_200hz_rms**2
     split = np.asarray(noise.acoustic_power_split, dtype=np.float64)
-    split = split / split.sum() if split.sum() > 0 else split
+    split = split / split.sum()
     for freq, frac in zip(noise.acoustic_freqs, split):
         out += _diffused_tone(rng, t, dt, freq, 0.0, math.sqrt(total_power * frac))
     return out

@@ -16,7 +16,7 @@ import pytest
 import wfhsim
 from wfhsim import cli
 from wfhsim.cli import Table, _write_outputs, main
-from wfhsim.config import load_config
+from wfhsim.config import KEY_PARSERS, load_config
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
 from wfhsim.homodyne import HomodyneParams, hd_mutual_information
 from wfhsim.info_metrics import wf_mutual_information
@@ -207,6 +207,7 @@ class TestTraceCommands:
         code = main(["allan", "--input", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")])
         assert code == 1
+        assert "nope.csv" in capsys.readouterr().err
         assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
 
     def test_lock_trace_feeds_allan_command(self, tmp_path):
@@ -412,6 +413,55 @@ class TestErrorHandling:
         assert "unknown" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "key", ["constellation.m", "receiver.n_max", "sweep.bpsk_phi0", "sweep.qpsk_phi0"]
+    )
+    def test_removed_key_exits_nonzero(self, tmp_path, capsys, key):
+        code = main(["skellam", "--set", f"{key}=1", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "unknown" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    OS_ERRORS = {
+        "config-dir": lambda d: ["skellam", "--config", str(d), "--out", str(d / "o")],
+        "input-dir": lambda d: ["allan", "--input", str(d), "--out", str(d / "o")],
+        "out-is-file": lambda d: ["skellam", "--out", str(d / "file")],
+        "out-under-file": lambda d: ["skellam", "--out", str(d / "file" / "sub")],
+        "write-denied": lambda d: ["skellam", "--out", str(d / "o")],
+    }
+
+    @pytest.mark.parametrize("case", OS_ERRORS)
+    def test_os_error_exits_with_error(self, tmp_path, capsys, monkeypatch, case):
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n")
+        if case == "write-denied":
+            def deny(path, data):
+                raise PermissionError(13, "Permission denied", str(path))
+
+            monkeypatch.setattr(Path, "write_bytes", deny)
+        code = main(self.OS_ERRORS[case](tmp_path))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+        assert blocker.read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "lock.noise_tone_20hz_width=-1",
+            "lock.noise_air_width=-0.15",
+            "lock.noise_box_factor=-0.5",
+            "lock.noise_acoustic_power_split=0.7,-0.3",
+            "lock.noise_acoustic_power_split=0,0",
+        ],
+    )
+    def test_misread_noise_rejected_at_load(self, tmp_path, capsys, setting):
+        code = main(["lock", "--set", setting, "--out", str(tmp_path / "n")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: invalid lock configuration")
+        assert not (tmp_path / "n").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["sweep-mi", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "z")])
@@ -472,7 +522,7 @@ class TestDuplicateOutputNames:
         "args, name",
         [
             (["skellam", "--set", "montecarlo.signal_means=4.130001,4.130002"],
-             "skellam_m4_sig4.13.csv"),
+             "skellam_m2_sig4.13.csv"),
             (["montecarlo", "--set", "montecarlo.shots=100",
               "--set", "montecarlo.signal_means=4.13,4.13"],
              "mc_hist_m2_sig4.13.csv"),
@@ -488,17 +538,16 @@ class TestDuplicateOutputNames:
 
 
 class TestSweepPhases:
-    """sweep.bpsk_phi0 and sweep.qpsk_phi0 reach every command that sweeps the orders."""
+    """Every command that sweeps the orders builds them by the one rule in sweep_psk."""
 
-    PHASES = {2: 0.7853981633974483, 4: 0.5}
+    PHASES = {2: 0.0, 4: math.pi / 8}  # the antipodal pair; QPSK at pi/(2M)
     ONE_POINT = ["--set", "channel.loss_db_start=1", "--set", "channel.loss_db_stop=1",
                  "--set", "sweep.visibilities=1.0"]
     MONTECARLO = ["--set", "montecarlo.shots=40", "--set", "montecarlo.signal_means=4.13"]
 
-    def _rows(self, tmp_path, args, table, phased):
-        phase_args = ["--set", f"sweep.bpsk_phi0={self.PHASES[2]}",
-                      "--set", f"sweep.qpsk_phi0={self.PHASES[4]}"] if phased else []
-        code, out = run_cli(args + phase_args, tmp_path, f"{table}-{phased}")
+    @staticmethod
+    def _rows(tmp_path, args, table):
+        code, out = run_cli(args, tmp_path, table)
         assert code == 0
         _, header, rows = parse_table((out / f"{table}.csv").read_text())
         return [dict(zip(header, r)) for r in rows]
@@ -510,24 +559,21 @@ class TestSweepPhases:
     def test_sweep_kgr(self, tmp_path):
         config = load_config()
         params = config.receiver_params(loss_db_to_transmissivity(1.0))
-        rows = self._rows(tmp_path, ["sweep-kgr"] + self.ONE_POINT, "sweep_kgr", True)
-        default = self._rows(tmp_path, ["sweep-kgr"] + self.ONE_POINT, "sweep_kgr", False)
+        rows = self._rows(tmp_path, ["sweep-kgr"] + self.ONE_POINT, "sweep_kgr")
         assert [r["m"] for r in rows] == ["2", "4"]
-        for row, base in zip(rows, default):
+        for row in rows:
             m = int(row["m"])
             c = build_psk(m, float(config["constellation.alpha"]), self.PHASES[m])
             assert self._close(float(row["kgr_bits"]), kgr(c, params).kgr_bits)
-            assert not self._close(float(row["kgr_bits"]), float(base["kgr_bits"]))
 
     def test_sweep_mi(self, tmp_path):
         config = load_config()
         t = loss_db_to_transmissivity(1.0)
-        rows = self._rows(tmp_path, ["sweep-mi"] + self.ONE_POINT, "sweep_mi", True)
-        default = self._rows(tmp_path, ["sweep-mi"] + self.ONE_POINT, "sweep_mi", False)
+        rows = self._rows(tmp_path, ["sweep-mi"] + self.ONE_POINT, "sweep_mi")
         assert sorted((r["m"], r["receiver"]) for r in rows) == [
             ("2", "hd"), ("2", "wf"), ("4", "hd"), ("4", "wf"),
         ]
-        for row, base in zip(rows, default):
+        for row in rows:
             m = int(row["m"])
             c = build_psk(m, float(config["constellation.alpha"]), self.PHASES[m])
             if row["receiver"] == "wf":
@@ -541,21 +587,32 @@ class TestSweepPhases:
                     jitter_quad_nodes=int(config["receiver.jitter_quad_nodes"]),
                 )
             assert self._close(float(row["mi_bits"]), expected)
-            assert not self._close(float(row["mi_bits"]), float(base["mi_bits"]))
 
     def test_montecarlo_analytic_mi(self, tmp_path):
         config = load_config()
         lo_amplitude = math.sqrt(float(config["montecarlo.lo_mean"]))
         params = replace(config.receiver_params(1.0), lo_amplitude=lo_amplitude)
-        rows = self._rows(tmp_path, ["montecarlo"] + self.MONTECARLO, "mc_mi", True)
-        default = self._rows(tmp_path, ["montecarlo"] + self.MONTECARLO, "mc_mi", False)
+        rows = self._rows(tmp_path, ["montecarlo"] + self.MONTECARLO, "mc_mi")
         assert {r["m"] for r in rows} == {"2", "4"}
-        for row, base in zip(rows, default):
+        for row in rows:
             m = int(row["m"])
             c = build_psk(m, math.sqrt(4.13), self.PHASES[m])
             expected = wf_mutual_information(c, params).mi_bits
             assert self._close(float(row["mi_bits_analytic"]), expected)
-            assert not self._close(float(row["mi_bits_analytic"]), float(base["mi_bits_analytic"]))
+
+    def test_skellam_tables_are_montecarlo_theory(self, tmp_path):
+        means = ["--set", "montecarlo.signal_means=4.13,1.78"]
+        code, sk = run_cli(["skellam"] + means, tmp_path, "sk")
+        assert code == 0
+        code, mc = run_cli(["montecarlo", "--set", "montecarlo.shots=400"] + means, tmp_path, "mc")
+        assert code == 0
+        names = sorted(p.name for p in sk.glob("skellam_*.csv"))
+        assert names == [f"skellam_m{m}_sig{s}.csv" for m in (2, 4) for s in ("1.78", "4.13")]
+        for name in names:
+            _, sk_header, sk_rows = parse_table((sk / name).read_text())
+            _, mc_header, mc_rows = parse_table((mc / name.replace("skellam", "mc_hist")).read_text())
+            theory = [mc_header.index(h) for h in sk_header]  # d, then p_theory_k
+            assert [[row[i] for i in theory] for row in mc_rows] == sk_rows
 
 
 class TestBenchmarkHooks:
@@ -577,6 +634,16 @@ class TestBenchmarkHooks:
             assert not function.startswith("_")
             checked += 1
         assert checked > 0
+
+    def test_benchmark_config_keys_exist(self):
+        # every `--set` key the benchmark passes must still load
+        keys = {
+            key
+            for path in (REPO_ROOT / "perfbench").rglob("*.py")
+            for key in re.findall(r'"([a-z_]+\.[a-z0-9_]+)=', path.read_text())
+        }
+        assert len(keys) >= 8
+        assert keys <= set(KEY_PARSERS), sorted(keys - set(KEY_PARSERS))
 
     def test_worker_hooks_exist(self):
         assert isinstance(cli.WORKER_ENV, str)

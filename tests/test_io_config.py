@@ -318,7 +318,7 @@ class TestTraceFormatter:
 class TestConfig:
     def test_defaults_load(self):
         config = load_config()
-        assert config["constellation.m"] == 4
+        assert config["constellation.alpha"] == pytest.approx(2.04)
         assert config["receiver.lo_amplitude"] == pytest.approx(3.53)
         assert config["sweep.visibilities"] == (1.0, 0.845)
 
@@ -344,7 +344,7 @@ class TestConfig:
 
     def test_invalid_value_reports_key(self):
         for key, value in [
-            ("constellation.m", "four"),
+            ("constellation.alpha", "four"),
             ("channel.loss_db_stop", "inf"),
             ("lock.duration_s", "inf"),
             ("lock.duration_s", "nan"),
@@ -363,7 +363,13 @@ class TestConfig:
     def test_defaults_set_exactly_the_known_keys(self):
         assert set(parse_config_text(_defaults_text())) == set(KEY_PARSERS)
 
-    @pytest.mark.parametrize("key", ["lock.ki_slow", "constellation.phi0"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "lock.ki_slow", "constellation.phi0", "constellation.m", "receiver.n_max",
+            "sweep.bpsk_phi0", "sweep.qpsk_phi0",
+        ],
+    )
     def test_deleted_keys_rejected(self, key):
         with pytest.raises(ConfigError, match="unknown config key"):
             load_config(overrides={key: "0.5"})
@@ -444,7 +450,7 @@ class TestConfig:
         "key,value,section",
         [
             ("receiver.visibility", "1.5", "receiver"),
-            ("constellation.m", "1", "constellation"),
+            ("constellation.alpha", "-1", "constellation"),
             ("montecarlo.crosstalk_prob", "1.0", "montecarlo"),
             ("lock.noise_white_rms", "-0.1", "lock"),
             ("lock.asd_overlap", "0.95", "lock"),
@@ -456,13 +462,12 @@ class TestConfig:
             load_config(overrides={key: value})
 
     def test_auto_phi0(self):
-        # orders 2 and 4 read the sweep keys; every other order takes pi/(2M)
-        config = load_config()
-        assert config.sweep_phi0(8) is None
-        assert build_psk(8, 1.0, config.sweep_phi0(8)).phi0 == pytest.approx(math.pi / 16)
-        assert config.sweep_phi0(4) == pytest.approx(math.pi / 8)
-        config2 = load_config(overrides={"sweep.qpsk_phi0": "0.5"})
-        assert config2.sweep_phi0(4) == 0.5
+        # order 2 is the antipodal pair; every other order takes build_psk's pi/(2M)
+        bpsk, qpsk = load_config().sweep_psk(1.5)
+        assert (bpsk.order_m, qpsk.order_m) == (2, 4)
+        assert [s.phase for s in bpsk] == [0.0, math.pi]
+        assert qpsk == build_psk(4, 1.5)
+        assert qpsk.phi0 == 0.39269908169872414  # the value the sweeps always used
 
     def test_format_validation(self):
         with pytest.raises(ConfigError):

@@ -341,3 +341,18 @@ class TestConfigs:
     def test_noise_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(white_rms=-0.1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tone_20hz_width", -1.0),
+            ("air_width", -0.15),
+            ("box_factor", -0.5),
+            ("acoustic_power_split", (0.7, -0.3)),
+            ("acoustic_power_split", (0.0, 0.0)),
+        ],
+    )
+    def test_misread_noise_shape_rejected(self, field, value):
+        # each ran before: a pure tone, no box drift, a domain error, no acoustic lines
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: value})
