@@ -19,7 +19,7 @@ _EXPORTS = {
         "Constellation", "CoherentSymbol", "apply_loss", "build_psk", "check_gus",
         "loss_db_to_transmissivity",
     ),
-    "homodyne": ("HomodyneParams", "hd_conditional_pdf", "hd_mutual_information"),
+    "homodyne": ("hd_conditional_pdf", "hd_mutual_information"),
     "info_metrics": ("MiResult", "plugin_mi_estimate", "shannon_entropy", "wf_mutual_information"),
     "security": ("Ensemble", "KgrResult", "coherent_overlap", "kgr", "vn_entropy"),
     "wf_receiver": (

@@ -42,13 +42,20 @@ from .detector_sim import (
     fidelity,
     run_experiment,
 )
-from .homodyne import HomodyneParams, hd_mutual_information
+from .homodyne import hd_mutual_information
 from .info_metrics import plugin_mi_estimate, wf_mutual_information
 from .io import RENDERERS, read_trace_bin, read_trace_csv, write_trace_csv
 from .lock_sim import FOUR_CONDITIONS, four_conditions
 from .phase_metrology import _sample_count, asd, octave_taus, overlapping_allan, rms_phase
 from .security import kgr
-from .wf_receiver import branch_means, default_d_max, difference_dist
+from .wf_receiver import (
+    DiffDistribution,
+    _branch_means,
+    _gauss_hermite_weights,
+    _prior_mixture,
+    default_d_max,
+    difference_dist,
+)
 
 WORKER_ENV = "WFHSIM_WORKERS"
 
@@ -104,19 +111,14 @@ def _loss_sweep(config: RunConfig, name: str, header: list[str], point_rows, met
 def cmd_sweep_mi(config: RunConfig) -> list[Table]:
     """MI vs loss for both receivers, both orders, and the visibility band."""
     sigma_phi = float(config["receiver.phase_jitter_rms"])
-    quad_nodes = int(config["receiver.jitter_quad_nodes"])
 
     def one_point(cs, loss_db: float, t: float) -> list[tuple]:
         rows = []
         for c, xi in product(cs, config["sweep.visibilities"]):
-            wf = wf_mutual_information(c, config.receiver_params(t, visibility=xi))
+            params = config.receiver_params(t, visibility=xi)
+            wf = wf_mutual_information(c, params)
             rows.append((loss_db, c.order_m, "wf", xi, sigma_phi, wf.mi_bits))
-            hd = hd_mutual_information(
-                c,
-                HomodyneParams(transmissivity=t, visibility=xi),
-                phase_jitter_rms=sigma_phi,
-                jitter_quad_nodes=quad_nodes,
-            )
+            hd = hd_mutual_information(c, params)
             rows.append((loss_db, c.order_m, "hd", xi, sigma_phi, hd))
         return sorted(rows, key=lambda r: (r[1], r[2], -r[3]))  # hd before wf, xi falling
 
@@ -256,10 +258,20 @@ def _read_trace(path: str):
 
 
 def _skellam_theory(c, params) -> tuple[int, list]:
-    """Per-symbol Skellam laws of the count difference on one shared window."""
-    mus = [branch_means(s, params) for s in c.symbols]
-    d_max = max(default_d_max(*mu) for mu in mus)
-    return d_max, [difference_dist(mu_t, mu_r, d_max) for mu_t, mu_r in mus]
+    """Per-symbol Skellam laws of the count difference on one shared window.
+
+    Each law is the Gauss-Hermite average over the receiver's phase jitter,
+    as the shots and the count tables take it; the window holds every node.
+    """
+    deltas, weights = _gauss_hermite_weights(params.phase_jitter_rms, params.jitter_quad_nodes)
+    # (mu_t, mu_r) at each jitter node, one list per symbol
+    mus = [list(zip(*_branch_means(s.amplitude, s.phase + deltas, params))) for s in c.symbols]
+    d_max = max(default_d_max(*mu) for nodes in mus for mu in nodes)
+    laws = [
+        _prior_mixture(weights, np.stack([difference_dist(*mu, d_max).probs for mu in nodes]))
+        for nodes in mus
+    ]
+    return d_max, [DiffDistribution(probs, d_max) for probs in laws]
 
 
 def _signal_cases(config: RunConfig) -> list[tuple[Constellation, float]]:

@@ -21,14 +21,18 @@ class MiResult:
     truncation_mass: float
 
 
-def _entropy_bits(p: np.ndarray) -> np.ndarray:
-    """-sum p log2 p in bits along the last axis, with 0 log 0 = 0.
+def _entropy_bits(p: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """-sum w p log2 p in bits along the last axis, with 0 log 0 = 0.
 
     The one Shannon entropy kernel: the public entropies, the plug-in MI
-    estimate and the Holevo spectra all reduce to it.
+    estimate, the Holevo spectra and, with quadrature ``weights``, the
+    homodyne differential entropies all reduce to it.  The sum is a numpy
+    reduction, not a BLAS dot, whose threads would cost more than the sum.
     """
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    return -np.sum(p * logs, axis=-1)
+    terms = p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    if weights is not None:
+        terms *= weights
+    return -np.sum(terms, axis=-1)
 
 
 def shannon_entropy(dist: np.ndarray) -> float:

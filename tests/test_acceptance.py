@@ -20,7 +20,7 @@ from wfhsim.detector_sim import (
     fidelity,
     run_experiment,
 )
-from wfhsim.homodyne import HomodyneParams, hd_mutual_information
+from wfhsim.homodyne import hd_mutual_information
 from wfhsim.info_metrics import plugin_mi_estimate, wf_mutual_information
 from wfhsim.phase_metrology import PhaseTrace, asd, overlapping_allan
 from wfhsim.security import eve_ensemble, kgr, vn_entropy
@@ -51,11 +51,11 @@ def test_criterion_1_receiver_matches_homodyne_benchmark():
     worst = 0.0
     for m, c in canonical_constellations().items():
         for loss_db in LOSS_GRID:
-            t = loss_db_to_transmissivity(loss_db)
-            wf = wf_mutual_information(
-                c, WfReceiverParams(lo_amplitude=3.53, transmissivity=t)
-            ).mi_bits
-            hd = hd_mutual_information(c, HomodyneParams(transmissivity=t))
+            params = WfReceiverParams(
+                lo_amplitude=3.53, transmissivity=loss_db_to_transmissivity(loss_db)
+            )
+            wf = wf_mutual_information(c, params).mi_bits
+            hd = hd_mutual_information(c, params)
             worst = max(worst, abs(wf - hd) / hd)
     elapsed = time.perf_counter() - start
     ok = worst <= 0.02 and elapsed < 60.0

@@ -14,15 +14,18 @@ import numpy as np
 import pytest
 
 import wfhsim
-from wfhsim import cli
+from wfhsim import cli, security
 from wfhsim.cli import Table, _write_outputs, main
 from wfhsim.config import KEY_PARSERS, load_config
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
-from wfhsim.homodyne import HomodyneParams, hd_mutual_information
+from wfhsim.detector_sim import NO_IMPERFECTIONS, run_experiment
+from wfhsim.homodyne import hd_mutual_information
 from wfhsim.info_metrics import wf_mutual_information
 from wfhsim.io import parse_table, write_trace_csv
+from wfhsim.lock_sim import ActuatorModel, NoiseModel, simulate_lock
 from wfhsim.phase_metrology import PhaseTrace
 from wfhsim.security import kgr
+from wfhsim.wf_receiver import conditional_tables
 
 SMALL_GRID = ["--set", "channel.loss_db_stop=0.5", "--set", "channel.loss_db_step=0.25"]
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -265,6 +268,20 @@ class TestMonteCarloCommand:
         _, _, mi_rows = parse_table((out / "mc_mi.csv").read_text())
         for r in mi_rows:
             assert abs(float(r[3]) - float(r[4])) < 0.05
+
+    @pytest.mark.parametrize("sigma", ["0.5", "1"])
+    def test_theory_follows_phase_jitter(self, tmp_path, sigma):
+        # the shots draw the configured jitter, so the overlay must average it too
+        _, out = run_cli(
+            ["montecarlo", "--set", "montecarlo.shots=100000",
+             "--set", "montecarlo.signal_means=4.13",
+             "--set", f"receiver.phase_jitter_rms={sigma}"],
+            tmp_path, "mc",
+        )
+        _, _, rows = parse_table((out / "mc_summary.csv").read_text())
+        assert len(rows) == 6
+        for r in rows:
+            assert float(r[3]) > 0.999
 
     def test_overlap_grows_at_lower_signal(self, tmp_path):
         _, out = run_cli(
@@ -573,19 +590,14 @@ class TestSweepPhases:
         assert sorted((r["m"], r["receiver"]) for r in rows) == [
             ("2", "hd"), ("2", "wf"), ("4", "hd"), ("4", "wf"),
         ]
+        params = config.receiver_params(t, visibility=1.0)  # one operating point, both receivers
         for row in rows:
             m = int(row["m"])
             c = build_psk(m, float(config["constellation.alpha"]), self.PHASES[m])
             if row["receiver"] == "wf":
-                params = config.receiver_params(t, visibility=1.0)
                 expected = wf_mutual_information(c, params).mi_bits
             else:
-                expected = hd_mutual_information(
-                    c,
-                    HomodyneParams(transmissivity=t, visibility=1.0),
-                    phase_jitter_rms=float(config["receiver.phase_jitter_rms"]),
-                    jitter_quad_nodes=int(config["receiver.jitter_quad_nodes"]),
-                )
+                expected = hd_mutual_information(c, params)
             assert self._close(float(row["mi_bits"]), expected)
 
     def test_montecarlo_analytic_mi(self, tmp_path):
@@ -601,18 +613,22 @@ class TestSweepPhases:
             assert self._close(float(row["mi_bits_analytic"]), expected)
 
     def test_skellam_tables_are_montecarlo_theory(self, tmp_path):
-        means = ["--set", "montecarlo.signal_means=4.13,1.78"]
-        code, sk = run_cli(["skellam"] + means, tmp_path, "sk")
-        assert code == 0
-        code, mc = run_cli(["montecarlo", "--set", "montecarlo.shots=400"] + means, tmp_path, "mc")
-        assert code == 0
-        names = sorted(p.name for p in sk.glob("skellam_*.csv"))
-        assert names == [f"skellam_m{m}_sig{s}.csv" for m in (2, 4) for s in ("1.78", "4.13")]
-        for name in names:
-            _, sk_header, sk_rows = parse_table((sk / name).read_text())
-            _, mc_header, mc_rows = parse_table((mc / name.replace("skellam", "mc_hist")).read_text())
-            theory = [mc_header.index(h) for h in sk_header]  # d, then p_theory_k
-            assert [[row[i] for i in theory] for row in mc_rows] == sk_rows
+        for sigma in ("0", "0.5"):  # without and with phase jitter
+            args = ["--set", "montecarlo.signal_means=4.13,1.78",
+                    "--set", f"receiver.phase_jitter_rms={sigma}"]
+            code, sk = run_cli(["skellam"] + args, tmp_path, f"sk{sigma}")
+            assert code == 0
+            mc_args = ["montecarlo", "--set", "montecarlo.shots=400"] + args
+            code, mc = run_cli(mc_args, tmp_path, f"mc{sigma}")
+            assert code == 0
+            names = sorted(p.name for p in sk.glob("skellam_*.csv"))
+            assert names == [f"skellam_m{m}_sig{s}.csv" for m in (2, 4) for s in ("1.78", "4.13")]
+            for name in names:
+                _, sk_header, sk_rows = parse_table((sk / name).read_text())
+                mc_table = (mc / name.replace("skellam", "mc_hist")).read_text()
+                _, mc_header, mc_rows = parse_table(mc_table)
+                theory = [mc_header.index(h) for h in sk_header]  # d, then p_theory_k
+                assert [[row[i] for i in theory] for row in mc_rows] == sk_rows
 
 
 class TestBenchmarkHooks:
@@ -644,6 +660,20 @@ class TestBenchmarkHooks:
         }
         assert len(keys) >= 8
         assert keys <= set(KEY_PARSERS), sorted(keys - set(KEY_PARSERS))
+
+    def test_traced_results_keep_their_shape(self):
+        # what perfbench/spans.py's observers read from the traced calls' results
+        params = load_config().receiver_params(0.5)
+        c = build_psk(4, 1.0)
+        tables = conditional_tables(c, params)
+        assert len(tables) == 4
+        assert all(isinstance(t.probs, np.ndarray) and t.probs.size > 0 for t in tables)
+        assert 0.0 < security.OUTCOME_SKIP_THRESHOLD < 1e-6
+        assert 0.0 <= float(wf_mutual_information(c, params).truncation_mass) <= 1e-6
+        counts = run_experiment(c, params, NO_IMPERFECTIONS, 50, np.random.default_rng(0))
+        assert sum(counts.values()) == 50
+        trace = simulate_lock(0.02, 1e-4, load_config().pi_fast(), ActuatorModel(), NoiseModel())
+        assert len(trace) == 200
 
     def test_worker_hooks_exist(self):
         assert isinstance(cli.WORKER_ENV, str)
@@ -774,7 +804,7 @@ class TestStartup:
             "getattr(sys.modules[getattr(wfhsim, n).__module__], n)), "
             "len(names), wfhsim.kgr is wfhsim.security.kgr)"
         )
-        assert run_python(code, child_env()) == "[] 25 True"
+        assert run_python(code, child_env()) == "[] 24 True"
 
     def test_unknown_attribute_raises(self):
         code = (

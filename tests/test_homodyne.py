@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from scipy.integrate import quad
 from wfhsim.constellation import Constellation, CoherentSymbol, build_psk
 from wfhsim.homodyne import (
     GridAccuracyError,
-    HomodyneParams,
-    _differential_entropy_bits,
     _grid,
     _jittered_pdfs,
     _mi_from_pdfs,
@@ -19,6 +18,15 @@ from wfhsim.homodyne import (
     hd_conditional_pdf,
     hd_mutual_information,
 )
+from wfhsim.info_metrics import _entropy_bits
+from wfhsim.wf_receiver import WfReceiverParams
+
+from conftest import LO_AMPLITUDE
+
+
+def point(**kwargs) -> WfReceiverParams:
+    """An operating point at the canonical reference amplitude, which the homodyne ignores."""
+    return WfReceiverParams(lo_amplitude=LO_AMPLITUDE, **kwargs)
 
 
 def binary_awgn_mi_oracle(mean: float, sigma: float) -> float:
@@ -50,18 +58,18 @@ def binary_awgn_mi_oracle(mean: float, sigma: float) -> float:
 class TestConditionalPdf:
     def test_vacuum_is_standard_normal(self):
         s = CoherentSymbol(0.0, 0.0, 1.0)
-        p = HomodyneParams()
+        p = point()
         xs = np.linspace(-5, 5, 11)
         expected = np.exp(-(xs**2) / 2) / math.sqrt(2 * math.pi)
         assert hd_conditional_pdf(xs, s, p) == pytest.approx(expected, rel=1e-12)
 
     def test_mean_at_canonical_amplitude(self):
         s = CoherentSymbol(2.04, 0.0, 1.0)
-        assert conditional_mean(s, HomodyneParams()) == pytest.approx(4.08)
+        assert conditional_mean(s, point()) == pytest.approx(4.08)
 
     @pytest.mark.parametrize("phase", [0.1, 0.9, 2.0])
     def test_reflection_symmetry(self, phase):
-        p = HomodyneParams()
+        p = point()
         a = CoherentSymbol(1.7, phase, 1.0)
         b = CoherentSymbol(1.7, math.pi - phase, 1.0)
         xs = np.linspace(-6, 6, 25)
@@ -73,62 +81,60 @@ class TestConditionalPdf:
 class TestMutualInformation:
     def test_single_symbol_carries_nothing(self):
         single = Constellation((CoherentSymbol(2.0, 0.0, 1.0),), order_m=2, phi0=0.0)
-        assert hd_mutual_information(single, HomodyneParams()) == pytest.approx(
+        assert hd_mutual_information(single, point()) == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_bpsk_saturates_to_one_bit(self):
         c = build_psk(2, 10.0, 0.0)
-        assert hd_mutual_information(c, HomodyneParams()) == pytest.approx(1.0, abs=1e-6)
+        assert hd_mutual_information(c, point()) == pytest.approx(1.0, abs=1e-6)
 
     def test_qpsk_saturates_to_two_bits(self):
         c = build_psk(4, 40.0)
-        assert hd_mutual_information(c, HomodyneParams()) == pytest.approx(2.0, abs=1e-4)
+        assert hd_mutual_information(c, point()) == pytest.approx(2.0, abs=1e-4)
 
     @pytest.mark.parametrize("m,alpha,t", [(2, 2.04, 1.0), (2, 1.2, 0.4), (4, 2.04, 0.7)])
     def test_bounded_by_source_entropy(self, m, alpha, t):
         c = build_psk(m, alpha, 0.0 if m == 2 else None)
-        mi = hd_mutual_information(c, HomodyneParams(transmissivity=t))
+        mi = hd_mutual_information(c, point(transmissivity=t))
         assert 0.0 <= mi <= math.log2(m) + 1e-9
 
     @pytest.mark.parametrize("alpha,t", [(2.04, 1.0), (2.04, 0.5), (0.9, 0.8)])
     def test_matches_binary_channel_oracle(self, alpha, t):
         c = build_psk(2, alpha, 0.0)
-        params = HomodyneParams(transmissivity=t)
+        params = point(transmissivity=t)
         ours = hd_mutual_information(c, params)
         oracle = binary_awgn_mi_oracle(2.0 * math.sqrt(t) * alpha, 1.0)
         assert ours == pytest.approx(oracle, abs=1e-9)
 
     def test_grid_convergence_at_defaults(self, qpsk):
-        params = HomodyneParams()
-        base = hd_mutual_information(qpsk, params)
-        fine = hd_mutual_information(qpsk, HomodyneParams(grid=(-25.0, 25.0, 1.0 / 400)))
+        base = hd_mutual_information(qpsk, point())
+        fine = hd_mutual_information(qpsk, point(), grid=(-25.0, 25.0, 1.0 / 400))
         assert abs(base - fine) < 1e-8
 
     def test_coarse_grid_rejected(self, qpsk):
         with pytest.raises(GridAccuracyError):
-            hd_mutual_information(qpsk, HomodyneParams(grid=(-15.0, 15.0, 1.0)))
+            hd_mutual_information(qpsk, point(), grid=(-15.0, 15.0, 1.0))
 
     def test_visibility_scales_information(self, qpsk):
-        full = hd_mutual_information(qpsk, HomodyneParams())
-        reduced = hd_mutual_information(qpsk, HomodyneParams(visibility=0.845))
+        full = hd_mutual_information(qpsk, point())
+        reduced = hd_mutual_information(qpsk, point(visibility=0.845))
         assert reduced < full
 
     def test_jitter_reduces_information(self, qpsk):
-        clean = hd_mutual_information(qpsk, HomodyneParams())
-        noisy = hd_mutual_information(qpsk, HomodyneParams(), phase_jitter_rms=0.25)
+        clean = hd_mutual_information(qpsk, point())
+        noisy = hd_mutual_information(qpsk, point(phase_jitter_rms=0.25))
         assert noisy < clean
 
     def test_jitter_average_is_warning_free(self, qpsk):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hd_mutual_information(qpsk, HomodyneParams(), phase_jitter_rms=0.25)
+            hd_mutual_information(qpsk, point(phase_jitter_rms=0.25))
 
     def test_jitter_nodes_converge(self, qpsk):
-        params = HomodyneParams(transmissivity=0.5)
         mi = [
             hd_mutual_information(
-                qpsk, params, phase_jitter_rms=0.25, jitter_quad_nodes=n
+                qpsk, point(transmissivity=0.5, phase_jitter_rms=0.25, jitter_quad_nodes=n)
             )
             for n in (15, 21, 31)
         ]
@@ -136,7 +142,7 @@ class TestMutualInformation:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.25])
     def test_jittered_pdf_matches_node_loop(self, qpsk, sigma):
-        params = HomodyneParams(transmissivity=0.6, visibility=0.845)
+        params = point(transmissivity=0.6, visibility=0.845, phase_jitter_rms=sigma)
         x = _grid(qpsk, params)
         nodes, weights = np.polynomial.hermite.hermgauss(21)
         for s in qpsk.symbols:
@@ -145,19 +151,25 @@ class TestMutualInformation:
                 ref += w * hd_conditional_pdf(
                     x, CoherentSymbol(s.amplitude, s.phase + delta, 1.0), params
                 )
-            got = _jittered_pdfs(x, [s], params, sigma, 21)[0]
+            got = _jittered_pdfs(x, [s], params)[0]
             assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_jitter_nodes_reach_the_average(self, qpsk):
         """One node sits at zero phase offset, so it reproduces the jitter-free MI."""
-        params = HomodyneParams(transmissivity=0.5)
+        params = point(transmissivity=0.5)
         clean = hd_mutual_information(qpsk, params)
-        one = hd_mutual_information(
-            qpsk, params, phase_jitter_rms=0.25, jitter_quad_nodes=1
-        )
-        default = hd_mutual_information(qpsk, params, phase_jitter_rms=0.25)
+        jittered = replace(params, phase_jitter_rms=0.25)
+        one = hd_mutual_information(qpsk, replace(jittered, jitter_quad_nodes=1))
+        default = hd_mutual_information(qpsk, jittered)
         assert one == pytest.approx(clean, abs=1e-9)
         assert default < one - 0.05
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25])
+    def test_reference_beam_does_not_enter(self, qpsk, sigma):
+        """The homodyne is the strong-reference limit: z and the count cut are not read."""
+        params = point(transmissivity=0.5, visibility=0.845, phase_jitter_rms=sigma)
+        bright = replace(params, lo_amplitude=50.0, n_max=80)
+        assert hd_mutual_information(qpsk, bright) == hd_mutual_information(qpsk, params)
 
 
 class TestSharedRefinedGrid:
@@ -167,11 +179,11 @@ class TestSharedRefinedGrid:
     @pytest.mark.parametrize("sigma", [0.0, 0.25])
     @pytest.mark.parametrize("grid", [None, (-14.0, 14.0, 0.01)])
     def test_check_does_not_change_result(self, qpsk, sigma, grid):
-        params = HomodyneParams(transmissivity=0.5, visibility=0.845, grid=grid)
-        checked = hd_mutual_information(qpsk, params, phase_jitter_rms=sigma)
-        x = _grid(qpsk, params)
-        pdfs = _jittered_pdfs(x, qpsk.symbols, params, sigma, 21)
-        direct = _mi_from_pdfs(pdfs, x, np.array(qpsk.priors), sigma)
+        params = point(transmissivity=0.5, visibility=0.845, phase_jitter_rms=sigma)
+        checked = hd_mutual_information(qpsk, params, grid=grid)
+        x = _grid(qpsk, params, grid=grid)
+        pdfs = _jittered_pdfs(x, qpsk.symbols, params)
+        direct = _mi_from_pdfs(pdfs, x, np.array(qpsk.priors), params)
         assert checked == direct
 
     @settings(max_examples=300, deadline=None)
@@ -182,44 +194,46 @@ class TestSharedRefinedGrid:
     )
     def test_even_points_of_halved_grid_are_the_grid(self, x_min, width, steps):
         x_max = x_min + width
-        params = HomodyneParams(grid=(x_min, x_max, (x_max - x_min) / steps))
-        x = _grid(build_psk(4, 2.04), params)
+        x = _grid(build_psk(4, 2.04), point(), grid=(x_min, x_max, (x_max - x_min) / steps))
         halved = np.linspace(x[0], x[-1], 2 * len(x) - 1)
         assert np.array_equal(halved[::2], x)
 
     def test_entropy_sum_matches_exact_sum(self, qpsk):
-        params = HomodyneParams()
+        """The weighted Shannon kernel is the Simpson sum of -p log2 p, 0 log 0 = 0."""
+        params = point(phase_jitter_rms=0.25)
         x = _grid(qpsk, params)
         x2 = np.linspace(x[0], x[-1], 2 * len(x) - 1)
-        pdfs = _jittered_pdfs(x2, qpsk.symbols, params, 0.25, 21)
+        pdfs = _jittered_pdfs(x2, qpsk.symbols, params)
         mix = sum(s.prior * pdf for s, pdf in zip(qpsk.symbols, pdfs))
         w = _simpson_weights(len(x2), float(x2[1] - x2[0]))
         exact = math.fsum(
-            wi * -p * math.log2(p) for wi, p in zip(w.tolist(), mix.tolist()) if p > 1e-300
+            wi * -p * math.log2(p) for wi, p in zip(w.tolist(), mix.tolist()) if p > 0.0
         )
-        assert _differential_entropy_bits(mix, w) == pytest.approx(exact, rel=1e-14, abs=0)
+        assert _entropy_bits(mix, w) == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 class TestBlockedJitterAverage:
     """The blocked (E @ V) * U jitter average against the direct node loop."""
 
     @staticmethod
-    def _node_loop(x, symbol, params, sigma):
+    def _node_loop(x, symbol, params):
         nodes, weights = np.polynomial.hermite.hermgauss(21)
+        offsets = math.sqrt(2.0) * params.phase_jitter_rms * nodes
         ref = np.zeros_like(x)
-        for delta, w in zip(math.sqrt(2.0) * sigma * nodes, weights / math.sqrt(math.pi)):
+        for delta, w in zip(offsets, weights / math.sqrt(math.pi)):
             ref += w * hd_conditional_pdf(
                 x, CoherentSymbol(symbol.amplitude, symbol.phase + delta, 1.0), params
             )
         return ref
 
-    def _assert_matches_node_loop(self, c, params, sigma):
-        x = _grid(c, params)
+    def _assert_matches_node_loop(self, c, grid, sigma):
+        params = point(phase_jitter_rms=sigma)
+        x = _grid(c, params, grid=grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _jittered_pdfs(x, c.symbols, params, sigma, 21)
+            got = _jittered_pdfs(x, c.symbols, params)
         for s, row in zip(c.symbols, got):
-            assert np.max(np.abs(row - self._node_loop(x, s, params, sigma))) <= 1e-12
+            assert np.max(np.abs(row - self._node_loop(x, s, params))) <= 1e-12
 
     # None is the default grid, blocks of ~sqrt(n) points, and at alpha = 40 the
     # exponent bound caps them; a step of 0.7 or 1.5 sigma gives one-point blocks
@@ -230,14 +244,12 @@ class TestBlockedJitterAverage:
     def test_matches_node_loop(self, grid, sigma):
         for alpha in (0.3, 2.04, 10.0, 40.0):
             for m in (2, 4, 8):
-                c = build_psk(m, alpha)
-                self._assert_matches_node_loop(c, HomodyneParams(grid=grid), sigma)
+                self._assert_matches_node_loop(build_psk(m, alpha), grid, sigma)
 
     @pytest.mark.parametrize("alpha", [2.04, 40.0])
     def test_grid_far_beyond_the_means(self, alpha):
         """Blocks one sigma long would put e^950 in U here; the bound shrinks them."""
-        params = HomodyneParams(grid=(-1000.0, 1000.0, 0.02))
-        self._assert_matches_node_loop(build_psk(4, alpha), params, 0.25)
+        self._assert_matches_node_loop(build_psk(4, alpha), (-1000.0, 1000.0, 0.02), 0.25)
 
 
 class TestParams:
@@ -249,6 +261,8 @@ class TestParams:
             dict(grid=(1.0, -1.0, 0.1)),
         ],
     )
-    def test_invalid_params(self, kwargs):
+    def test_invalid_params(self, qpsk, kwargs):
+        """T and xi are the operating point's own checks; the grid is the integrator's."""
+        operating_point = {k: v for k, v in kwargs.items() if k != "grid"}
         with pytest.raises(ValueError):
-            HomodyneParams(**kwargs)
+            hd_mutual_information(qpsk, point(**operating_point), grid=kwargs.get("grid"))

@@ -69,10 +69,11 @@ class TestWfMutualInformation:
         assert wf_mutual_information(qpsk, params).truncation_mass == pytest.approx(lost, rel=1e-9)
 
     def test_close_to_homodyne_at_canonical_point(self, qpsk):
-        from wfhsim.homodyne import HomodyneParams, hd_mutual_information
+        from wfhsim.homodyne import hd_mutual_information
 
-        wf = wf_mutual_information(qpsk, WfReceiverParams(**CANONICAL)).mi_bits
-        hd = hd_mutual_information(qpsk, HomodyneParams())
+        params = WfReceiverParams(**CANONICAL)
+        wf = wf_mutual_information(qpsk, params).mi_bits
+        hd = hd_mutual_information(qpsk, params)
         assert abs(wf - hd) / hd < 0.02
 
     def test_saturation_self_check(self):

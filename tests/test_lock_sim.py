@@ -21,6 +21,7 @@ from wfhsim.lock_sim import (
     simulate_lock,
 )
 from wfhsim.phase_metrology import overlapping_allan, rms_phase
+from wfhsim.wf_receiver import DEFAULT_JITTER_NODES
 
 QUIET = dict(drift_rate=0.0, tone_20hz_rms=0.0, tone_200hz_rms=0.0, white_rms=0.0, air_rms=0.0)
 
@@ -322,6 +323,14 @@ class TestFourConditions:
 
 
 class TestConfigs:
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_defaults_are_the_shipped_config(self, seed):
+        """The dataclass defaults the tests build on repeat defaults.cfg; they must not drift."""
+        config = load_config()
+        assert NoiseModel(seed=seed) == config.noise_model(seed)
+        assert ActuatorModel() == config.actuator()
+        assert DEFAULT_JITTER_NODES == config["receiver.jitter_quad_nodes"]
+
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):
             PiConfig(kp=-1.0)
