@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "homodyne": ("hd_conditional_pdf", "hd_mutual_information"),
     "info_metrics": ("MiResult", "plugin_mi_estimate", "shannon_entropy", "wf_mutual_information"),
-    "security": ("Ensemble", "KgrResult", "coherent_overlap", "kgr", "vn_entropy"),
+    "security": ("KgrResult", "coherent_overlap", "kgr", "vn_entropy"),
     "wf_receiver": (
         "DiffDistribution", "JointPnrDistribution", "WfReceiverParams", "branch_means",
         "difference_dist", "joint_pnr_conditional", "joint_pnr_marginal",

@@ -117,9 +117,9 @@ def cmd_sweep_mi(config: RunConfig) -> list[Table]:
         for c, xi in product(cs, config["sweep.visibilities"]):
             params = config.receiver_params(t, visibility=xi)
             wf = wf_mutual_information(c, params)
-            rows.append((loss_db, c.order_m, "wf", xi, sigma_phi, wf.mi_bits))
+            rows.append((loss_db, len(c), "wf", xi, sigma_phi, wf.mi_bits))
             hd = hd_mutual_information(c, params)
-            rows.append((loss_db, c.order_m, "hd", xi, sigma_phi, hd))
+            rows.append((loss_db, len(c), "hd", xi, sigma_phi, hd))
         return sorted(rows, key=lambda r: (r[1], r[2], -r[3]))  # hd before wf, xi falling
 
     header = ["loss_db", "m", "receiver", "visibility", "sigma_phi", "mi_bits"]
@@ -133,7 +133,7 @@ def cmd_sweep_kgr(config: RunConfig) -> list[Table]:
         for c in cs:
             r = kgr(c, config.receiver_params(t))
             rows.append(
-                (loss_db, c.order_m, r.kgr_bits, r.mi_bits, r.holevo_bits, r.insecure)
+                (loss_db, len(c), r.kgr_bits, r.mi_bits, r.holevo_bits, r.insecure)
             )
         return rows
 
@@ -281,7 +281,7 @@ def _signal_cases(config: RunConfig) -> list[tuple[Constellation, float]]:
         for mean_sig in config["montecarlo.signal_means"]
         for c in config.sweep_psk(math.sqrt(float(mean_sig)))
     ]
-    return sorted(cases, key=lambda case: case[0].order_m)
+    return sorted(cases, key=lambda case: len(case[0]))
 
 
 def cmd_montecarlo(config: RunConfig) -> list[Table]:
@@ -296,7 +296,7 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
     summary_rows = []
     mi_rows = []
     for c, mean_sig in _signal_cases(config):
-        m = c.order_m
+        m = len(c)
         d_max, theory = _skellam_theory(c, params)
         ss = np.random.SeedSequence([seed, m, int(round(mean_sig * 1000))])
         mi_analytic = wf_mutual_information(c, params).mi_bits
@@ -366,8 +366,8 @@ def cmd_skellam(config: RunConfig) -> list[Table]:
         d_max, dists = _skellam_theory(c, params)
         tables.append(
             Table(
-                name=f"skellam_m{c.order_m}_sig{mean_sig:g}",
-                header=["d"] + [f"p_theory_{k}" for k in range(c.order_m)],
+                name=f"skellam_m{len(c)}_sig{mean_sig:g}",
+                header=["d"] + [f"p_theory_{k}" for k in range(len(c))],
                 rows=list(zip(range(-d_max, d_max + 1), *(d.probs.tolist() for d in dists))),
                 meta={"lo_mean": config["montecarlo.lo_mean"], "signal_mean": mean_sig},
             )

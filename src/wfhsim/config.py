@@ -146,8 +146,8 @@ class RunConfig:
         start = float(self.values["channel.loss_db_start"])
         stop = float(self.values["channel.loss_db_stop"])
         step = float(self.values["channel.loss_db_step"])
-        if step <= 0.0 or stop < start:
-            raise ConfigError("channel grid needs step > 0 and stop >= start")
+        if start < 0.0 or step <= 0.0 or stop < start:
+            raise ConfigError("channel grid needs start >= 0, step > 0 and stop >= start")
         # floored, so no point passes stop; the tolerance absorbs 0.3 / 0.1 < 3
         n = math.floor((stop - start) / step + 1e-9)
         grid = [start + i * step for i in range(n + 1)]

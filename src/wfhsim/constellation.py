@@ -54,15 +54,13 @@ class CoherentSymbol:
 
 @dataclass(frozen=True)
 class Constellation:
-    """Ordered list of coherent symbols plus the PSK metadata used to build it.
+    """Weighted set of coherent states: an ordered list of symbols.
 
     Arbitrary symbol lists are representable (priors just have to sum to 1);
-    only PSK construction is provided here.
+    only PSK construction is provided here.  The order is ``len(c)``.
     """
 
     symbols: tuple[CoherentSymbol, ...]
-    order_m: int
-    phi0: float
 
     def __post_init__(self) -> None:
         if len(self.symbols) == 0:
@@ -71,7 +69,6 @@ class Constellation:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"priors must sum to 1 within 1e-12, got {total!r}")
         object.__setattr__(self, "symbols", tuple(self.symbols))
-        object.__setattr__(self, "phi0", wrap_phase(self.phi0))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -113,7 +110,7 @@ def build_psk(order_m: int, amplitude: float, phi0: float | None = None) -> Cons
         )
         for k in range(order_m)
     ]
-    return Constellation(symbols=tuple(symbols), order_m=order_m, phi0=phi0)
+    return Constellation(tuple(symbols))
 
 
 class InvalidOrderError(ValueError):
@@ -161,7 +158,7 @@ def apply_loss(c: Constellation, transmissivity: float) -> Constellation:
         CoherentSymbol(amplitude=root_t * s.amplitude, phase=s.phase, prior=s.prior)
         for s in c.symbols
     )
-    return Constellation(symbols=scaled, order_m=c.order_m, phi0=c.phi0)
+    return Constellation(scaled)
 
 
 def loss_db_to_transmissivity(loss_db: float) -> float:

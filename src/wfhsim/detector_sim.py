@@ -150,9 +150,6 @@ def fidelity(p_a, p_b, method: str = "bhattacharyya") -> float:
     """
     a = p_a.probs if isinstance(p_a, DiffDistribution) else np.asarray(p_a, dtype=float)
     b = p_b.probs if isinstance(p_b, DiffDistribution) else np.asarray(p_b, dtype=float)
-    if isinstance(p_a, DiffDistribution) and isinstance(p_b, DiffDistribution):
-        if p_a.d_max != p_b.d_max:
-            raise ValueError("distributions have mismatched supports")
     if a.shape != b.shape:
         raise ValueError(f"mismatched supports: {a.shape} vs {b.shape}")
     for name, p in (("p_a", a), ("p_b", b)):

@@ -119,12 +119,14 @@ def overlapping_allan(trace: PhaseTrace, ms) -> AllanCurve:
     sigma^2(tau) = mean of (phi_{i+2m} - 2 phi_{i+m} + phi_i)^2 / (2 tau^2)
     over all overlapping start indices, for tau = m*dt.  The second difference
     makes the estimate exactly insensitive to constant offsets and linear
-    drift.  Each m must be a whole sample count with 1 <= m and 2m < len(trace);
-    anything else raises ValueError.
+    drift.  Each m must be a whole sample count with 1 <= m and 2m < len(trace),
+    and there must be at least one; anything else raises ValueError.
     """
     phi = trace.samples
     n = phi.size
     ms = [operator.index(m) for m in ms]
+    if not ms:
+        raise ValueError(f"no averaging factors for a trace of {n} samples")
     if any(m < 1 or 2 * m >= n for m in ms):
         raise ValueError(f"averaging factors {ms} need 1 <= m and 2m < {n} samples")
     taus = np.array([m * trace.dt for m in ms])

@@ -11,12 +11,11 @@ detector outcome suffices.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, apply_loss
 from .info_metrics import _entropy_bits, _mi_from_tables
 from .wf_receiver import WfReceiverParams, _stack, conditional_tables
 
@@ -27,26 +26,6 @@ OUTCOME_SKIP_THRESHOLD = 1e-15
 
 class NumericalFailureError(ArithmeticError):
     """An eigenvalue fell below the tolerated negative round-off band."""
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """Weighted set of coherent amplitudes (a mixed state of pure coherent states)."""
-
-    amplitudes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if amps.shape != w.shape or amps.ndim != 1 or amps.size == 0:
-            raise ValueError("amplitudes and weights must be matching 1-D arrays")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be >= 0")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)
@@ -71,8 +50,9 @@ def coherent_overlap(a: complex, b: complex) -> complex:
     )
 
 
-def overlap_matrix(amplitudes: np.ndarray) -> np.ndarray:
-    amps = np.asarray(amplitudes, dtype=np.complex128)
+def overlap_matrix(c: Constellation) -> np.ndarray:
+    """The (M, M) matrix of overlaps <beta_j | beta_k> of the symbols' coherent states."""
+    amps = np.array(c.amplitudes) * np.exp(1j * np.array(c.phases))
     mags2 = np.abs(amps) ** 2
     log_ov = (
         -0.5 * mags2[:, None] - 0.5 * mags2[None, :] + np.conj(amps[:, None]) * amps[None, :]
@@ -89,22 +69,20 @@ def _entropy_of_eigvals(eig: np.ndarray) -> np.ndarray:
     return _entropy_bits(np.clip(eig, 0.0, None))
 
 
-def vn_entropy(e: Ensemble) -> float:
-    """Von Neumann entropy of the ensemble's density operator, in bits.
+def vn_entropy(c: Constellation) -> float:
+    """Von Neumann entropy of the prior-weighted mixture of the symbols' states, in bits.
 
     Computed as the Shannon entropy of the weighted Gram spectrum; exact for
-    any mixture of pure states, with cost set only by the ensemble size.  It is
-    the conditional scan with one certain outcome.
+    any mixture of pure states, with cost set only by the constellation size.
+    It is the conditional scan with one certain outcome.
     """
-    certain = np.ones((e.weights.size, 1))
-    return _conditional_entropy_scan(certain, e.weights, overlap_matrix(e.amplitudes))[0]
+    certain = np.ones((len(c), 1))
+    return _conditional_entropy_scan(certain, np.array(c.priors), overlap_matrix(c))[0]
 
 
-def eve_ensemble(c: Constellation, transmissivity: float) -> Ensemble:
-    """The eavesdropper's ensemble: each symbol attenuated by sqrt(1 - T)."""
-    root = math.sqrt(max(0.0, 1.0 - transmissivity))
-    amps = root * np.array(c.amplitudes) * np.exp(1j * np.array(c.phases))
-    return Ensemble(amplitudes=amps, weights=c.priors)
+def eve_ensemble(c: Constellation, transmissivity: float) -> Constellation:
+    """The eavesdropper's states: the constellation through the lost arm, 1 - T."""
+    return apply_loss(c, 1.0 - transmissivity)
 
 
 def _conditional_entropy_scan(
@@ -136,7 +114,7 @@ def conditional_eve_entropy(c: Constellation, params: WfReceiverParams) -> float
     by their posterior; the average runs over the truncated outcome table,
     skipping outcomes with negligible probability.
     """
-    overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity).amplitudes)
+    overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity))
     stacked = _stack(conditional_tables(c, params))
     return _conditional_entropy_scan(stacked, np.array(c.priors), overlaps)[0]
 
@@ -152,7 +130,7 @@ def kgr(c: Constellation, params: WfReceiverParams) -> KgrResult:
     eve = eve_ensemble(c, params.transmissivity)
     s_e = vn_entropy(eve)
     s_e_given_b, _skipped = _conditional_entropy_scan(
-        stacked, np.array(c.priors), overlap_matrix(eve.amplitudes)
+        stacked, np.array(c.priors), overlap_matrix(eve)
     )
     holevo = s_e - s_e_given_b
     return KgrResult(

@@ -213,6 +213,15 @@ class TestTraceCommands:
         assert "nope.csv" in capsys.readouterr().err
         assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
 
+    def test_short_trace_rejected(self, tmp_path, capsys):
+        # under 8 samples there is no octave m with 8m <= N: no Allan point at all
+        src = tmp_path / "short.csv"
+        write_trace_csv(src, PhaseTrace(np.linspace(0.0, 0.5, 6), 1e-3))
+        out = tmp_path / "o"
+        assert main(["allan", "--input", str(src), "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lock_trace_feeds_allan_command(self, tmp_path):
         """Emitted traces round-trip through the standalone analysis commands."""
         from wfhsim.io import read_trace_csv
@@ -668,6 +677,11 @@ class TestBenchmarkHooks:
         tables = conditional_tables(c, params)
         assert len(tables) == 4
         assert all(isinstance(t.probs, np.ndarray) and t.probs.size > 0 for t in tables)
+        # the Holevo scan's outcome count: the constellation argument and its priors
+        assert next(iter(inspect.signature(conditional_tables).parameters)) == "c"
+        priors = np.array([s.prior for s in c.symbols])
+        p_o = priors @ np.stack([t.probs.ravel() for t in tables])
+        assert priors.shape == (len(tables),) and 0.0 < p_o.sum() <= 1.0 + 1e-12
         assert 0.0 < security.OUTCOME_SKIP_THRESHOLD < 1e-6
         assert 0.0 <= float(wf_mutual_information(c, params).truncation_mass) <= 1e-6
         counts = run_experiment(c, params, NO_IMPERFECTIONS, 50, np.random.default_rng(0))
@@ -804,7 +818,7 @@ class TestStartup:
             "getattr(sys.modules[getattr(wfhsim, n).__module__], n)), "
             "len(names), wfhsim.kgr is wfhsim.security.kgr)"
         )
-        assert run_python(code, child_env()) == "[] 24 True"
+        assert run_python(code, child_env()) == "[] 23 True"
 
     def test_unknown_attribute_raises(self):
         code = (

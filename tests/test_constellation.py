@@ -37,7 +37,7 @@ class TestBuildPsk:
 
     def test_default_reference_phase(self):
         c = build_psk(4, 1.0)
-        assert c.phi0 == pytest.approx(math.pi / 8, abs=1e-15)
+        assert c.symbols[0].phase == pytest.approx(math.pi / 8, abs=1e-15)
 
     def test_order_below_two_rejected(self):
         with pytest.raises(InvalidOrderError):
@@ -60,7 +60,7 @@ class TestCheckGus:
             CoherentSymbol(1.0, 0.0, 0.5),
             CoherentSymbol(2.0, math.pi, 0.5),
         )
-        assert not check_gus(Constellation(symbols, order_m=2, phi0=0.0))
+        assert not check_gus(Constellation(symbols))
 
     def test_unequal_priors_break_gus(self):
         base = build_psk(4, 1.0)
@@ -68,7 +68,7 @@ class TestCheckGus:
         symbols = tuple(
             CoherentSymbol(s.amplitude, s.phase, q) for s, q in zip(base.symbols, priors)
         )
-        assert not check_gus(Constellation(symbols, order_m=4, phi0=base.phi0))
+        assert not check_gus(Constellation(symbols))
 
 
 class TestApplyLoss:
@@ -129,7 +129,7 @@ class TestTypes:
     def test_priors_must_sum_to_one(self):
         symbols = (CoherentSymbol(1.0, 0.0, 0.6), CoherentSymbol(1.0, math.pi, 0.6))
         with pytest.raises(ValueError):
-            Constellation(symbols, order_m=2, phi0=0.0)
+            Constellation(symbols)
 
     def test_phase_stored_wrapped(self):
         s = CoherentSymbol(1.0, 2 * math.pi + 0.3, 1.0)

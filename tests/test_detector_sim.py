@@ -31,7 +31,7 @@ def lab_symbol(sign: float = 1.0) -> CoherentSymbol:
 
 class TestSampleShot:
     def test_dark_port_only_zeros(self):
-        dark = Constellation((CoherentSymbol(0.0, 0.0, 1.0),), order_m=2, phi0=0.0)
+        dark = Constellation((CoherentSymbol(0.0, 0.0, 1.0),))
         params = WfReceiverParams(lo_amplitude=0.0, phase_jitter_rms=0.25)
         n, m = sample_branch_counts(
             dark, np.zeros(50, dtype=np.intp), params, NO_IMPERFECTIONS,
@@ -56,7 +56,7 @@ class TestSampleShot:
         table = joint_pnr_conditional(symbol, params)
         rng = np.random.default_rng(42)
         shots = 200_000
-        c = Constellation((symbol,), order_m=2, phi0=0.0)
+        c = Constellation((symbol,))
         n, m = sample_branch_counts(
             c, np.zeros(shots, dtype=np.intp), params, NO_IMPERFECTIONS, rng
         )
@@ -68,7 +68,7 @@ class TestSampleShot:
 
     def test_out_of_range_mean_warns(self):
         params = WfReceiverParams(lo_amplitude=10.0)
-        vacuum = Constellation((CoherentSymbol(0.0, 0.0, 1.0),), order_m=2, phi0=0.0)
+        vacuum = Constellation((CoherentSymbol(0.0, 0.0, 1.0),))
         with pytest.warns(RangeWarning, match="branch mean 50.000"):
             sample_branch_counts(vacuum, np.zeros(1, dtype=np.intp), params,
                                  NO_IMPERFECTIONS, np.random.default_rng(1))
@@ -81,7 +81,7 @@ class TestRunExperiment:
                            np.random.default_rng(0))
 
     def test_single_symbol_records(self, lab_receiver):
-        single = Constellation((lab_symbol(),), order_m=2, phi0=0.0)
+        single = Constellation((lab_symbol(),))
         counts = run_experiment(single, lab_receiver, NO_IMPERFECTIONS, 500,
                                 np.random.default_rng(3))
         assert all(k == 0 for (k, _, _) in counts)
@@ -130,7 +130,7 @@ class TestRunExperiment:
     )
     def test_counts_match_unique_reference(self, lab_receiver, order, imperfections):
         if order == 1:
-            c = Constellation((lab_symbol(),), order_m=2, phi0=0.0)
+            c = Constellation((lab_symbol(),))
         else:
             c = build_psk(order, math.sqrt(4.13))
         counts = run_experiment(c, lab_receiver, imperfections, 20_000,

@@ -80,7 +80,7 @@ class TestConditionalPdf:
 
 class TestMutualInformation:
     def test_single_symbol_carries_nothing(self):
-        single = Constellation((CoherentSymbol(2.0, 0.0, 1.0),), order_m=2, phi0=0.0)
+        single = Constellation((CoherentSymbol(2.0, 0.0, 1.0),))
         assert hd_mutual_information(single, point()) == pytest.approx(
             0.0, abs=1e-9
         )

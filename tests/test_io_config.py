@@ -455,6 +455,7 @@ class TestConfig:
             ("lock.noise_white_rms", "-0.1", "lock"),
             ("lock.asd_overlap", "0.95", "lock"),
             ("sweep.visibilities", "1.0, 1.2", "sweep"),
+            ("channel.loss_db_start", "-1", "channel"),
         ],
     )
     def test_module_invariants_checked_at_load(self, key, value, section):
@@ -464,10 +465,10 @@ class TestConfig:
     def test_auto_phi0(self):
         # order 2 is the antipodal pair; every other order takes build_psk's pi/(2M)
         bpsk, qpsk = load_config().sweep_psk(1.5)
-        assert (bpsk.order_m, qpsk.order_m) == (2, 4)
+        assert [len(c) for c in (bpsk, qpsk)] == [2, 4]
         assert [s.phase for s in bpsk] == [0.0, math.pi]
         assert qpsk == build_psk(4, 1.5)
-        assert qpsk.phi0 == 0.39269908169872414  # the value the sweeps always used
+        assert qpsk.symbols[0].phase == 0.39269908169872414  # the value the sweeps always used
 
     def test_format_validation(self):
         with pytest.raises(ConfigError):

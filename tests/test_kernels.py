@@ -40,7 +40,7 @@ class TestEntropyScan:
         )
         cond = np.stack([t.probs.ravel() for t in conditional_tables(c, params)])
         priors = np.array([s.prior for s in c.symbols])
-        overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity).amplitudes)
+        overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity))
         total, skipped = _conditional_entropy_scan(cond, priors, overlaps)
         ref_total, ref_skipped = reference_scan(cond, priors, overlaps)
         assert total == pytest.approx(ref_total, abs=1e-12)

@@ -68,6 +68,8 @@ class TestOverlappingAllan:
                 overlapping_allan(trace, [1, m])
         with pytest.raises(TypeError):  # seconds are not a sample count
             overlapping_allan(trace, [1e-3])
+        with pytest.raises(ValueError, match="100 samples"):
+            overlapping_allan(trace, [])
 
     @settings(max_examples=20, deadline=None)
     @given(

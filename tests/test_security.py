@@ -7,10 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import fock_vn_entropy
 from wfhsim import info_metrics, security
-from wfhsim.constellation import build_psk, loss_db_to_transmissivity
+from wfhsim.constellation import (
+    CoherentSymbol,
+    Constellation,
+    InvalidTransmissivityError,
+    apply_loss,
+    build_psk,
+    loss_db_to_transmissivity,
+)
 from wfhsim.info_metrics import wf_mutual_information
 from wfhsim.security import (
-    Ensemble,
     NumericalFailureError,
     coherent_overlap,
     conditional_eve_entropy,
@@ -24,6 +30,13 @@ from wfhsim.wf_receiver import WfReceiverParams
 CANONICAL = dict(lo_amplitude=3.53, visibility=1.0)
 
 finite_small = st.floats(min_value=-2.5, max_value=2.5)
+
+
+def polar(amplitudes, priors) -> Constellation:
+    """The constellation of the given complex amplitudes and priors."""
+    return Constellation(tuple(
+        CoherentSymbol(abs(a), cmath.phase(a), w) for a, w in zip(amplitudes, priors)
+    ))
 
 
 class TestCoherentOverlap:
@@ -47,19 +60,37 @@ class TestCoherentOverlap:
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-300)
 
     def test_matrix_agrees_with_scalar(self):
-        amps = np.array([0.3 + 0.1j, -0.7j, 1.2])
-        mat = overlap_matrix(amps)
-        for i in range(3):
-            for j in range(3):
+        c = polar([0.3 + 0.1j, -0.7j, 1.2], [0.25, 0.25, 0.5])
+        mat = overlap_matrix(c)
+        for i, a in enumerate(c):
+            for j, b in enumerate(c):
                 assert mat[i, j] == pytest.approx(
-                    coherent_overlap(amps[i], amps[j]), rel=1e-12
+                    coherent_overlap(a.complex_amplitude, b.complex_amplitude), rel=1e-12
                 )
+
+
+class TestEveEnsemble:
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_is_the_lost_arm(self, qpsk, t):
+        assert eve_ensemble(qpsk, t) == apply_loss(qpsk, 1.0 - t)
+
+    def test_gram_keeps_the_polar_float_sequence(self, qpsk):
+        # sqrt(1 - T) * |a| * exp(i phase), the product the key rates were built on
+        e = eve_ensemble(qpsk, 0.3)
+        root = math.sqrt(1.0 - 0.3)
+        amps = root * np.array(qpsk.amplitudes) * np.exp(1j * np.array(qpsk.phases))
+        mags2 = np.abs(amps) ** 2
+        log_ov = -0.5 * mags2[:, None] - 0.5 * mags2[None, :] + np.conj(amps[:, None]) * amps
+        assert np.array_equal(overlap_matrix(e), np.exp(log_ov))
+
+    def test_transmissivity_above_one_rejected(self, qpsk):
+        with pytest.raises(InvalidTransmissivityError):
+            eve_ensemble(qpsk, 1.2)
 
 
 class TestVnEntropy:
     def test_pure_state(self):
-        e = Ensemble(amplitudes=np.array([1.7 + 0.3j]), weights=np.array([1.0]))
-        assert vn_entropy(e) == pytest.approx(0.0, abs=1e-12)
+        assert vn_entropy(polar([1.7 + 0.3j], [1.0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_bpsk_closed_form(self):
         # equal mixture of |b> and |-b>: eigenvalues (1 +- e^{-2 b^2})/2
@@ -76,7 +107,7 @@ class TestVnEntropy:
     def test_matches_fock_oracle(self, m, t):
         c = build_psk(m, 2.04, 0.0 if m == 2 else None)
         e = eve_ensemble(c, t)
-        dense = fock_vn_entropy(e.amplitudes, e.weights, n_cut=40)
+        dense = fock_vn_entropy([s.complex_amplitude for s in e], e.priors, n_cut=40)
         assert vn_entropy(e) == pytest.approx(dense, abs=1e-8)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
@@ -90,7 +121,7 @@ class TestVnEntropy:
         # vn_entropy is the outcome scan with one certain outcome; the direct
         # form diagonalises sqrt(w_j w_k) <b_j|b_k> itself
         e = eve_ensemble(build_psk(m, 2.04), 0.5)
-        gram = np.sqrt(np.outer(e.weights, e.weights)) * overlap_matrix(e.amplitudes)
+        gram = np.sqrt(np.outer(e.priors, e.priors)) * overlap_matrix(e)
         lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
         lam = lam[lam > 0.0]
         assert vn_entropy(e) == pytest.approx(-np.sum(lam * np.log2(lam)), abs=1e-14)
@@ -98,7 +129,7 @@ class TestVnEntropy:
     def test_gram_spectrum_is_distribution(self):
         c = build_psk(8, 1.7)
         e = eve_ensemble(c, 0.3)
-        gram = np.sqrt(np.outer(e.weights, e.weights)) * overlap_matrix(e.amplitudes)
+        gram = np.sqrt(np.outer(e.priors, e.priors)) * overlap_matrix(e)
         eig = np.linalg.eigvalsh(gram)
         assert eig.min() > -1e-10
         assert eig.max() <= 1.0 + 1e-12
@@ -113,7 +144,7 @@ class TestVnEntropy:
 
     def test_invalid_weights_rejected(self):
         with pytest.raises(ValueError):
-            Ensemble(amplitudes=np.array([1.0, 2.0]), weights=np.array([0.7, 0.7]))
+            polar([1.0, 2.0], [0.7, 0.7])
 
     def test_detects_broken_spectrum(self):
         from wfhsim.security import _entropy_of_eigvals

@@ -126,7 +126,7 @@ class TestJointTables:
         cond = joint_pnr_conditional(only, params)
         from wfhsim.constellation import Constellation
 
-        single = Constellation((only,), order_m=2, phi0=0.0)
+        single = Constellation((only,))
         marg = joint_pnr_marginal(single, params)
         assert np.array_equal(cond.probs, marg.probs)
 
