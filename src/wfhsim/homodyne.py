@@ -1,10 +1,10 @@
 """Ideal quadrature-readout benchmark for the same constellations.
 
 A balanced homodyne receiver measuring a single quadrature sees each symbol
-as a Gaussian with shot-noise variance; the mutual information follows from
-the differential entropy of the Gaussian mixture.  Quadratures are in
-shot-noise units (sigma0 = 1): the means, the width and the automatic grid
-all scale with sigma0, so the information does not depend on it.
+as a Gaussian with shot-noise variance; its mutual information is the count
+tables' law on the Simpson-weighted densities.  Quadratures are in shot-noise
+units (sigma0 = 1): the means, the width and the automatic grid all scale
+with sigma0, so the information does not depend on it.
 
 The operating point is the count tables' :class:`WfReceiverParams`: the
 homodyne reads its transmissivity, visibility and phase jitter.  It is the
@@ -20,8 +20,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from .constellation import Constellation, CoherentSymbol
-from .info_metrics import _entropy_bits
-from .wf_receiver import WfReceiverParams, _gauss_hermite_weights, _prior_mixture
+from .info_metrics import _mi_from_tables
+from .wf_receiver import WfReceiverParams, _gauss_hermite_weights
 
 # Default integration grid: this many steps per shot-noise sigma.
 STEPS_PER_SIGMA = 200
@@ -67,7 +67,12 @@ def _grid(
     """Odd-length uniform grid (x_min, x_max, step); None covers every mean plus a pad."""
     if grid is not None:
         x_min, x_max, step = grid
-        if not (x_max > x_min and step > 0.0):
+        # NaN fails every comparison, an infinite bound or point count the last
+        if not (
+            x_max > x_min
+            and 0.0 < step < math.inf
+            and math.isfinite((x_max - x_min) / step)
+        ):
             raise ValueError(f"malformed grid {grid}")
     else:
         means = _conditional_means(c.amplitudes, c.phases, params)
@@ -79,11 +84,12 @@ def _grid(
     return np.linspace(x_min, x_max, n)
 
 
-def _simpson_weights(n: int, h: float) -> np.ndarray:
-    w = np.ones(n)
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights of the odd-length uniform grid ``x``."""
+    w = np.ones(len(x))
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+    return w * (float(x[1] - x[0]) / 3.0)
 
 
 def _jittered_pdfs(
@@ -135,17 +141,18 @@ def hd_mutual_information(
 ) -> float:
     """Mutual information of the homodyne benchmark, in bits.
 
-    Entropy of the quadrature mixture minus the conditional Gaussian entropy,
-    both by composite Simpson quadrature.  With ``params.phase_jitter_rms``
-    set, the conditional densities are Gaussian-jitter averaged over
-    ``params.jitter_quad_nodes`` Gauss-Hermite nodes (and the conditional
-    entropy is then itself integrated per symbol).  ``grid`` is
-    (x_min, x_max, step); None covers every conditional mean plus a 10-sigma
-    pad.  Raises :class:`GridAccuracyError` when halving the step moves the
-    result by more than 1e-6.  The densities are evaluated once on the base
-    grid and once on the odd points of the halved-step grid; interleaved,
-    they are the halved-step densities, whose even points are the base
-    evaluation itself.
+    :func:`info_metrics._mi_from_tables` on the table q(x_i | k) =
+    w_i p(x_i | k), the densities times the composite Simpson weights: its
+    plug-in MI is the Simpson rule for the MI integral, as the log w_i terms
+    cancel between the marginal and conditional entropies.  With
+    ``params.phase_jitter_rms`` set, the densities are Gaussian-jitter
+    averaged over ``params.jitter_quad_nodes`` Gauss-Hermite nodes.
+    ``grid`` is (x_min, x_max, step); None covers every conditional mean
+    plus a 10-sigma pad.  Raises :class:`GridAccuracyError` when halving the
+    step moves the result by more than 1e-6.  The densities are evaluated
+    once on the base grid and once on the odd points of the halved-step
+    grid; interleaved, they are the halved-step densities, whose even points
+    are the base evaluation itself.
     """
     x = _grid(c, params, grid=grid)
     x_fine = np.linspace(x[0], x[-1], 2 * len(x) - 1)
@@ -153,25 +160,11 @@ def hd_mutual_information(
     pdfs = np.empty((len(c.symbols), len(x_fine)))
     pdfs[:, ::2] = base
     pdfs[:, 1::2] = _jittered_pdfs(x_fine[1::2], c.symbols, params)
-    priors = np.array(c.priors)
-    result = _mi_from_pdfs(base, x, priors, params)
-    refined = _mi_from_pdfs(pdfs, x_fine, priors, params)
+    result = _mi_from_tables(c, base * _simpson_weights(x)).mi_bits
+    refined = _mi_from_tables(c, pdfs * _simpson_weights(x_fine)).mi_bits
     if abs(refined - result) > 1e-6:
         raise GridAccuracyError(
             f"entropy moved by {abs(refined - result):.3e} when halving the "
             "grid step; refine the grid"
         )
     return result
-
-
-def _mi_from_pdfs(
-    pdfs: np.ndarray, x: np.ndarray, priors: np.ndarray, params: WfReceiverParams
-) -> float:
-    """Simpson-quadrature MI of the (M, len(x)) conditional densities on ``x``."""
-    w = _simpson_weights(len(x), float(x[1] - x[0]))
-    h_mix = float(_entropy_bits(_prior_mixture(priors, pdfs), w))
-    if params.phase_jitter_rms == 0.0:  # the unit Gaussian's entropy, in closed form
-        h_cond = 0.5 * math.log2(2.0 * math.pi * math.e)
-    else:
-        h_cond = float(_prior_mixture(priors, _entropy_bits(pdfs, w)))
-    return max(0.0, h_mix - h_cond)

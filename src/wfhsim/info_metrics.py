@@ -21,17 +21,15 @@ class MiResult:
     truncation_mass: float
 
 
-def _entropy_bits(p: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """-sum w p log2 p in bits along the last axis, with 0 log 0 = 0.
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """-sum p log2 p in bits along the last axis, with 0 log 0 = 0.
 
     The one Shannon entropy kernel: the public entropies, the plug-in MI
-    estimate, the Holevo spectra and, with quadrature ``weights``, the
-    homodyne differential entropies all reduce to it.  The sum is a numpy
-    reduction, not a BLAS dot, whose threads would cost more than the sum.
+    estimate, the Holevo spectra and the table MI of both receivers all
+    reduce to it.  The sum is a numpy reduction, not a BLAS dot, whose
+    threads would cost more than the sum.
     """
     terms = p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)
-    if weights is not None:
-        terms *= weights
     return -np.sum(terms, axis=-1)
 
 
@@ -62,7 +60,7 @@ def wf_mutual_information(c: Constellation, params: WfReceiverParams) -> MiResul
 
 
 def _mi_from_tables(c: Constellation, stacked: np.ndarray) -> MiResult:
-    """:func:`wf_mutual_information` over already stacked conditional tables."""
+    """The one MI law, on stacked (M, cells) outcome tables of either receiver."""
     priors = np.array(c.priors)
     mixture = _prior_mixture(priors, stacked)
     h_marg = float(_entropy_bits(mixture))

@@ -48,8 +48,10 @@ class WfReceiverParams:
     jitter_quad_nodes: int = DEFAULT_JITTER_NODES
 
     def __post_init__(self) -> None:
-        if self.lo_amplitude < 0.0:
-            raise ValueError(f"lo_amplitude must be >= 0, got {self.lo_amplitude}")
+        if not 0.0 <= self.lo_amplitude < math.inf:
+            raise ValueError(
+                f"lo_amplitude must be finite and >= 0, got {self.lo_amplitude}"
+            )
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
         if not 0.0 <= self.transmissivity <= 1.0:
@@ -58,9 +60,9 @@ class WfReceiverParams:
             )
         if self.n_max is not None and self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if self.phase_jitter_rms < 0.0:
+        if not 0.0 <= self.phase_jitter_rms < math.inf:
             raise ValueError(
-                f"phase_jitter_rms must be >= 0, got {self.phase_jitter_rms}"
+                f"phase_jitter_rms must be finite and >= 0, got {self.phase_jitter_rms}"
             )
         if self.jitter_quad_nodes < 1:
             raise ValueError("jitter_quad_nodes must be >= 1")

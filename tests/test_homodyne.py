@@ -12,13 +12,12 @@ from wfhsim.homodyne import (
     GridAccuracyError,
     _grid,
     _jittered_pdfs,
-    _mi_from_pdfs,
     _simpson_weights,
     conditional_mean,
     hd_conditional_pdf,
     hd_mutual_information,
 )
-from wfhsim.info_metrics import _entropy_bits
+from wfhsim.info_metrics import _mi_from_tables
 from wfhsim.wf_receiver import WfReceiverParams
 
 from conftest import LO_AMPLITUDE
@@ -55,6 +54,29 @@ def binary_awgn_mi_oracle(mean: float, sigma: float) -> float:
     return 1.0 - (val1 + val2)
 
 
+def simpson_mi_oracle(c: Constellation, params: WfReceiverParams) -> float:
+    """Differential MI h_mix - sum_k pi_k h_k by composite Simpson sums in math.fsum.
+
+    An independent summation of the integral the table law evaluates: its own
+    Simpson weights, exact float sums and, without jitter, the unit Gaussian's
+    closed-form entropy 0.5 log2(2 pi e) for every h_k.
+    """
+    x = _grid(c, params)
+    pdfs = _jittered_pdfs(x, c.symbols, params).tolist()
+    w = [1.0] + [4.0, 2.0] * ((len(x) - 3) // 2) + [4.0, 1.0]
+    h = (float(x[-1]) - float(x[0])) / (len(x) - 1) / 3.0
+
+    def entropy(p):
+        return -h * math.fsum(wi * q * math.log2(q) for wi, q in zip(w, p) if q > 0.0)
+
+    mix = [math.fsum(s.prior * p for s, p in zip(c.symbols, col)) for col in zip(*pdfs)]
+    if params.phase_jitter_rms == 0.0:
+        h_cond = 0.5 * math.log2(2.0 * math.pi * math.e)
+    else:
+        h_cond = math.fsum(s.prior * entropy(row) for s, row in zip(c.symbols, pdfs))
+    return entropy(mix) - h_cond
+
+
 class TestConditionalPdf:
     def test_vacuum_is_standard_normal(self):
         s = CoherentSymbol(0.0, 0.0, 1.0)
@@ -81,9 +103,13 @@ class TestConditionalPdf:
 class TestMutualInformation:
     def test_single_symbol_carries_nothing(self):
         single = Constellation((CoherentSymbol(2.0, 0.0, 1.0),))
-        assert hd_mutual_information(single, point()) == pytest.approx(
-            0.0, abs=1e-9
-        )
+        assert hd_mutual_information(single, point()) == 0.0
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25])
+    def test_lost_signal_carries_nothing(self, qpsk, sigma):
+        """At T = 0 every row is the vacuum density, so the mixture is that row."""
+        params = point(transmissivity=0.0, phase_jitter_rms=sigma)
+        assert hd_mutual_information(qpsk, params) == 0.0
 
     def test_bpsk_saturates_to_one_bit(self):
         c = build_psk(2, 10.0, 0.0)
@@ -182,9 +208,8 @@ class TestSharedRefinedGrid:
         params = point(transmissivity=0.5, visibility=0.845, phase_jitter_rms=sigma)
         checked = hd_mutual_information(qpsk, params, grid=grid)
         x = _grid(qpsk, params, grid=grid)
-        pdfs = _jittered_pdfs(x, qpsk.symbols, params)
-        direct = _mi_from_pdfs(pdfs, x, np.array(qpsk.priors), params)
-        assert checked == direct
+        table = _jittered_pdfs(x, qpsk.symbols, params) * _simpson_weights(x)
+        assert checked == _mi_from_tables(qpsk, table).mi_bits
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -198,18 +223,21 @@ class TestSharedRefinedGrid:
         halved = np.linspace(x[0], x[-1], 2 * len(x) - 1)
         assert np.array_equal(halved[::2], x)
 
-    def test_entropy_sum_matches_exact_sum(self, qpsk):
-        """The weighted Shannon kernel is the Simpson sum of -p log2 p, 0 log 0 = 0."""
-        params = point(phase_jitter_rms=0.25)
-        x = _grid(qpsk, params)
-        x2 = np.linspace(x[0], x[-1], 2 * len(x) - 1)
-        pdfs = _jittered_pdfs(x2, qpsk.symbols, params)
-        mix = sum(s.prior * pdf for s, pdf in zip(qpsk.symbols, pdfs))
-        w = _simpson_weights(len(x2), float(x2[1] - x2[0]))
-        exact = math.fsum(
-            wi * -p * math.log2(p) for wi, p in zip(w.tolist(), mix.tolist()) if p > 0.0
+    @pytest.mark.parametrize("visibility", [1.0, 0.845])
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("loss_db", [0.0, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5])
+    def test_table_law_is_the_simpson_integral(self, sigma, loss_db, m, visibility):
+        """The weighted table's plug-in MI is the Simpson differential MI: the
+        log w_i terms cancel between the marginal and conditional entropies."""
+        c = build_psk(m, 2.04, 0.0 if m == 2 else None)
+        params = point(
+            transmissivity=10.0 ** (-loss_db / 10.0),
+            visibility=visibility,
+            phase_jitter_rms=sigma,
         )
-        assert _entropy_bits(mix, w) == pytest.approx(exact, rel=1e-14, abs=0)
+        ours = hd_mutual_information(c, params)
+        assert abs(ours - simpson_mi_oracle(c, params)) <= 1e-12
 
 
 class TestBlockedJitterAverage:
@@ -259,6 +287,11 @@ class TestParams:
             dict(transmissivity=1.2),
             dict(visibility=-0.1),
             dict(grid=(1.0, -1.0, 0.1)),
+            dict(grid=(-math.inf, 1.0, 0.1)),
+            dict(grid=(-1.0, math.inf, 0.1)),
+            dict(grid=(-1.0, 1.0, math.inf)),
+            dict(grid=(-1.0, 1.0, math.nan)),
+            dict(grid=(-1e308, 1e308, 1e-300)),
         ],
     )
     def test_invalid_params(self, qpsk, kwargs):

@@ -321,6 +321,10 @@ class TestParams:
             dict(lo_amplitude=1.0, transmissivity=-0.2),
             dict(lo_amplitude=1.0, n_max=0),
             dict(lo_amplitude=1.0, phase_jitter_rms=-0.1),
+            dict(lo_amplitude=math.nan),
+            dict(lo_amplitude=math.inf),
+            dict(lo_amplitude=1.0, phase_jitter_rms=math.nan),
+            dict(lo_amplitude=1.0, phase_jitter_rms=math.inf),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
