@@ -41,8 +41,10 @@ class CoherentSymbol:
     prior: float
 
     def __post_init__(self) -> None:
-        if self.amplitude < 0.0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and >= 0, got {self.amplitude}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError(f"prior must be in [0, 1], got {self.prior}")
         object.__setattr__(self, "phase", wrap_phase(self.phase))
@@ -98,8 +100,6 @@ def build_psk(order_m: int, amplitude: float, phi0: float | None = None) -> Cons
     """
     if order_m < 2:
         raise InvalidOrderError(f"PSK order must be >= 2, got {order_m}")
-    if amplitude < 0.0:
-        raise ValueError(f"amplitude must be >= 0, got {amplitude}")
     if phi0 is None:
         phi0 = math.pi / (2 * order_m)
     symbols = [

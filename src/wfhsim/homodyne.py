@@ -2,9 +2,10 @@
 
 A balanced homodyne receiver measuring a single quadrature sees each symbol
 as a Gaussian with shot-noise variance; its mutual information is the count
-tables' law on the Simpson-weighted densities.  Quadratures are in shot-noise
-units (sigma0 = 1): the means, the width and the automatic grid all scale
-with sigma0, so the information does not depend on it.
+tables' law on the densities at the points of a uniform grid, each weighed by
+the step (the trapezoid rule).  Quadratures are in shot-noise units
+(sigma0 = 1): the means, the width and the grid all scale with sigma0, so the
+information does not depend on it.
 
 The operating point is the count tables' :class:`WfReceiverParams`: the
 homodyne reads its transmissivity, visibility and phase jitter.  It is the
@@ -23,12 +24,9 @@ from .constellation import Constellation, CoherentSymbol
 from .info_metrics import _mi_from_tables
 from .wf_receiver import WfReceiverParams, _gauss_hermite_weights
 
-# Default integration grid: this many steps per shot-noise sigma.
-STEPS_PER_SIGMA = 200
+# Integration grid: this many trapezoid steps per shot-noise sigma.
+STEPS_PER_SIGMA = 10
 GRID_PAD_SIGMAS = 10.0
-# Bound on the exponent of each factor of the blocked jitter average: far
-# from overflow, and each factor rounds to within ~100 ulps.
-_FACTOR_EXPONENT = 64.0
 
 
 class GridAccuracyError(ValueError):
@@ -59,109 +57,58 @@ def hd_conditional_pdf(
     return np.exp(-((x - mean) ** 2) / 2.0) / math.sqrt(2.0 * math.pi)
 
 
-def _grid(
-    c: Constellation,
-    params: WfReceiverParams,
-    grid: tuple[float, float, float] | None = None,
-) -> np.ndarray:
-    """Odd-length uniform grid (x_min, x_max, step); None covers every mean plus a pad."""
-    if grid is not None:
-        x_min, x_max, step = grid
-        # NaN fails every comparison, an infinite bound or point count the last
-        if not (
-            x_max > x_min
-            and 0.0 < step < math.inf
-            and math.isfinite((x_max - x_min) / step)
-        ):
-            raise ValueError(f"malformed grid {grid}")
-    else:
-        means = _conditional_means(c.amplitudes, c.phases, params)
-        reach = float(np.max(np.abs(means))) + GRID_PAD_SIGMAS
-        x_min, x_max, step = -reach, reach, 1.0 / STEPS_PER_SIGMA
-    n = int(math.ceil((x_max - x_min) / step)) + 1
-    if n % 2 == 0:  # Simpson needs an odd point count
-        n += 1
-    return np.linspace(x_min, x_max, n)
-
-
-def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights of the odd-length uniform grid ``x``."""
-    w = np.ones(len(x))
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (float(x[1] - x[0]) / 3.0)
+def _grid(c: Constellation, params: WfReceiverParams) -> np.ndarray:
+    """Uniform grid over every conditional mean plus a GRID_PAD_SIGMAS pad."""
+    means = _conditional_means(c.amplitudes, c.phases, params)
+    reach = float(np.max(np.abs(means))) + GRID_PAD_SIGMAS
+    n = int(math.ceil(2.0 * reach * STEPS_PER_SIGMA)) + 1
+    return np.linspace(-reach, reach, n)
 
 
 def _jittered_pdfs(
     x: np.ndarray, symbols: Sequence[CoherentSymbol], params: WfReceiverParams
 ) -> np.ndarray:
-    """Jitter-averaged densities of ``symbols`` on the increasing uniform grid ``x``.
+    """Jitter-averaged densities of ``symbols`` at the points ``x``.
 
     Row k is sum_j w_j N(x; m_kj, 1) over the Gauss-Hermite phase nodes j of
-    ``params.phase_jitter_rms``.
-    The grid is cut into blocks of B points starting at X_b, and with d = i h
-
-        exp(-(X_b + d - m)^2 / 2) = E[b, j] V[j, i] U[b, i],
-        E = exp(-(X_b - m_j)^2 / 2),  V = exp(d m_j),
-        U = exp(-d X_b - d^2 / 2),
-
-    so each symbol's row is one (E @ V) * U product, with the node weight and
-    the Gaussian normalisation folded into V, and U is shared by every symbol.
-    B is about sqrt(len(x)), with B h <= 1 and B h <= _FACTOR_EXPONENT over
-    the largest |x| or |m|, so no factor's exponent leaves +-(that bound
-    + 1/2).  B = 1 (a grid coarser than that) is the direct evaluation.
+    ``params.phase_jitter_rms``.  The node sum is a numpy reduction, not a
+    BLAS call, so no byte depends on BLAS threading.
     """
     deltas, weights = _gauss_hermite_weights(params.phase_jitter_rms, params.jitter_quad_nodes)
     amps = np.array([s.amplitude for s in symbols])
     phases = np.array([s.phase for s in symbols])
     means = _conditional_means(amps[:, None], phases[:, None] + deltas, params)
-    n = len(x)
-    # the linspace step: x[1] - x[0] differs from it by up to ~1e-12 relative
-    h = (x[-1] - x[0]) / (n - 1)
-    reach = max(abs(x[0]), abs(x[-1]), float(np.max(np.abs(means))))
-    span = min(1.0, _FACTOR_EXPONENT / reach)
-    block = max(1, min(math.isqrt(n), int(span / h)))
-    starts = x[::block]
-    offsets = h * np.arange(block)
-    e = np.exp(-((starts[:, None] - means[:, None, :]) ** 2) / 2.0)
-    v = (weights / math.sqrt(2.0 * math.pi))[:, None] * np.exp(means[:, :, None] * offsets)
-    out = np.empty((len(symbols), len(starts), block))
-    # 2-D products: a stacked matmul with one node (sigma = 0) skips BLAS and
-    # takes ~3x longer
-    for e_k, v_k, out_k in zip(e, v, out):
-        np.dot(e_k, v_k, out=out_k)
-    out *= np.exp(-(starts[:, None] * offsets + 0.5 * offsets**2))
-    return out.reshape(len(symbols), -1)[:, :n]
+    gauss = np.exp(-((x - means[:, :, None]) ** 2) / 2.0)
+    return np.einsum("j,kjx->kx", weights / math.sqrt(2.0 * math.pi), gauss)
 
 
-def hd_mutual_information(
-    c: Constellation,
-    params: WfReceiverParams,
-    grid: tuple[float, float, float] | None = None,
-) -> float:
+def hd_mutual_information(c: Constellation, params: WfReceiverParams) -> float:
     """Mutual information of the homodyne benchmark, in bits.
 
     :func:`info_metrics._mi_from_tables` on the table q(x_i | k) =
-    w_i p(x_i | k), the densities times the composite Simpson weights: its
-    plug-in MI is the Simpson rule for the MI integral, as the log w_i terms
-    cancel between the marginal and conditional entropies.  With
+    h p(x_i | k), the densities times the grid step h: its plug-in MI is the
+    trapezoid rule for the MI integral, as the log h terms cancel between the
+    marginal and conditional entropies (the rule's half-weight end points
+    lie 10 sigma beyond every mean, where the densities vanish).  With
     ``params.phase_jitter_rms`` set, the densities are Gaussian-jitter
-    averaged over ``params.jitter_quad_nodes`` Gauss-Hermite nodes.
-    ``grid`` is (x_min, x_max, step); None covers every conditional mean
-    plus a 10-sigma pad.  Raises :class:`GridAccuracyError` when halving the
-    step moves the result by more than 1e-6.  The densities are evaluated
-    once on the base grid and once on the odd points of the halved-step
-    grid; interleaved, they are the halved-step densities, whose even points
-    are the base evaluation itself.
+    averaged over ``params.jitter_quad_nodes`` Gauss-Hermite nodes.  The grid
+    has STEPS_PER_SIGMA steps per shot-noise sigma and covers every
+    conditional mean plus a 10-sigma pad.  Raises :class:`GridAccuracyError`
+    when halving the step moves the result by more than 1e-6.  The densities
+    are evaluated once on the base grid and once on the odd points of the
+    halved-step grid; interleaved, they are the halved-step densities, whose
+    even points are the base evaluation itself.
     """
-    x = _grid(c, params, grid=grid)
+    x = _grid(c, params)
+    # the linspace step: x[1] - x[0] differs from it by up to ~1e-12 relative
+    h = (x[-1] - x[0]) / (len(x) - 1)
     x_fine = np.linspace(x[0], x[-1], 2 * len(x) - 1)
     base = _jittered_pdfs(x, c.symbols, params)
     pdfs = np.empty((len(c.symbols), len(x_fine)))
     pdfs[:, ::2] = base
     pdfs[:, 1::2] = _jittered_pdfs(x_fine[1::2], c.symbols, params)
-    result = _mi_from_tables(c, base * _simpson_weights(x)).mi_bits
-    refined = _mi_from_tables(c, pdfs * _simpson_weights(x_fine)).mi_bits
+    result = _mi_from_tables(c, base * h).mi_bits
+    refined = _mi_from_tables(c, pdfs * (h / 2.0)).mi_bits
     if abs(refined - result) > 1e-6:
         raise GridAccuracyError(
             f"entropy moved by {abs(refined - result):.3e} when halving the "

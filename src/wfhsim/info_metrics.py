@@ -42,6 +42,8 @@ def shannon_entropy(dist: np.ndarray) -> float:
     p = np.asarray(dist, dtype=np.float64)
     if p.size == 0:
         raise ValueError("empty distribution")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("distribution entries must be finite")
     if np.any(p < 0.0):
         raise ValueError("distribution entries must be >= 0")
     if p.sum() > 1.0 + 1e-9:
@@ -87,6 +89,8 @@ def plugin_mi_estimate(counts: Mapping[tuple[int, int, int], float]) -> float:
         raise ValueError("empty counts table")
     keys = np.array(list(counts))
     values = np.array(list(counts.values()), dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("counts must be finite")
     total = float(values.sum())
     if total <= 0.0:
         raise ValueError("counts must have positive total")

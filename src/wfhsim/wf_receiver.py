@@ -13,6 +13,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -58,14 +59,16 @@ class WfReceiverParams:
             raise ValueError(
                 f"transmissivity must be in [0, 1], got {self.transmissivity}"
             )
-        if self.n_max is not None and self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        if self.n_max is not None and not (isinstance(self.n_max, Integral) and self.n_max >= 1):
+            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         if not 0.0 <= self.phase_jitter_rms < math.inf:
             raise ValueError(
                 f"phase_jitter_rms must be finite and >= 0, got {self.phase_jitter_rms}"
             )
-        if self.jitter_quad_nodes < 1:
-            raise ValueError("jitter_quad_nodes must be >= 1")
+        if not (isinstance(self.jitter_quad_nodes, Integral) and self.jitter_quad_nodes >= 1):
+            raise ValueError(
+                f"jitter_quad_nodes must be an integer >= 1, got {self.jitter_quad_nodes!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -387,7 +387,7 @@ class TestEdgeCases:
 
     @pytest.mark.slow
     def test_homodyne_result_ignores_threading(self, tmp_path):
-        """The jitter node sum is a BLAS product: BLAS threads and the pool change no byte."""
+        """The jitter node sum is a numpy reduction: BLAS threads and the pool change no byte."""
         base = child_env("OPENBLAS_NUM_THREADS", cli.WORKER_ENV)
         outputs = []
         for name, env in (

@@ -135,6 +135,14 @@ class TestTypes:
         s = CoherentSymbol(1.0, 2 * math.pi + 0.3, 1.0)
         assert s.phase == pytest.approx(0.3, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "amplitude, phase",
+        [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)],
+    )
+    def test_non_finite_symbol_rejected(self, amplitude, phase):
+        with pytest.raises(ValueError, match="finite"):
+            CoherentSymbol(amplitude, phase, 1.0)
+
     def test_complex_amplitude(self):
         s = CoherentSymbol(2.0, math.pi / 2, 1.0)
         assert s.complex_amplitude == pytest.approx(2j, abs=1e-12)

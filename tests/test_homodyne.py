@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from wfhsim.constellation import Constellation, CoherentSymbol, build_psk
+from wfhsim import homodyne
 from wfhsim.homodyne import (
     GridAccuracyError,
     _grid,
     _jittered_pdfs,
-    _simpson_weights,
     conditional_mean,
     hd_conditional_pdf,
     hd_mutual_information,
@@ -32,7 +32,7 @@ def binary_awgn_mi_oracle(mean: float, sigma: float) -> float:
     """MI of antipodal signaling over a Gaussian channel, by adaptive quadrature.
 
     I = 1 - E_{y ~ N(mean, sigma^2)}[log2(1 + exp(-2 mean y / sigma^2))],
-    an independent formulation and integrator from the Simpson-grid path.
+    an independent formulation and integrator from the trapezoid-grid path.
     """
 
     def integrand(y):
@@ -54,14 +54,24 @@ def binary_awgn_mi_oracle(mean: float, sigma: float) -> float:
     return 1.0 - (val1 + val2)
 
 
+def linspace_grid(x_min: float, x_max: float, step: float, odd: bool = False) -> np.ndarray:
+    """Uniform grid from x_min to x_max with steps of at most ``step``."""
+    n = int(math.ceil((x_max - x_min) / step)) + 1
+    if odd and n % 2 == 0:
+        n += 1
+    return np.linspace(x_min, x_max, n)
+
+
 def simpson_mi_oracle(c: Constellation, params: WfReceiverParams) -> float:
     """Differential MI h_mix - sum_k pi_k h_k by composite Simpson sums in math.fsum.
 
     An independent summation of the integral the table law evaluates: its own
-    Simpson weights, exact float sums and, without jitter, the unit Gaussian's
+    odd-length grid at 200 steps per sigma with a 10-sigma pad, Simpson
+    weights, exact float sums and, without jitter, the unit Gaussian's
     closed-form entropy 0.5 log2(2 pi e) for every h_k.
     """
-    x = _grid(c, params)
+    reach = max(abs(conditional_mean(s, params)) for s in c.symbols) + 10.0
+    x = linspace_grid(-reach, reach, 1.0 / 200, odd=True)
     pdfs = _jittered_pdfs(x, c.symbols, params).tolist()
     w = [1.0] + [4.0, 2.0] * ((len(x) - 3) // 2) + [4.0, 1.0]
     h = (float(x[-1]) - float(x[0])) / (len(x) - 1) / 3.0
@@ -133,14 +143,17 @@ class TestMutualInformation:
         oracle = binary_awgn_mi_oracle(2.0 * math.sqrt(t) * alpha, 1.0)
         assert ours == pytest.approx(oracle, abs=1e-9)
 
-    def test_grid_convergence_at_defaults(self, qpsk):
+    def test_grid_convergence_at_defaults(self, qpsk, monkeypatch):
         base = hd_mutual_information(qpsk, point())
-        fine = hd_mutual_information(qpsk, point(), grid=(-25.0, 25.0, 1.0 / 400))
+        monkeypatch.setattr(homodyne, "STEPS_PER_SIGMA", 400)
+        monkeypatch.setattr(homodyne, "GRID_PAD_SIGMAS", 20.0)
+        fine = hd_mutual_information(qpsk, point())
         assert abs(base - fine) < 1e-8
 
-    def test_coarse_grid_rejected(self, qpsk):
+    def test_coarse_grid_rejected(self, qpsk, monkeypatch):
+        monkeypatch.setattr(homodyne, "STEPS_PER_SIGMA", 1)
         with pytest.raises(GridAccuracyError):
-            hd_mutual_information(qpsk, point(), grid=(-15.0, 15.0, 1.0))
+            hd_mutual_information(qpsk, point())
 
     def test_visibility_scales_information(self, qpsk):
         full = hd_mutual_information(qpsk, point())
@@ -203,12 +216,17 @@ class TestSharedRefinedGrid:
     base result from its even points, so it must not change the result."""
 
     @pytest.mark.parametrize("sigma", [0.0, 0.25])
-    @pytest.mark.parametrize("grid", [None, (-14.0, 14.0, 0.01)])
-    def test_check_does_not_change_result(self, qpsk, sigma, grid):
+    # (steps per sigma, pad in sigmas); None is the module's own grid
+    @pytest.mark.parametrize("grid", [None, (100, 4.0)])
+    def test_check_does_not_change_result(self, qpsk, sigma, grid, monkeypatch):
+        if grid is not None:
+            monkeypatch.setattr(homodyne, "STEPS_PER_SIGMA", grid[0])
+            monkeypatch.setattr(homodyne, "GRID_PAD_SIGMAS", grid[1])
         params = point(transmissivity=0.5, visibility=0.845, phase_jitter_rms=sigma)
-        checked = hd_mutual_information(qpsk, params, grid=grid)
-        x = _grid(qpsk, params, grid=grid)
-        table = _jittered_pdfs(x, qpsk.symbols, params) * _simpson_weights(x)
+        checked = hd_mutual_information(qpsk, params)
+        x = _grid(qpsk, params)
+        h = (x[-1] - x[0]) / (len(x) - 1)
+        table = _jittered_pdfs(x, qpsk.symbols, params) * h
         assert checked == _mi_from_tables(qpsk, table).mi_bits
 
     @settings(max_examples=300, deadline=None)
@@ -218,8 +236,7 @@ class TestSharedRefinedGrid:
         steps=st.floats(1.0, 4000.0),
     )
     def test_even_points_of_halved_grid_are_the_grid(self, x_min, width, steps):
-        x_max = x_min + width
-        x = _grid(build_psk(4, 2.04), point(), grid=(x_min, x_max, (x_max - x_min) / steps))
+        x = linspace_grid(x_min, x_min + width, width / steps)
         halved = np.linspace(x[0], x[-1], 2 * len(x) - 1)
         assert np.array_equal(halved[::2], x)
 
@@ -228,8 +245,9 @@ class TestSharedRefinedGrid:
     @pytest.mark.parametrize("loss_db", [0.0, 1.0, 3.0, 10.0])
     @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.5])
     def test_table_law_is_the_simpson_integral(self, sigma, loss_db, m, visibility):
-        """The weighted table's plug-in MI is the Simpson differential MI: the
-        log w_i terms cancel between the marginal and conditional entropies."""
+        """The table's plug-in MI is the differential MI: the log h terms cancel
+        between the marginal and conditional entropies, and the trapezoid sum
+        agrees with a fine Simpson sum to float rounding."""
         c = build_psk(m, 2.04, 0.0 if m == 2 else None)
         params = point(
             transmissivity=10.0 ** (-loss_db / 10.0),
@@ -241,7 +259,7 @@ class TestSharedRefinedGrid:
 
 
 class TestBlockedJitterAverage:
-    """The blocked (E @ V) * U jitter average against the direct node loop."""
+    """The jitter average, one (symbol, node, x) broadcast, against the direct node loop."""
 
     @staticmethod
     def _node_loop(x, symbol, params):
@@ -256,15 +274,14 @@ class TestBlockedJitterAverage:
 
     def _assert_matches_node_loop(self, c, grid, sigma):
         params = point(phase_jitter_rms=sigma)
-        x = _grid(c, params, grid=grid)
+        x = _grid(c, params) if grid is None else linspace_grid(*grid)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _jittered_pdfs(x, c.symbols, params)
         for s, row in zip(c.symbols, got):
             assert np.max(np.abs(row - self._node_loop(x, s, params))) <= 1e-12
 
-    # None is the default grid, blocks of ~sqrt(n) points, and at alpha = 40 the
-    # exponent bound caps them; a step of 0.7 or 1.5 sigma gives one-point blocks
+    # None is the module's grid; the others reach beyond it or step coarser
     @pytest.mark.parametrize(
         "grid", [None, (-30.0, 30.0, 0.7), (-40.0, 40.0, 1.5), (-100.0, 100.0, 0.05)]
     )
@@ -276,7 +293,7 @@ class TestBlockedJitterAverage:
 
     @pytest.mark.parametrize("alpha", [2.04, 40.0])
     def test_grid_far_beyond_the_means(self, alpha):
-        """Blocks one sigma long would put e^950 in U here; the bound shrinks them."""
+        """Points 1000 sigma out underflow to 0 without a warning."""
         self._assert_matches_node_loop(build_psk(4, alpha), (-1000.0, 1000.0, 0.02), 0.25)
 
 
@@ -286,16 +303,9 @@ class TestParams:
         [
             dict(transmissivity=1.2),
             dict(visibility=-0.1),
-            dict(grid=(1.0, -1.0, 0.1)),
-            dict(grid=(-math.inf, 1.0, 0.1)),
-            dict(grid=(-1.0, math.inf, 0.1)),
-            dict(grid=(-1.0, 1.0, math.inf)),
-            dict(grid=(-1.0, 1.0, math.nan)),
-            dict(grid=(-1e308, 1e308, 1e-300)),
         ],
     )
     def test_invalid_params(self, qpsk, kwargs):
-        """T and xi are the operating point's own checks; the grid is the integrator's."""
-        operating_point = {k: v for k, v in kwargs.items() if k != "grid"}
+        """T and xi are the operating point's own checks."""
         with pytest.raises(ValueError):
-            hd_mutual_information(qpsk, point(**operating_point), grid=kwargs.get("grid"))
+            hd_mutual_information(qpsk, point(**kwargs))

@@ -34,6 +34,11 @@ class TestShannonEntropy:
         with pytest.raises(ValueError):
             shannon_entropy(np.array([0.9, 0.2]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            shannon_entropy([0.5, bad])
+
     def test_table_entropy_sums_every_cell(self):
         table = np.array([[0.5, 0.0], [0.125, 0.375]])
         assert shannon_entropy(table) == shannon_entropy(np.array([0.5, 0.125, 0.375]))
@@ -135,6 +140,12 @@ class TestPluginEstimate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             plugin_mi_estimate({})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_count_rejected(self, bad):
+        """max(0, nan) is 0, so a non-finite count once read as zero information."""
+        with pytest.raises(ValueError, match="finite"):
+            plugin_mi_estimate({(0, 1, 1): bad, (1, 2, 2): 3.0})
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -325,6 +325,12 @@ class TestParams:
             dict(lo_amplitude=math.inf),
             dict(lo_amplitude=1.0, phase_jitter_rms=math.nan),
             dict(lo_amplitude=1.0, phase_jitter_rms=math.inf),
+            dict(lo_amplitude=1.0, n_max=2.5),
+            dict(lo_amplitude=1.0, n_max=math.nan),
+            dict(lo_amplitude=1.0, n_max=math.inf),
+            dict(lo_amplitude=1.0, jitter_quad_nodes=2.5),
+            dict(lo_amplitude=1.0, jitter_quad_nodes=math.nan),
+            dict(lo_amplitude=1.0, jitter_quad_nodes=0),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
