@@ -51,7 +51,7 @@ from .security import kgr
 from .wf_receiver import (
     DiffDistribution,
     _branch_means,
-    _gauss_hermite_weights,
+    _jitter_average,
     _prior_mixture,
     default_d_max,
     difference_dist,
@@ -260,18 +260,19 @@ def _read_trace(path: str):
 def _skellam_theory(c, params) -> tuple[int, list]:
     """Per-symbol Skellam laws of the count difference on one shared window.
 
-    Each law is the Gauss-Hermite average over the receiver's phase jitter,
-    as the shots and the count tables take it; the window holds every node.
+    Each law is averaged over the phase jitter as the count tables take it;
+    the window holds every branch-mean pair the phases reach: with jitter, any.
     """
-    deltas, weights = _gauss_hermite_weights(params.phase_jitter_rms, params.jitter_quad_nodes)
-    # (mu_t, mu_r) at each jitter node, one list per symbol
-    mus = [list(zip(*_branch_means(s.amplitude, s.phase + deltas, params))) for s in c.symbols]
-    d_max = max(default_d_max(*mu) for nodes in mus for mu in nodes)
-    laws = [
-        _prior_mixture(weights, np.stack([difference_dist(*mu, d_max).probs for mu in nodes]))
-        for nodes in mus
-    ]
-    return d_max, [DiffDistribution(probs, d_max) for probs in laws]
+    sigma = params.phase_jitter_rms
+    peaks = (_branch_means(s.amplitude, s.phase if sigma == 0.0 else 0.0, params) for s in c)
+    d_max = max(default_d_max(*mu) for mu in peaks)
+
+    def contract(deltas, weights):  # the (node, symbol) laws, mixed over the nodes
+        mus = [list(zip(*_branch_means(s.amplitude, s.phase + deltas, params))) for s in c]
+        laws = np.stack([[difference_dist(*mu, d_max).probs for mu in node] for node in zip(*mus)])
+        return np.stack([_prior_mixture(w, laws) for w in weights.T])
+
+    return d_max, [DiffDistribution(p, d_max) for p in _jitter_average(sigma, contract)]
 
 
 def _signal_cases(config: RunConfig) -> list[tuple[Constellation, float]]:

@@ -44,7 +44,6 @@ KEY_PARSERS = {
     "receiver.lo_amplitude": _parse_float,
     "receiver.visibility": _parse_float,
     "receiver.phase_jitter_rms": _parse_float,
-    "receiver.jitter_quad_nodes": int,
     "channel.loss_db_start": _parse_float,
     "channel.loss_db_stop": _parse_float,
     "channel.loss_db_step": _parse_float,
@@ -134,7 +133,6 @@ class RunConfig:
             ),
             transmissivity=transmissivity,
             phase_jitter_rms=float(self.values["receiver.phase_jitter_rms"]),
-            jitter_quad_nodes=int(self.values["receiver.jitter_quad_nodes"]),
         )
 
     def montecarlo_receiver(self) -> WfReceiverParams:

@@ -22,15 +22,11 @@ import numpy as np
 
 from .constellation import Constellation, CoherentSymbol
 from .info_metrics import _mi_from_tables
-from .wf_receiver import WfReceiverParams, _gauss_hermite_weights
+from .wf_receiver import GridAccuracyError, WfReceiverParams, _jitter_average
 
 # Integration grid: this many trapezoid steps per shot-noise sigma.
 STEPS_PER_SIGMA = 10
 GRID_PAD_SIGMAS = 10.0
-
-
-class GridAccuracyError(ValueError):
-    """Quadrature grid too coarse for the requested entropy accuracy."""
 
 
 def _conditional_means(amps, phases, params: WfReceiverParams) -> np.ndarray:
@@ -58,8 +54,8 @@ def hd_conditional_pdf(
 
 
 def _grid(c: Constellation, params: WfReceiverParams) -> np.ndarray:
-    """Uniform grid over every conditional mean plus a GRID_PAD_SIGMAS pad."""
-    means = _conditional_means(c.amplitudes, c.phases, params)
+    """Uniform grid over every mean, at full amplitude under jitter, plus a GRID_PAD_SIGMAS pad."""
+    means = _conditional_means(c.amplitudes, 0.0 if params.phase_jitter_rms else c.phases, params)
     reach = float(np.max(np.abs(means))) + GRID_PAD_SIGMAS
     n = int(math.ceil(2.0 * reach * STEPS_PER_SIGMA)) + 1
     return np.linspace(-reach, reach, n)
@@ -70,16 +66,24 @@ def _jittered_pdfs(
 ) -> np.ndarray:
     """Jitter-averaged densities of ``symbols`` at the points ``x``.
 
-    Row k is sum_j w_j N(x; m_kj, 1) over the Gauss-Hermite phase nodes j of
-    ``params.phase_jitter_rms``.  The node sum is a numpy reduction, not a
-    BLAS call, so no byte depends on BLAS threading.
+    Row k is sum_j w_j N(x; m_kj, 1) over the phase nodes j that
+    :func:`_jitter_average` takes for ``params.phase_jitter_rms``.  The node
+    sum is a numpy reduction, not a BLAS call, so no byte depends on BLAS
+    threading.
     """
-    deltas, weights = _gauss_hermite_weights(params.phase_jitter_rms, params.jitter_quad_nodes)
     amps = np.array([s.amplitude for s in symbols])
     phases = np.array([s.phase for s in symbols])
-    means = _conditional_means(amps[:, None], phases[:, None] + deltas, params)
-    gauss = np.exp(-((x - means[:, :, None]) ** 2) / 2.0)
-    return np.einsum("j,kjx->kx", weights / math.sqrt(2.0 * math.pi), gauss)
+
+    def contract(deltas, weights):
+        means = _conditional_means(amps[:, None], phases[:, None] + deltas, params)
+        gauss = x - means[:, :, None]  # in place from here: a large temporary costs page faults
+        gauss *= gauss
+        gauss *= -0.5
+        np.exp(gauss, out=gauss)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        return np.stack([np.einsum("j,kjx->kx", w, gauss) for w in weights.T])
+
+    return _jitter_average(params.phase_jitter_rms, contract)
 
 
 def hd_mutual_information(c: Constellation, params: WfReceiverParams) -> float:
@@ -88,26 +92,20 @@ def hd_mutual_information(c: Constellation, params: WfReceiverParams) -> float:
     :func:`info_metrics._mi_from_tables` on the table q(x_i | k) =
     h p(x_i | k), the densities times the grid step h: its plug-in MI is the
     trapezoid rule for the MI integral, as the log h terms cancel between the
-    marginal and conditional entropies (the rule's half-weight end points
-    lie 10 sigma beyond every mean, where the densities vanish).  With
-    ``params.phase_jitter_rms`` set, the densities are Gaussian-jitter
-    averaged over ``params.jitter_quad_nodes`` Gauss-Hermite nodes.  The grid
-    has STEPS_PER_SIGMA steps per shot-noise sigma and covers every
-    conditional mean plus a 10-sigma pad.  Raises :class:`GridAccuracyError`
-    when halving the step moves the result by more than 1e-6.  The densities
-    are evaluated once on the base grid and once on the odd points of the
-    halved-step grid; interleaved, they are the halved-step densities, whose
-    even points are the base evaluation itself.
+    marginal and conditional entropies (the grid's end points lie
+    GRID_PAD_SIGMAS beyond every mean the jitter reaches, where the
+    densities vanish, so their half weights do not matter).  The densities
+    are jitter-averaged by :func:`wf_receiver._jitter_average`.  The grid has
+    STEPS_PER_SIGMA steps per shot-noise sigma.  Raises
+    :class:`GridAccuracyError` when halving the step moves the result by more
+    than 1e-6.  The densities are evaluated once, on the halved-step grid and
+    one node set; its even points are the base grid.
     """
     x = _grid(c, params)
     # the linspace step: x[1] - x[0] differs from it by up to ~1e-12 relative
     h = (x[-1] - x[0]) / (len(x) - 1)
-    x_fine = np.linspace(x[0], x[-1], 2 * len(x) - 1)
-    base = _jittered_pdfs(x, c.symbols, params)
-    pdfs = np.empty((len(c.symbols), len(x_fine)))
-    pdfs[:, ::2] = base
-    pdfs[:, 1::2] = _jittered_pdfs(x_fine[1::2], c.symbols, params)
-    result = _mi_from_tables(c, base * h).mi_bits
+    pdfs = _jittered_pdfs(np.linspace(x[0], x[-1], 2 * len(x) - 1), c.symbols, params)
+    result = _mi_from_tables(c, pdfs[:, ::2] * h).mi_bits
     refined = _mi_from_tables(c, pdfs * (h / 2.0)).mi_bits
     if abs(refined - result) > 1e-6:
         raise GridAccuracyError(

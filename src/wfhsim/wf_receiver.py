@@ -19,15 +19,20 @@ import numpy as np
 
 from .constellation import Constellation, CoherentSymbol
 
-# Nodes for Gauss-Hermite averaging over Gaussian phase jitter.
-DEFAULT_JITTER_NODES = 21
-
 # Largest probability mass a table may lose to truncation before erroring.
 TRUNCATION_LIMIT = 1e-6
+
+# Jitter rule: largest move of its N/2-node subset, relative; most new nodes per level.
+JITTER_TOLERANCE, JITTER_MAX_NODES = 1e-6, 2**16
+_JITTER_REACH = math.sqrt(2.0 * math.log(1e18))  # kept offsets, in sigmas: weight >= 1e-18 of peak
 
 
 class TruncationError(ValueError):
     """Probability mass lost to table truncation exceeded the allowed budget."""
+
+
+class GridAccuracyError(ValueError):
+    """A quadrature rule too coarse for the requested accuracy."""
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,8 @@ class WfReceiverParams:
     ``lo_amplitude`` is the reference-beam field amplitude (sqrt photons),
     ``visibility`` the mode overlap scaling the interference term, and
     ``phase_jitter_rms`` the RMS of residual Gaussian phase noise folded into
-    the outcome tables.  ``n_max`` of None lets table builders choose the
-    truncation from a Poisson tail bound.
+    the outcome tables by :func:`_jitter_average`.  ``n_max`` of None lets
+    table builders choose the truncation from a Poisson tail bound.
     """
 
     lo_amplitude: float
@@ -46,28 +51,19 @@ class WfReceiverParams:
     transmissivity: float = 1.0
     n_max: int | None = None
     phase_jitter_rms: float = 0.0
-    jitter_quad_nodes: int = DEFAULT_JITTER_NODES
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lo_amplitude < math.inf:
-            raise ValueError(
-                f"lo_amplitude must be finite and >= 0, got {self.lo_amplitude}"
-            )
+            raise ValueError(f"lo_amplitude must be finite and >= 0, got {self.lo_amplitude}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
         if not 0.0 <= self.transmissivity <= 1.0:
-            raise ValueError(
-                f"transmissivity must be in [0, 1], got {self.transmissivity}"
-            )
+            raise ValueError(f"transmissivity must be in [0, 1], got {self.transmissivity}")
         if self.n_max is not None and not (isinstance(self.n_max, Integral) and self.n_max >= 1):
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         if not 0.0 <= self.phase_jitter_rms < math.inf:
             raise ValueError(
                 f"phase_jitter_rms must be finite and >= 0, got {self.phase_jitter_rms}"
-            )
-        if not (isinstance(self.jitter_quad_nodes, Integral) and self.jitter_quad_nodes >= 1):
-            raise ValueError(
-                f"jitter_quad_nodes must be an integer >= 1, got {self.jitter_quad_nodes!r}"
             )
 
 
@@ -193,53 +189,59 @@ def poisson_pmf(mu, n_max: int, n_min: int = 0) -> np.ndarray:
     return np.where(positive, np.exp(logp), n == 0.0)
 
 
-@functools.lru_cache(maxsize=32)
-def _hermgauss(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes and weights for ``nodes`` points."""
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+@functools.lru_cache(maxsize=64)
+def _circle_nodes(sigma: float, e: int) -> tuple[np.ndarray, np.ndarray, slice]:
+    """The kept nodes 2 pi j / 2^e, read-only: offsets, (node, 2) weights, odd-j slice.
+
+    Weight column 0 holds the even j, column 1 the odd j.  A weight is the
+    N(0, sigma^2) density summed over its images 2 pi k in reach, normalised;
+    past sigma = 10 that is uniform to rounding.
+    """
+    s = min(sigma, 10.0)
+    u = 2.0 * math.pi / math.ldexp(s, e)  # node step in sigmas
+    half, reach = 2 ** (e - 1), int(_JITTER_REACH / u)
+    j = np.arange(-half + 1, half + 1) if reach >= half else np.arange(-reach, reach + 1)
+    k = int((_JITTER_REACH * s + math.pi) / (2.0 * math.pi))  # images in reach
+    w = np.exp(-0.5 * (j[:, None] * u + 2.0 * math.pi * np.arange(-k, k + 1) / s) ** 2).sum(axis=1)
+    d, w = j * math.ldexp(2.0 * math.pi, -e), w / w.sum()
+    halves = np.stack([np.where(j % 2 == 0, w, 0.0), np.where(j % 2 == 0, 0.0, w)], axis=1)
+    d.flags.writeable = halves.flags.writeable = False
+    return d, halves, slice(1 - j[0] % 2, None, 2)
 
 
-def _gauss_hermite_weights(sigma: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Phase offsets and weights averaging over N(0, sigma^2) phase jitter.
+def _jitter_average(sigma: float, contract):
+    """The average of f over N(0, sigma^2) phase jitter: the trapezoid rule on the circle.
 
-    Zero jitter is the one-node rule: no offset, unit weight.
+    ``contract(offsets, weights)`` returns sum_j weights[j, c] f(offsets[j])
+    for each column c of the (node, column) ``weights``, stacked.  N starts at
+    max(64, 2^ceil(log2(4 pi / sigma))) and doubles, evaluating only the N new
+    midpoints, while the N-node result and its renormalised even half (the
+    N/2 rule) differ by over JITTER_TOLERANCE of its largest entry; a level
+    with over JITTER_MAX_NODES new nodes raises :class:`GridAccuracyError`.
+    Zero jitter is the one-node rule, unchecked.
     """
     if sigma == 0.0:
-        return np.zeros(1), np.ones(1)
-    x, w = _hermgauss(nodes)
-    return math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)
+        return contract(np.zeros(1), np.ones((1, 1)))[0]
+
+    def part(d, w):  # the new nodes, in blocks of 64 to bound the memory of one call
+        if len(d) > JITTER_MAX_NODES:
+            raise GridAccuracyError(f"the jitter rule needs over {JITTER_MAX_NODES} new nodes")
+        return sum(contract(d[i : i + 64], w[i : i + 64]) for i in range(0, len(d), 64))
+
+    e = max(6, math.ceil(math.log2(4.0 * math.pi) - math.log2(sigma)))
+    d, w, odd = _circle_nodes(sigma, e)
+    even_sum, odd_sum = part(d, w)
+    coarse, total = even_sum / w[:, 0].sum(), even_sum + odd_sum
+    while np.max(np.abs(total - coarse)) > JITTER_TOLERANCE * np.max(np.abs(total)):
+        e += 1
+        d, w, odd = _circle_nodes(sigma, e)  # the old nodes are its even half
+        coarse, total = total, total * w[:, 0].sum() + part(d[odd], w[odd, 1:])[0]
+    return total
 
 
-def joint_pnr_conditional(
-    symbol: CoherentSymbol, params: WfReceiverParams
-) -> JointPnrDistribution:
-    """Joint count table conditioned on one sent symbol.
-
-    The product of the two branch Poisson laws, averaged over Gaussian phase
-    jitter by Gauss-Hermite quadrature: sum_j w_j P_t(delta_j) P_r(delta_j)^T.
-    """
-    if not homodyne_limit_ok(symbol, params):
-        warnings.warn(
-            "reference beam weaker than 3x the signal energy; difference "
-            "statistics drift away from the quadrature-readout regime",
-            stacklevel=2,
-        )
-    n_max = _resolve_n_max([symbol.amplitude], params)
-    deltas, weights = _gauss_hermite_weights(
-        params.phase_jitter_rms, params.jitter_quad_nodes
-    )
-    mu_t, mu_r = _branch_means(symbol.amplitude, symbol.phase + deltas, params)
-    table = (weights[:, None] * poisson_pmf(mu_t, n_max)).T @ poisson_pmf(mu_r, n_max)
-    truncation_mass = max(0.0, 1.0 - float(table.sum()))
-    if truncation_mass > TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"{truncation_mass:.3e} of probability truncated at n_max={n_max}; "
-            "increase n_max"
-        )
-    return JointPnrDistribution(probs=table, n_max=n_max, truncation_mass=truncation_mass)
+def joint_pnr_conditional(symbol: CoherentSymbol, params: WfReceiverParams) -> JointPnrDistribution:
+    """Joint count table conditioned on one sent symbol; see :func:`conditional_tables`."""
+    return conditional_tables(Constellation((replace(symbol, prior=1.0),)), params)[0]
 
 
 def joint_pnr_marginal(c: Constellation, params: WfReceiverParams) -> JointPnrDistribution:
@@ -267,13 +269,34 @@ def _stack(tables: list[JointPnrDistribution]) -> np.ndarray:
     return np.stack([table.probs.ravel() for table in tables])
 
 
-def conditional_tables(
-    c: Constellation, params: WfReceiverParams
-) -> list[JointPnrDistribution]:
-    """Conditional tables for every symbol, on one shared truncation grid."""
-    n_max = _resolve_n_max(c.amplitudes, params)
-    shared = replace(params, n_max=n_max)
-    return [joint_pnr_conditional(s, shared) for s in c.symbols]
+def conditional_tables(c: Constellation, params: WfReceiverParams) -> list[JointPnrDistribution]:
+    """Joint count tables of the symbols of ``c``, built in one batch.
+
+    Each is the product of the two branch Poisson laws on one shared truncation
+    grid, averaged over Gaussian phase jitter by :func:`_jitter_average`:
+    sum_j w_j P_t(delta_j) P_r(delta_j)^T.
+    """
+    amps, phases = np.array(c.amplitudes), np.array(c.phases)[:, None]
+    n_max = _resolve_n_max(amps, params)  # first: an overflowing mean fails here
+    if not all(homodyne_limit_ok(s, params) for s in c):
+        warnings.warn(
+            "reference beam weaker than 3x the signal energy; difference "
+            "statistics drift away from the quadrature-readout regime",
+            stacklevel=2,
+        )
+
+    def contract(deltas, weights):
+        mus = np.stack(_branch_means(amps[:, None], phases + deltas, params))
+        p_t, p_r = poisson_pmf(mus, n_max)  # (symbol, node, n), both branches in one call
+        return (weights.T[:, None, :, None] * p_t).swapaxes(-1, -2) @ p_r
+
+    tables = _jitter_average(params.phase_jitter_rms, contract)
+    lost = [max(0.0, 1.0 - float(table.sum())) for table in tables]
+    if max(lost) > TRUNCATION_LIMIT:
+        raise TruncationError(
+            f"{max(lost):.3e} of probability truncated at n_max={n_max}; increase n_max"
+        )
+    return [JointPnrDistribution(table, n_max, mass) for table, mass in zip(tables, lost)]
 
 
 def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> DiffDistribution:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import wfhsim
-from wfhsim import cli, security
+from wfhsim import cli, security, wf_receiver
 from wfhsim.cli import Table, _write_outputs, main
 from wfhsim.config import KEY_PARSERS, load_config
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
@@ -86,18 +86,38 @@ class TestSweepMi:
 
     def test_jitter_nodes_reach_homodyne(self, tmp_path):
         hd = {}
-        for nodes in (1, 21):
+        for sigma in (0.0, 0.25):
             _, out = run_cli(
                 ["sweep-mi", "--set", "channel.loss_db_stop=0",
                  "--set", "sweep.visibilities=1.0",
-                 "--set", "receiver.phase_jitter_rms=0.25",
-                 "--set", f"receiver.jitter_quad_nodes={nodes}"],
-                tmp_path, f"minodes{nodes}",
+                 "--set", f"receiver.phase_jitter_rms={sigma}"],
+                tmp_path, f"mijitter{sigma}",
             )
             _, _, rows = parse_table((out / "sweep_mi.csv").read_text())
-            hd[nodes] = {r[1]: float(r[5]) for r in rows if r[2] == "hd"}
-        # one node sits at zero phase offset: the jitter has no effect
-        assert hd[1]["4"] > hd[21]["4"] + 0.01
+            hd[sigma] = {r[1]: float(r[5]) for r in rows if r[2] == "hd"}
+        assert hd[0.0]["4"] > hd[0.25]["4"] + 0.01
+
+    @pytest.mark.parametrize("sigma", ["5e-324", "1e-300", "1e-6", "10", "1e6"])
+    def test_extreme_jitter_runs_or_errors(self, tmp_path, capsys, sigma):
+        """No traceback at any finite jitter: the rule sizes itself or reports an error."""
+        code, out = run_cli(
+            ["sweep-mi", "--set", "channel.loss_db_stop=0",
+             "--set", f"receiver.phase_jitter_rms={sigma}"],
+            tmp_path, "extreme",
+        )
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 1 and err.startswith("error:")), err
+        assert "Traceback" not in err
+
+    def test_jitter_node_cap_exits_with_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(wf_receiver, "JITTER_MAX_NODES", 8)
+        code, out = run_cli(
+            ["sweep-mi", "--set", "receiver.phase_jitter_rms=0.25"], tmp_path, "capped"
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "nodes" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_quaternary_beats_binary_at_low_loss(self, tmp_path):
         _, out = run_cli(

@@ -7,18 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from helpers import jitter_oracle
 from wfhsim.constellation import Constellation, CoherentSymbol, build_psk
-from wfhsim import homodyne
+from wfhsim import homodyne, wf_receiver
 from wfhsim.homodyne import (
     GridAccuracyError,
+    _conditional_means,
     _grid,
     _jittered_pdfs,
     conditional_mean,
     hd_conditional_pdf,
     hd_mutual_information,
 )
-from wfhsim.info_metrics import _mi_from_tables
-from wfhsim.wf_receiver import WfReceiverParams
+from wfhsim.info_metrics import _mi_from_tables, wf_mutual_information
+from wfhsim.wf_receiver import WfReceiverParams, _branch_means, conditional_tables, poisson_pmf
 
 from conftest import LO_AMPLITUDE
 
@@ -85,6 +87,49 @@ def simpson_mi_oracle(c: Constellation, params: WfReceiverParams) -> float:
     else:
         h_cond = math.fsum(s.prior * entropy(row) for s, row in zip(c.symbols, pdfs))
     return entropy(mix) - h_cond
+
+
+def oracle_pdfs(x, symbols, params: WfReceiverParams) -> np.ndarray:
+    """Jitter-averaged densities of ``symbols`` at ``x`` by :func:`helpers.jitter_oracle`.
+
+    Its step resolves both the Gaussian law and the widest mean swing; doubling
+    it must move no density by more than 1e-14.
+    """
+    amps = np.array([s.amplitude for s in symbols])
+    phases = np.array([s.phase for s in symbols])
+    sigma = params.phase_jitter_rms
+
+    def pdfs(deltas):
+        means = _conditional_means(amps, phases + deltas[:, None], params)
+        return np.exp(-((x - means[:, :, None]) ** 2) / 2.0) / math.sqrt(2.0 * math.pi)
+
+    fine, coarse = jitter_oracle(pdfs, sigma, min(sigma / 8, 1 / 8, 0.15 / max(amps.max(), 1.0)))
+    assert np.max(np.abs(fine - coarse)) <= 1e-14
+    return fine
+
+
+def oracle_hd_mi(c: Constellation, params: WfReceiverParams) -> float:
+    """Homodyne MI from :func:`oracle_pdfs` on its own grid: 16 steps per sigma, 12-sigma pad."""
+    reach = 2.0 * params.visibility * math.sqrt(params.transmissivity) * max(c.amplitudes) + 12.0
+    x = np.linspace(-reach, reach, int(math.ceil(32.0 * reach)) + 1)
+    h = (x[-1] - x[0]) / (len(x) - 1)
+    return _mi_from_tables(c, oracle_pdfs(x, c.symbols, params) * h).mi_bits
+
+
+def oracle_wf_mi(c: Constellation, params: WfReceiverParams) -> float:
+    """Count-table MI with each table averaged by :func:`helpers.jitter_oracle`."""
+    n_max = conditional_tables(c, params)[0].n_max
+    sigma = params.phase_jitter_rms
+    tables = []
+    for s in c.symbols:
+        def outer(deltas):
+            mu_t, mu_r = _branch_means(s.amplitude, s.phase + deltas, params)
+            return poisson_pmf(mu_t, n_max)[:, :, None] * poisson_pmf(mu_r, n_max)[:, None, :]
+
+        fine, coarse = jitter_oracle(outer, sigma, min(sigma, 1.0) / 16)
+        assert np.max(np.abs(fine - coarse)) <= 1e-14
+        tables.append(fine.ravel())
+    return _mi_from_tables(c, np.stack(tables)).mi_bits
 
 
 class TestConditionalPdf:
@@ -170,38 +215,29 @@ class TestMutualInformation:
             warnings.simplefilter("error")
             hd_mutual_information(qpsk, point(phase_jitter_rms=0.25))
 
-    def test_jitter_nodes_converge(self, qpsk):
-        mi = [
-            hd_mutual_information(
-                qpsk, point(transmissivity=0.5, phase_jitter_rms=0.25, jitter_quad_nodes=n)
-            )
-            for n in (15, 21, 31)
-        ]
-        assert max(mi) - min(mi) < 1e-9
+    def test_jitter_nodes_converge(self, qpsk, monkeypatch):
+        """The doubling check's tolerance is loose; a tight one moves nothing."""
+        params = point(transmissivity=0.5, phase_jitter_rms=0.25)
+        mi = hd_mutual_information(qpsk, params)
+        monkeypatch.setattr(wf_receiver, "JITTER_TOLERANCE", 1e-13)
+        assert abs(hd_mutual_information(qpsk, params) - mi) <= 1e-14
 
     @pytest.mark.parametrize("sigma", [0.0, 0.1, 0.25])
     def test_jittered_pdf_matches_node_loop(self, qpsk, sigma):
+        """The node loop is :func:`oracle_pdfs`, on the real line."""
         params = point(transmissivity=0.6, visibility=0.845, phase_jitter_rms=sigma)
         x = _grid(qpsk, params)
-        nodes, weights = np.polynomial.hermite.hermgauss(21)
-        for s in qpsk.symbols:
-            ref = np.zeros_like(x)
-            for delta, w in zip(math.sqrt(2.0) * sigma * nodes, weights / math.sqrt(math.pi)):
-                ref += w * hd_conditional_pdf(
-                    x, CoherentSymbol(s.amplitude, s.phase + delta, 1.0), params
-                )
-            got = _jittered_pdfs(x, [s], params)[0]
-            assert np.max(np.abs(got - ref)) <= 1e-12
+        got = _jittered_pdfs(x, qpsk.symbols, params)
+        assert np.max(np.abs(got - oracle_pdfs(x, qpsk.symbols, params))) <= 1e-12
 
     def test_jitter_nodes_reach_the_average(self, qpsk):
-        """One node sits at zero phase offset, so it reproduces the jitter-free MI."""
+        """A vanishing jitter reproduces the jitter-free MI; 0.25 rad costs information."""
         params = point(transmissivity=0.5)
         clean = hd_mutual_information(qpsk, params)
-        jittered = replace(params, phase_jitter_rms=0.25)
-        one = hd_mutual_information(qpsk, replace(jittered, jitter_quad_nodes=1))
-        default = hd_mutual_information(qpsk, jittered)
-        assert one == pytest.approx(clean, abs=1e-9)
-        assert default < one - 0.05
+        for sigma in (5e-324, 1e-300, 1e-9):
+            jittered = hd_mutual_information(qpsk, replace(params, phase_jitter_rms=sigma))
+            assert jittered == pytest.approx(clean, abs=1e-12)
+        assert hd_mutual_information(qpsk, replace(params, phase_jitter_rms=0.25)) < clean - 0.05
 
     @pytest.mark.parametrize("sigma", [0.0, 0.25])
     def test_reference_beam_does_not_enter(self, qpsk, sigma):
@@ -259,18 +295,8 @@ class TestSharedRefinedGrid:
 
 
 class TestBlockedJitterAverage:
-    """The jitter average, one (symbol, node, x) broadcast, against the direct node loop."""
-
-    @staticmethod
-    def _node_loop(x, symbol, params):
-        nodes, weights = np.polynomial.hermite.hermgauss(21)
-        offsets = math.sqrt(2.0) * params.phase_jitter_rms * nodes
-        ref = np.zeros_like(x)
-        for delta, w in zip(offsets, weights / math.sqrt(math.pi)):
-            ref += w * hd_conditional_pdf(
-                x, CoherentSymbol(symbol.amplitude, symbol.phase + delta, 1.0), params
-            )
-        return ref
+    """The jitter average, one (symbol, node, x) broadcast, against the node loop
+    of the oracle on the real line."""
 
     def _assert_matches_node_loop(self, c, grid, sigma):
         params = point(phase_jitter_rms=sigma)
@@ -278,8 +304,10 @@ class TestBlockedJitterAverage:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _jittered_pdfs(x, c.symbols, params)
-        for s, row in zip(c.symbols, got):
-            assert np.max(np.abs(row - self._node_loop(x, s, params))) <= 1e-12
+        # beyond 40 sigma of every mean a density underflows to exactly 0
+        near = np.abs(x) <= 2.0 * max(c.amplitudes) + 40.0
+        assert not got[:, ~near].any()
+        assert np.max(np.abs(got[:, near] - oracle_pdfs(x[near], c.symbols, params))) <= 1e-12
 
     # None is the module's grid; the others reach beyond it or step coarser
     @pytest.mark.parametrize(
@@ -295,6 +323,38 @@ class TestBlockedJitterAverage:
     def test_grid_far_beyond_the_means(self, alpha):
         """Points 1000 sigma out underflow to 0 without a warning."""
         self._assert_matches_node_loop(build_psk(4, alpha), (-1000.0, 1000.0, 0.02), 0.25)
+
+
+class TestJitterRuleAgainstOracle:
+    """The circle rule sizes itself: both receivers' MI match the real-line oracle."""
+
+    @pytest.mark.parametrize("visibility", [1.0, 0.845])
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("sigma", [0.05, 0.25, 1.0, 3.0])
+    def test_mi_of_both_receivers(self, sigma, m, visibility):
+        c = build_psk(m, 2.04, 0.0 if m == 2 else None)
+        params = point(transmissivity=0.5, visibility=visibility, phase_jitter_rms=sigma)
+        assert abs(wf_mutual_information(c, params).mi_bits - oracle_wf_mi(c, params)) <= 1e-12
+        assert abs(hd_mutual_information(c, params) - oracle_hd_mi(c, params)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [6.0, 20.0])
+    def test_qpsk_homodyne_at_large_amplitude(self, alpha):
+        """Here the starting 64 nodes are too few; the doubling check finds more."""
+        c = build_psk(4, alpha)
+        params = WfReceiverParams(lo_amplitude=2.0 * alpha, phase_jitter_rms=0.25)
+        assert abs(hd_mutual_information(c, params) - oracle_hd_mi(c, params)) <= 1e-12
+
+    def test_grid_reaches_the_jittered_means(self, monkeypatch):
+        """Under jitter the span covers every symbol's full amplitude, not only its own mean."""
+        c = build_psk(4, 40.0)
+        params = WfReceiverParams(lo_amplitude=80.0, phase_jitter_rms=0.25)
+        mi = hd_mutual_information(c, params)
+        monkeypatch.setattr(homodyne, "GRID_PAD_SIGMAS", homodyne.GRID_PAD_SIGMAS + 80.0)
+        assert abs(mi - hd_mutual_information(c, params)) <= 1e-12
+
+    def test_one_accuracy_error(self):
+        assert homodyne.GridAccuracyError is wf_receiver.GridAccuracyError
+        assert issubclass(GridAccuracyError, ValueError)
 
 
 class TestParams:

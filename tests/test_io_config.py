@@ -367,7 +367,7 @@ class TestConfig:
         "key",
         [
             "lock.ki_slow", "constellation.phi0", "constellation.m", "receiver.n_max",
-            "sweep.bpsk_phi0", "sweep.qpsk_phi0",
+            "sweep.bpsk_phi0", "sweep.qpsk_phi0", "receiver.jitter_quad_nodes",
         ],
     )
     def test_deleted_keys_rejected(self, key):

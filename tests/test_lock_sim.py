@@ -21,7 +21,6 @@ from wfhsim.lock_sim import (
     simulate_lock,
 )
 from wfhsim.phase_metrology import overlapping_allan, rms_phase
-from wfhsim.wf_receiver import DEFAULT_JITTER_NODES
 
 QUIET = dict(drift_rate=0.0, tone_20hz_rms=0.0, tone_200hz_rms=0.0, white_rms=0.0, air_rms=0.0)
 
@@ -329,7 +328,6 @@ class TestConfigs:
         config = load_config()
         assert NoiseModel(seed=seed) == config.noise_model(seed)
         assert ActuatorModel() == config.actuator()
-        assert DEFAULT_JITTER_NODES == config["receiver.jitter_quad_nodes"]
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError):

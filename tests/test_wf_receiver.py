@@ -6,15 +6,16 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import skellam
 
-from helpers import brute_force_difference
-from wfhsim import wf_receiver
+from helpers import brute_force_difference, jitter_oracle
+from wfhsim import info_metrics, wf_receiver
 from wfhsim.constellation import CoherentSymbol, build_psk, wrap_phase
 from wfhsim.info_metrics import shannon_entropy
 from wfhsim.wf_receiver import (
     TruncationError,
     WfReceiverParams,
     _branch_means,
-    _hermgauss,
+    _circle_nodes,
+    _jitter_average,
     _log_factorials,
     auto_n_max,
     branch_means,
@@ -184,20 +185,20 @@ class TestJointTables:
         assert shannon_entropy(jit.probs) > shannon_entropy(base.probs)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
-    @pytest.mark.parametrize("sigma", [0.1, 0.25])
+    @pytest.mark.parametrize("sigma", [0.1, 0.25, 1.0, 3.0])
     def test_jittered_table_matches_node_loop(self, m, sigma):
+        """The node loop is :func:`helpers.jitter_oracle`, on the real line."""
         params = WfReceiverParams(phase_jitter_rms=sigma, **CANONICAL)
         c = build_psk(m, 2.04)
         tables = conditional_tables(c, params)
-        x, w = np.polynomial.hermite.hermgauss(params.jitter_quad_nodes)
         for symbol, table in zip(c.symbols, tables):
-            ref = np.zeros_like(table.probs)
-            for delta, weight in zip(math.sqrt(2.0) * sigma * x, w / math.sqrt(math.pi)):
-                shifted = CoherentSymbol(symbol.amplitude, symbol.phase + delta, 1.0)
-                mu_t, mu_r = branch_means(shifted, params)
-                ref += weight * np.outer(
-                    poisson_pmf(mu_t, table.n_max), poisson_pmf(mu_r, table.n_max)
-                )
+            def outer(deltas):
+                mu_t, mu_r = _branch_means(symbol.amplitude, symbol.phase + deltas, params)
+                pmf_t, pmf_r = poisson_pmf(mu_t, table.n_max), poisson_pmf(mu_r, table.n_max)
+                return pmf_t[:, :, None] * pmf_r[:, None, :]
+
+            ref, coarse = jitter_oracle(outer, sigma, min(sigma, 1.0) / 16)
+            assert np.max(np.abs(ref - coarse)) <= 1e-14
             assert np.max(np.abs(table.probs - ref)) <= 1e-12
 
     def test_zero_jitter_is_plain_outer_product(self):
@@ -218,27 +219,21 @@ class TestJointTables:
         with pytest.raises(ValueError):
             poisson_pmf(np.array([1.0, -0.5]), 10)
 
-    def test_conditional_tables_keep_receiver_fields(self, monkeypatch):
+    def test_conditional_tables_keep_receiver_fields(self):
+        """One batch over the symbols is each symbol's table at every receiver field."""
         params = WfReceiverParams(
             lo_amplitude=3.1,
             visibility=0.9,
             transmissivity=0.7,
             phase_jitter_rms=0.2,
-            jitter_quad_nodes=9,
-        )
-        seen = []
-        build = wf_receiver.joint_pnr_conditional
-        monkeypatch.setattr(
-            wf_receiver,
-            "joint_pnr_conditional",
-            lambda s, p: seen.append(p) or build(s, p),
         )
         c = build_psk(4, 2.04)
         tables = conditional_tables(c, params)
         n_max = max(auto_n_max(s.amplitude, params) for s in c.symbols)
         assert [t.n_max for t in tables] == [n_max] * 4
-        # frozen-dataclass equality compares every field
-        assert seen == [replace(params, n_max=n_max)] * 4
+        for s, table in zip(c.symbols, tables):
+            alone = joint_pnr_conditional(s, replace(params, n_max=n_max))
+            assert np.array_equal(table.probs, alone.probs)
 
     def test_auto_truncation_scale(self):
         # the tail rule keeps tables compact at the canonical parameters
@@ -258,16 +253,61 @@ class TestCachedConstants:
         with pytest.raises(ValueError):
             table[3] = 0.0
 
-    def test_hermite_nodes_cached_read_only(self):
-        x, w = _hermgauss(21)
-        again = _hermgauss(21)
-        assert again[0] is x and again[1] is w
-        ref_x, ref_w = np.polynomial.hermite.hermgauss(21)
-        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-        for arr in (x, w):
+    def test_circle_nodes_cached_read_only(self):
+        nodes = _circle_nodes(0.25, 6)
+        assert _circle_nodes(0.25, 6) is nodes
+        for arr in nodes[:2]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestJitterRule:
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e-6, 0.05, 0.25, 3.0, 10.0, 1e6])
+    def test_node_set_at_any_sigma(self, sigma):
+        """A few dozen nodes within the reach, weights >= 0 summing to 1, no overflow."""
+        seen = []
+        _jitter_average(sigma, lambda d, w: seen.append((d, w)) or w.sum(axis=0)[:, None])
+        deltas = np.concatenate([d for d, _ in seen])
+        weights = np.concatenate([w.sum(axis=1) for _, w in seen])
+        assert 37 <= len(weights) <= 73
+        assert np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= 1e-15
+        assert np.all(np.abs(deltas) <= min(math.pi, wf_receiver._JITTER_REACH * sigma))
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e-6, 0.05, 0.25, 1.0, 3.0, 10.0, 1e6])
+    def test_wrapped_normal_moments(self, sigma):
+        """E cos(k delta) = exp(-k^2 sigma^2 / 2), the wrapped normal's characteristic function."""
+        k = np.arange(9)
+        got = _jitter_average(sigma, lambda d, w: w.T @ np.cos(np.outer(d, k)))
+        assert np.max(np.abs(got - np.exp(-0.5 * (k * sigma) ** 2))) <= 1e-15
+
+    def test_doubling_evaluates_only_new_midpoints(self):
+        """A sharp integrand doubles N; every node is evaluated once."""
+        seen = []
+
+        def contract(d, w):
+            seen.append(d)
+            return w.T @ np.exp(40.0 * np.cos(d))[:, None] / math.exp(40.0)
+
+        _jitter_average(0.25, contract)
+        deltas = np.concatenate(seen)
+        assert len(deltas) > 73
+        assert len(np.unique(deltas)) == len(deltas)
+
+    def test_node_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(wf_receiver, "JITTER_MAX_NODES", 8)
+        with pytest.raises(wf_receiver.GridAccuracyError, match="nodes"):
+            _jitter_average(0.25, lambda d, w: w.sum(axis=0)[:, None])
+
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-300, 1e-6, 10.0, 1e6])
+    def test_receiver_at_extreme_sigma(self, sigma):
+        c = build_psk(4, 2.04)
+        params = WfReceiverParams(phase_jitter_rms=sigma, **CANONICAL)
+        mi = info_metrics.wf_mutual_information(c, params).mi_bits
+        assert 0.0 <= mi <= 2.0
+        if sigma <= 1e-6:
+            clean = info_metrics.wf_mutual_information(c, WfReceiverParams(**CANONICAL)).mi_bits
+            assert mi == pytest.approx(clean, abs=1e-9)
 
 
 class TestDifferenceDist:
@@ -328,9 +368,6 @@ class TestParams:
             dict(lo_amplitude=1.0, n_max=2.5),
             dict(lo_amplitude=1.0, n_max=math.nan),
             dict(lo_amplitude=1.0, n_max=math.inf),
-            dict(lo_amplitude=1.0, jitter_quad_nodes=2.5),
-            dict(lo_amplitude=1.0, jitter_quad_nodes=math.nan),
-            dict(lo_amplitude=1.0, jitter_quad_nodes=0),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
