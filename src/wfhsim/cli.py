@@ -4,9 +4,10 @@ Every run resolves its configuration (shipped defaults, optional config file,
 CLI overrides), computes all requested tables in memory, and only then writes
 the output directory together with a ``manifest.json`` recording the resolved
 configuration, the seed, the package version, the wall time of each stage
-(``timings_s``: compute, write) and the runtime it ran on (``runtime``:
-python, numpy, blas).  A failed run writes nothing and removes the output
-directory again if it created it.
+(``timings_s``: compute, write), the peak resident memory of the process
+(``peak_rss_mb``, where the ``resource`` module exists) and the runtime it
+ran on (``runtime``: python, numpy, blas).  A failed run writes nothing and
+removes the output directory again if it created it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # Windows has no resource module
+    resource = None
 
 import numpy as np
 
@@ -85,6 +91,14 @@ def _runtime() -> dict:
     except (TypeError, KeyError):  # older numpy has no mode=
         blas = "unknown"
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas}
+
+
+def _peak_rss() -> dict:
+    """``peak_rss_mb`` of this process so far, or nothing where ``resource`` is missing."""
+    if resource is None:
+        return {}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+    return {"peak_rss_mb": peak / 2.0**20 if sys.platform == "darwin" else peak / 2.0**10}
 
 
 def _map_grid(fn, items):
@@ -249,12 +263,18 @@ def cmd_asd(config: RunConfig, input_path: str, segment_s: float, overlap: float
 
 
 def _read_trace(path: str):
+    """The trace in a CSV or binary trace file; an infinite sample is an error.
+
+    The readers pass +-inf through, since a trace may hold it, but the Allan
+    deviation and the spectrum of such a trace are meaningless.
+    """
     p = Path(path)
     with open(p, "rb") as fh:
         head = fh.read(8)
-    if head.startswith(b"WFTRACE"):
-        return read_trace_bin(p)
-    return read_trace_csv(p)
+    trace = read_trace_bin(p) if head.startswith(b"WFTRACE") else read_trace_csv(p)
+    if not np.isfinite(trace.samples).all():
+        raise ValueError(f"{p} holds non-finite samples")
+    return trace
 
 
 def _skellam_theory(c, params) -> tuple[int, list]:
@@ -401,7 +421,7 @@ def _write_outputs(
 
     def write_manifest(path: Path, manifest: dict) -> None:
         timings = dict(manifest["timings_s"], write=time.perf_counter() - start)
-        manifest = dict(manifest, outputs=sorted(names[:-1]), timings_s=timings)
+        manifest = dict(manifest, outputs=sorted(names[:-1]), timings_s=timings, **_peak_rss())
         path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
 
     files = [(f"{t.name}.{fmt}", write_table, t) for t in tables]

@@ -98,25 +98,47 @@ class NoiseModel:
             raise ValueError("acoustic_power_split needs entries >= 0 with a positive sum")
 
 
-def _diffused_tone(
-    rng: np.random.Generator, t: np.ndarray, dt: float, freq: float, width: float, rms: float
-) -> np.ndarray:
-    """Sinusoid with random-walk phase: a Lorentzian band of FWHM ``width``.
+def _add_diffused_tone(
+    out: np.ndarray,
+    rng: np.random.Generator,
+    t: np.ndarray,
+    dt: float,
+    freq: float,
+    width: float,
+    rms: float,
+) -> None:
+    """Add a sinusoid with random-walk phase, a Lorentzian band of FWHM ``width``, to ``out``.
 
-    ``t`` is the time axis ``arange(n) * dt`` of the trace; rms 0 draws nothing from ``rng``.
+    ``t`` is the time axis ``arange(n) * dt`` of the trace.  The line draws
+    its start phase, then (for width > 0) its n phase steps; rms 0 draws
+    nothing and adds nothing.  The argument, its sine and its scaling are
+    built in one scratch array.
     """
     if rms == 0.0:
-        return np.zeros(t.size)
+        return
     psi0 = rng.uniform(0.0, 2.0 * math.pi)
+    arg = np.multiply(t, 2.0 * math.pi * freq)
     if width > 0.0:
-        psi = np.cumsum(rng.normal(0.0, math.sqrt(2.0 * math.pi * width * dt), t.size))
+        psi = rng.normal(0.0, math.sqrt(2.0 * math.pi * width * dt), t.size)
+        arg += np.cumsum(psi, out=psi)
     else:
-        psi = 0.0
-    return math.sqrt(2.0) * rms * np.sin(2.0 * math.pi * freq * t + psi + psi0)
+        arg += 0.0  # the zero phase walk; it maps -0.0 to +0.0 as a walk would
+    arg += psi0
+    np.sin(arg, out=arg)
+    arg *= math.sqrt(2.0) * rms
+    out += arg
 
 
 def generate_noise(noise: NoiseModel, n: int, dt: float) -> np.ndarray:
-    """Phase disturbance trace implied by the noise model (open loop)."""
+    """Phase disturbance trace implied by the noise model (open loop).
+
+    The components are added into one output array, and the trace is
+    reproducible from ``noise.seed`` because the rng draws come in a fixed
+    order: the n white samples, the n drift steps, then for the 20 Hz
+    band, the air band and each acoustic line in turn its start phase and,
+    for a line of nonzero width, its n phase steps.  A component of zero
+    rms draws nothing.
+    """
     rng = np.random.default_rng(noise.seed)
     shield = noise.box_factor if noise.box_closed else 1.0
 
@@ -126,21 +148,27 @@ def generate_noise(noise: NoiseModel, n: int, dt: float) -> np.ndarray:
 
     drift = shield * noise.drift_rate
     if drift > 0.0:
-        walk = np.cumsum(rng.normal(0.0, drift * math.sqrt(dt), n))
-        slope = noise.drift_linear_fraction * drift
-        out += walk + slope * np.arange(n) * dt
+        walk = rng.normal(0.0, drift * math.sqrt(dt), n)
+        np.cumsum(walk, out=walk)
+        ramp = np.arange(n, dtype=np.float64)  # exact: n < 2**53
+        ramp *= noise.drift_linear_fraction * drift
+        ramp *= dt
+        walk += ramp
+        out += walk
+        del walk, ramp
 
-    t = np.arange(n) * dt
-    out += _diffused_tone(
-        rng, t, dt, noise.tone_20hz_freq, noise.tone_20hz_width, shield * noise.tone_20hz_rms
+    t = np.arange(n, dtype=np.float64)
+    t *= dt
+    _add_diffused_tone(
+        out, rng, t, dt, noise.tone_20hz_freq, noise.tone_20hz_width, shield * noise.tone_20hz_rms
     )
-    out += _diffused_tone(rng, t, dt, noise.air_freq, noise.air_width, shield * noise.air_rms)
+    _add_diffused_tone(out, rng, t, dt, noise.air_freq, noise.air_width, shield * noise.air_rms)
 
     total_power = noise.tone_200hz_rms**2
     split = np.asarray(noise.acoustic_power_split, dtype=np.float64)
     split = split / split.sum()
     for freq, frac in zip(noise.acoustic_freqs, split):
-        out += _diffused_tone(rng, t, dt, freq, 0.0, math.sqrt(total_power * frac))
+        _add_diffused_tone(out, rng, t, dt, freq, 0.0, math.sqrt(total_power * frac))
     return out
 
 
@@ -248,16 +276,25 @@ def _linear_lock_response(
         s0, s1 = p00 * s0 + p01 * s1 + d0, p10 * s0 + p11 * s1 + d1
     starts = np.array(starts)
 
-    # per state component: the in-block forced response (toeplitz[m, j] =
-    # (A^(j-1-m) b)[c] for m < j) plus the free response A^j x_start
+    # per state component: the in-block forced response plus the free
+    # response A^j x_start.  Both sums run in place, the actuation's first, so
+    # that it turns into the residual r = act + e and e is freed once the
+    # integral's product is taken
     lag = np.arange(L) - np.arange(L)[:, None] - 1
-    integral, act = (
-        (e @ np.where(lag >= 0, impulse[c][np.maximum(lag, 0)], 0.0) + starts @ powers[:L, c].T)
-        .ravel()[:n]
-        for c in (0, 1)
-    )
-    residual = act + e.ravel()[:n]
-    u = ki * integral - kp * residual
+
+    def toeplitz(c: int) -> np.ndarray:  # [m, j] = (A^(j-1-m) b)[c] for m < j
+        return np.where(lag >= 0, impulse[c][np.maximum(lag, 0)], 0.0)
+
+    residual = e @ toeplitz(1)
+    residual += starts @ powers[:L, 1].T
+    residual += e
+    integral = e @ toeplitz(0)
+    del e
+    integral += starts @ powers[:L, 0].T
+    residual = residual.ravel()[:n]
+    u = integral.ravel()[:n]  # u = ki I - kp r, in the integral's array
+    u *= ki
+    u -= kp * residual
 
     r_max = max(residual.max(), -residual.min())
     # unsaturated, |ki I| <= |u| + kp |r|: this bounds every term of u

@@ -1,10 +1,13 @@
-"""Test-only oracles: dense Fock-space entropy, brute-force convolutions and
-the phase-jitter average on the real line."""
+"""Test-only oracles: dense Fock-space entropy, brute-force convolutions, the
+phase-jitter average on the real line, and out-of-place references for the
+lock study's in-place noise synthesis and linear loop response."""
 
 import math
 
 import numpy as np
 from scipy.special import gammaln
+
+from wfhsim.lock_sim import _BLOCK
 
 
 def fock_vn_entropy(amplitudes, weights, n_cut: int = 40) -> float:
@@ -60,3 +63,74 @@ def jitter_oracle(f, sigma: float, step: float):
         fine = fine + np.tensordot(w[i : i + 64], values, axes=1)
         coarse = coarse + np.tensordot(2.0 * w[i : i + 64 : 2], values[::2], axes=1)
     return fine, coarse
+
+
+def reference_noise(noise, n: int, dt: float) -> np.ndarray:
+    """``lock_sim.generate_noise`` written out of place: one array per term.
+
+    Same IEEE operations in the same order and the same rng draws, so the
+    in-place synthesis must match it bit for bit.
+    """
+    rng = np.random.default_rng(noise.seed)
+    shield = noise.box_factor if noise.box_closed else 1.0
+
+    def tone(t, freq, width, rms):
+        if rms == 0.0:
+            return np.zeros(t.size)
+        psi0 = rng.uniform(0.0, 2.0 * math.pi)
+        if width > 0.0:
+            psi = np.cumsum(rng.normal(0.0, math.sqrt(2.0 * math.pi * width * dt), t.size))
+        else:
+            psi = 0.0
+        return math.sqrt(2.0) * rms * np.sin(2.0 * math.pi * freq * t + psi + psi0)
+
+    out = np.zeros(n)
+    if noise.white_rms > 0.0:
+        out += rng.normal(0.0, noise.white_rms, n)
+    drift = shield * noise.drift_rate
+    if drift > 0.0:
+        walk = np.cumsum(rng.normal(0.0, drift * math.sqrt(dt), n))
+        slope = noise.drift_linear_fraction * drift
+        out += walk + slope * np.arange(n) * dt
+    t = np.arange(n) * dt
+    out += tone(t, noise.tone_20hz_freq, noise.tone_20hz_width, shield * noise.tone_20hz_rms)
+    out += tone(t, noise.air_freq, noise.air_width, shield * noise.air_rms)
+    split = np.asarray(noise.acoustic_power_split, dtype=np.float64)
+    split = split / split.sum()
+    for freq, frac in zip(noise.acoustic_freqs, split):
+        out += tone(t, freq, 0.0, math.sqrt(noise.tone_200hz_rms**2 * frac))
+    return out
+
+
+def reference_linear_response(noise, dt, kp, ki, out_min, out_max, actuator_gain, alpha):
+    """``lock_sim._linear_lock_response`` with its state sums written out of place.
+
+    Returns the residual r and the PI output u = ki I - kp r over every
+    sample, with no guard and no fallback.
+    """
+    ag = alpha * actuator_gain
+    a = np.array([[1.0, -dt], [ag * ki, 1.0 - alpha - ag * kp]])
+    b = np.array([-dt, -ag * kp])
+    n, L = noise.shape[0], _BLOCK
+    e = np.zeros((-(-n // L), L))
+    e.ravel()[:n] = noise
+    powers = np.empty((L + 1, 2, 2))
+    powers[0] = np.eye(2)
+    for j in range(L):
+        powers[j + 1] = a @ powers[j]
+    impulse = (powers[:L] @ b).T
+    (p00, p01), (p10, p11) = powers[L].tolist()
+    s0 = s1 = 0.0
+    starts = []
+    for d0, d1 in (e @ impulse[:, ::-1].T).tolist():
+        starts.append((s0, s1))
+        s0, s1 = p00 * s0 + p01 * s1 + d0, p10 * s0 + p11 * s1 + d1
+    starts = np.array(starts)
+    lag = np.arange(L) - np.arange(L)[:, None] - 1
+    integral, act = (
+        (e @ np.where(lag >= 0, impulse[c][np.maximum(lag, 0)], 0.0) + starts @ powers[:L, c].T)
+        .ravel()[:n]
+        for c in (0, 1)
+    )
+    residual = act + e.ravel()[:n]
+    return residual, ki * integral - kp * residual

@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from wfhsim.constellation import build_psk, loss_db_to_transmissivity
 from wfhsim.detector_sim import NO_IMPERFECTIONS, run_experiment
 from wfhsim.homodyne import hd_mutual_information
 from wfhsim.info_metrics import wf_mutual_information
-from wfhsim.io import parse_table, write_trace_csv
+from wfhsim.io import parse_table, write_trace_bin, write_trace_csv
 from wfhsim.lock_sim import ActuatorModel, NoiseModel, simulate_lock
 from wfhsim.phase_metrology import PhaseTrace
 from wfhsim.security import kgr
@@ -240,6 +241,24 @@ class TestTraceCommands:
         out = tmp_path / "o"
         assert main(["allan", "--input", str(src), "--out", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("writer", [write_trace_csv, write_trace_bin], ids=["csv", "bin"])
+    @pytest.mark.parametrize(
+        "command", [["allan"], ["asd", "--segment-s", "0.4"]], ids=["allan", "asd"]
+    )
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_infinite_sample_rejected(self, tmp_path, capsys, writer, command, bad):
+        # the readers keep +-inf, but no Allan or spectral row can come from it
+        samples = np.linspace(0.0, 1.5, 16)
+        samples[9] = bad
+        src = tmp_path / "inf.trace"
+        writer(src, PhaseTrace(samples, 0.1))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(command + ["--input", str(src), "--out", str(out)]) == 1
+        assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_lock_trace_feeds_allan_command(self, tmp_path):
@@ -774,6 +793,15 @@ class TestManifest:
         assert runtime["python"] == platform.python_version()
         assert runtime["numpy"] == np.__version__
         assert isinstance(runtime["blas"], str) and runtime["blas"]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_records_peak_rss(self, tmp_path, command):
+        peak = self._manifest(tmp_path, command)["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0.0
+
+    def test_peak_rss_omitted_without_resource(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        assert "peak_rss_mb" not in self._manifest(tmp_path, self.COMMANDS[-1])
 
     def test_blas_unknown_without_config_modes(self, monkeypatch):
         monkeypatch.setattr(cli.np, "show_config", lambda: None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,8 @@ from wfhsim.lock_sim import (
     simulate_lock,
 )
 from wfhsim.phase_metrology import overlapping_allan, rms_phase
+
+from helpers import reference_linear_response, reference_noise
 
 QUIET = dict(drift_rate=0.0, tone_20hz_rms=0.0, tone_200hz_rms=0.0, white_rms=0.0, air_rms=0.0)
 
@@ -288,6 +291,75 @@ class TestLinearLockResponse:
             CONFIG.actuator(), replace(CONFIG.noise_model(7), box_closed=box_closed),
         )
         assert len(trace) == int(round(CONFIG["lock.duration_s"] / CONFIG["lock.dt_s"]))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+# n = 785 is three 256-sample blocks and a partial one; at dt = 1.3e-4 the
+# acoustic lines are not commensurate with the sampling
+INPLACE_CASES = {
+    "open": (NoiseModel(seed=11), 20_000, 1e-4),
+    "closed": (NoiseModel(seed=12, box_closed=True), 20_000, 1e-4),
+    "zero-rms": (NoiseModel(seed=13, white_rms=0.0, air_rms=0.0, tone_200hz_rms=0.0), 20_000, 1e-4),
+    "width-0-tone": (NoiseModel(seed=14, tone_20hz_width=0.0), 20_000, 1e-4),
+    "incommensurate": (NoiseModel(seed=15), 20_000, 1.3e-4),
+    "partial-block": (NoiseModel(seed=16, box_closed=True), 785, 1e-4),
+}
+
+
+class TestInPlaceMatchesReference:
+    """The in-place lock pipeline against its out-of-place reference, bit for bit."""
+
+    @pytest.mark.parametrize("case", INPLACE_CASES)
+    def test_noise(self, case):
+        noise, n, dt = INPLACE_CASES[case]
+        assert np.array_equal(bits(generate_noise(noise, n, dt)), bits(reference_noise(noise, n, dt)))
+
+    @pytest.mark.parametrize("case", INPLACE_CASES)
+    def test_linear_response(self, case):
+        noise, n, dt = INPLACE_CASES[case]
+        args = loop_args(reference_noise(noise, n, dt), dt, FAST_PI, CONFIG.actuator())
+        expected, _ = reference_linear_response(*args)
+        assert np.array_equal(bits(_linear_lock_response(*args)), bits(expected))
+
+    @pytest.mark.parametrize("limit", [100.0, 0.05])
+    def test_guard_reads_the_reference_output(self, limit):
+        pi = PiConfig(kp=60.0, ki=4000.0, output_limits=(-limit, limit))
+        args = loop_args(generate_noise(NoiseModel(seed=2), 20_000, 1e-4), 1e-4, pi, ActuatorModel())
+        residual, u = reference_linear_response(*args)
+        margin = lock_sim._GUARD_MARGIN * (limit + pi.kp * np.abs(residual).max())
+        linear = bool(np.all(np.abs(u) < limit - margin))
+        assert (_linear_lock_response(*args) is not None) == linear == (limit == 100.0)
+
+
+class TestPeakMemory:
+    """Peak traced allocation of one trace, in trace-sized arrays of 8 n bytes."""
+
+    N = 200_000
+
+    @staticmethod
+    def _peak_arrays(fn, n):
+        fn()  # warm-up: first-call caches are not the trace's memory
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * n)
+
+    def test_noise_synthesis(self):
+        noise, dt = CONFIG.noise_model(seed=1), CONFIG["lock.dt_s"]
+        assert self._peak_arrays(lambda: generate_noise(noise, self.N, dt), self.N) <= 4.5
+
+    def test_locked_simulation(self):
+        noise, dt = CONFIG.noise_model(seed=1), CONFIG["lock.dt_s"]
+        peak = self._peak_arrays(
+            lambda: simulate_lock(self.N * dt, dt, FAST_PI, CONFIG.actuator(), noise), self.N
+        )
+        assert peak <= 5.5
 
 
 class TestFourConditions:
