@@ -246,6 +246,8 @@ def _check_sweep(config: RunConfig) -> None:
 
 def _check_montecarlo(config: RunConfig) -> None:
     config.imperfections()
+    if int(config["montecarlo.seed"]) < 0:
+        raise ValueError("montecarlo.seed must be >= 0")
     if int(config["montecarlo.shots"]) < 1:
         raise ValueError("montecarlo.shots must be >= 1")
     if not 1 <= int(config["montecarlo.repetitions"]) <= int(config["montecarlo.shots"]):
@@ -267,6 +269,8 @@ def _check_lock(config: RunConfig) -> None:
         raise ValueError("lock.duration_s must be >= 100 * lock.dt_s")
     if int(config["lock.n_seeds"]) < 1:
         raise ValueError("lock.n_seeds must be >= 1")
+    if int(config["lock.seed"]) < 0:
+        raise ValueError("lock.seed must be >= 0")
     ms = config.lock_taus()
     if not ms:
         raise ValueError("empty Allan grid: lock.allan_min_m exceeds allan_max_m")

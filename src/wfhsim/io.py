@@ -5,8 +5,8 @@ the exact double; CSV files use LF endings, a mandatory header row, and
 optional ``# key=value`` metadata comment lines.
 
 Trace CSVs, the largest outputs, go through a numpy formatter that writes
-the bytes of ``%.17g`` in bounded blocks; any row it cannot place exactly
-(zero, non-finite, extreme or near-tie cells) is rendered by ``%`` itself.
+the bytes of ``%.17g`` in bounded blocks; a block with any cell it cannot
+place exactly (non-finite, extreme or near-tie) is rendered by ``%`` itself.
 """
 
 from __future__ import annotations
@@ -201,15 +201,15 @@ def _scaled(a, e, tables):
 
 def _g17_cells(x):
     """``%.17g`` of each cell as (len(x), 4) little-endian words of NUL-padded
-    text, and ``exact``, the cells the fast path leaves to ``%``: zero,
-    non-finite, outside [1e-250, 1e250], with a product within
-    ``_TIE_MARGIN`` of a rounding tie, or not 17 digits at the decade that
-    ``log10`` gives.
+    text, and ``exact``, the cells the fast path leaves to ``%``: non-finite,
+    nonzero outside [1e-250, 1e250], with a product within ``_TIE_MARGIN`` of
+    a rounding tie, or not 17 digits at the decade that ``log10`` gives.
     """
     tables = _g17_tables()
     a = np.abs(x)
-    exact = ~((a >= _FAST_MIN) & (a <= _FAST_MAX))
-    a[exact] = 1.0
+    zero = a == 0
+    exact = ~(((a >= _FAST_MIN) & (a <= _FAST_MAX)) | zero)
+    a[exact | zero] = 1.0
     e = np.floor(np.log10(a)).astype(np.int64)
     whole, frac = _scaled(a, e, tables)
     n = whole + (frac > 0.5)
@@ -217,6 +217,7 @@ def _g17_cells(x):
     # ten) or the rounding carries into the next decade; both are left to ``%``
     exact |= (whole < _LO17) | (n >= _HI17) | (np.abs(frac - 0.5) < _TIE_MARGIN)
     n[exact] = _LO17
+    n[zero] = 0  # at e = 0 the tables print "0", and the sign bit "-0"
     i = e - _E_MIN
 
     # the body: n's 17 digits with a 0 after the first ``point``, which the
@@ -244,26 +245,15 @@ def _percent_rows(cells) -> bytes:
 
 
 def _g17_rows(t, v) -> bytes:
-    """The bytes of ``_ROW * len(t) % cells`` for one block of rows."""
+    """The bytes of ``_ROW * len(t) % cells`` for one block of rows; a block
+    with any cell the fast path leaves to ``%`` is rendered by ``%`` whole."""
     cells = np.column_stack((t, v))
     words, exact = _g17_cells(cells.ravel())
+    if exact.any():
+        return _percent_rows(cells)
     words[0::2, 3] |= np.uint64(ord(",") << 40)
     words[1::2, 3] |= np.uint64(ord("\n") << 40)
-    rows = words.view(np.uint8).reshape(len(t), 2 * _CELL)
-    # rows with an exact cell are rendered by ``%`` and spliced in, each
-    # padded with NUL to the row width
-    fallback = np.flatnonzero(exact.reshape(-1, 2).any(axis=1))
-    if len(fallback) == len(t):  # nothing to splice into, as in an all-zero trace
-        return _percent_rows(cells)
-    if fallback.size:
-        text = np.frombuffer(_percent_rows(cells[fallback]), np.uint8)
-        ends = np.flatnonzero(text == ord("\n")) + 1
-        starts = np.concatenate(([0], ends[:-1]))
-        line = np.repeat(np.arange(len(ends)), ends - starts)
-        padded = np.zeros((len(ends), 2 * _CELL), np.uint8)
-        padded[line, np.arange(len(text)) - starts[line]] = text
-        rows[fallback] = padded
-    return rows.tobytes().translate(None, b"\0")
+    return words.tobytes().translate(None, b"\0")
 
 
 def write_trace_csv(path: Path | str, trace: PhaseTrace) -> None:
@@ -274,10 +264,10 @@ def write_trace_csv(path: Path | str, trace: PhaseTrace) -> None:
     in fixed blocks of ``_BLOCK_ROWS`` rows by a numpy formatter: each cell's
     17 digits come from rounding a double-double product with a power of
     ten, and the ``%g`` layout (fixed for exponents -4..16, else ``e+XX``,
-    trailing zeros stripped) from lookup tables.  A row with a cell that is
-    zero, non-finite, outside [1e-250, 1e250], within 1e-9 of a rounding tie
-    or a few ulps from a power of ten is rendered by ``%`` itself, so every
-    tie is CPython's to break.
+    trailing zeros stripped) from lookup tables; zero prints as ``0`` or
+    ``-0``.  A block with a cell that is non-finite, nonzero outside
+    [1e-250, 1e250], within 1e-9 of a rounding tie or a few ulps from a power
+    of ten is rendered by ``%`` whole, so every tie is CPython's to break.
     ``float(i) * dt`` equals ``i * dt`` for every ``i < 2**53``.
     """
     samples = np.asarray(trace.samples, dtype=np.float64)

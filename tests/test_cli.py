@@ -527,6 +527,21 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith("error: invalid lock configuration")
         assert not (tmp_path / "n").exists()
 
+    @pytest.mark.parametrize(
+        "args,section,key",
+        [
+            (["montecarlo", "--seed", "-1"], "montecarlo", "montecarlo.seed"),
+            (["sweep-kgr", "--seed", "-1"], "montecarlo", "montecarlo.seed"),
+            (["lock", "--set", "lock.seed=-1"], "lock", "lock.seed"),
+        ],
+    )
+    def test_negative_seed_rejected_at_load(self, tmp_path, capsys, args, section, key):
+        code = main([*args, "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: invalid {section} configuration") and key in err
+        assert not (tmp_path / "s").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["sweep-mi", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "z")])

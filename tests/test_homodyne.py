@@ -294,7 +294,7 @@ class TestSharedRefinedGrid:
         assert abs(ours - simpson_mi_oracle(c, params)) <= 1e-12
 
 
-class TestBlockedJitterAverage:
+class TestJitteredDensities:
     """The jitter average, one (symbol, node, x) broadcast, against the node loop
     of the oracle on the real line."""
 

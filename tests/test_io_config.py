@@ -21,6 +21,7 @@ from wfhsim.config import (
 from wfhsim.constellation import build_psk
 from wfhsim.io import (
     _BLOCK_ROWS,
+    _g17_cells,
     _g17_rows,
     format_value,
     parse_table,
@@ -211,11 +212,35 @@ def percent_rows(t, v) -> bytes:
     return (("%.17g,%.17g\n" * len(t)) % tuple(cells)).encode()
 
 
-def assert_rows_match(values):
-    """Both columns, one of them reversed, render exactly as ``%`` does."""
-    t = np.asarray(values, dtype=np.float64)
-    v = t[::-1].copy()
+def fast_cells(x) -> tuple[list[str], list[float]]:
+    """The text the fast path gives each cell it does not flag, and those cells."""
+    words, exact = _g17_cells(x)
+    text = [w.tobytes().replace(b"\0", b"").decode() for w in words[~exact]]
+    return text, x[~exact].tolist()
+
+
+def assert_rows_match(t, v=None):
+    """The block renders exactly as ``%`` does, and so does every cell the
+    fast path does not flag, even where a flagged cell sends the block to
+    ``%``.  Without ``v``, the second column is ``t`` reversed."""
+    t = np.asarray(t, dtype=np.float64)
+    v = t[::-1].copy() if v is None else np.asarray(v, dtype=np.float64)
     assert _g17_rows(t, v) == percent_rows(t, v)
+    text, cells = fast_cells(np.concatenate([t, v]))
+    assert text == ["%.17g" % x for x in cells]
+
+
+def percent_calls(monkeypatch) -> list:
+    """Record the blocks that go to ``_percent_rows``."""
+    calls = []
+    percent_rows_of = wfhsim.io._percent_rows
+
+    def recording(cells):
+        calls.append(len(cells))
+        return percent_rows_of(cells)
+
+    monkeypatch.setattr(wfhsim.io, "_percent_rows", recording)
+    return calls
 
 
 def ulp_neighbours(x: float, steps: int) -> list[float]:
@@ -240,8 +265,7 @@ class TestTraceFormatter:
     @given(st.lists(st.tuples(ANY_DOUBLE | FAST_RANGE, ANY_DOUBLE | FAST_RANGE), max_size=30))
     def test_arbitrary_columns_match_percent(self, rows):
         cells = np.array(rows, dtype=np.float64).reshape(-1, 2)
-        t, v = cells[:, 0].copy(), cells[:, 1].copy()
-        assert _g17_rows(t, v) == percent_rows(t, v)
+        assert_rows_match(cells[:, 0], cells[:, 1])
 
     def test_random_bits_and_magnitudes_match_percent(self):
         rng = np.random.default_rng(7)
@@ -277,21 +301,28 @@ class TestTraceFormatter:
         assert "%.17g" % 1234567890123456.75 == "1234567890123456.8"
         assert_rows_match(np.concatenate([ties, -ties]))
 
+    def test_zero_is_on_the_fast_path(self):
+        text, _ = fast_cells(np.array([0.0, -0.0]))
+        assert text == ["0", "-0"]
+
     @pytest.mark.parametrize(
         "n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1]
     )
-    @pytest.mark.parametrize("zeros", [0.0, 0.5, 1.0])
-    def test_block_edges(self, tmp_path, n, zeros):
-        # zero cells fall back: none, about half, or every row of each block
+    @pytest.mark.parametrize("zeros", [0.0, 0.001, 0.5, 1.0])
+    def test_block_edges(self, tmp_path, monkeypatch, n, zeros):
+        # zero cells, on the fast path: none, a few, about half, or every
+        # sample of each block
         rng = np.random.default_rng(n)
         samples = rng.normal(0.0, 0.3, n)
         samples[rng.random(n) < zeros] = 0.0
         trace = SimpleNamespace(samples=samples, dt=1e-4)
+        calls = percent_calls(monkeypatch)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
+        assert calls == []
         assert path.read_bytes() == reference_trace_csv(trace).encode()
 
-    def test_default_lock_trace_rarely_falls_back(self, tmp_path, monkeypatch):
+    def test_default_lock_trace_never_falls_back(self, tmp_path, monkeypatch):
         config = load_config()
         trace = simulate_lock(
             float(config["lock.duration_s"]),
@@ -300,19 +331,12 @@ class TestTraceFormatter:
             config.actuator(),
             replace(config.noise_model(seed=0), box_closed=True),
         )
-        fallback_rows = []
-        percent_rows_of = wfhsim.io._percent_rows
-
-        def counting(cells):
-            fallback_rows.extend(cells.tolist())
-            return percent_rows_of(cells)
-
-        monkeypatch.setattr(wfhsim.io, "_percent_rows", counting)
+        calls = percent_calls(monkeypatch)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         assert (len(trace), trace.dt) == (600_000, 1e-4)
-        assert fallback_rows[0][0] == 0.0  # the t = 0 row
-        assert len(fallback_rows) <= 3
+        assert calls == []
+        assert path.read_bytes() == reference_trace_csv(trace).encode()
 
 
 class TestConfig:
