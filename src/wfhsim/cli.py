@@ -51,7 +51,7 @@ from .detector_sim import (
 from .homodyne import hd_mutual_information
 from .info_metrics import plugin_mi_estimate, wf_mutual_information
 from .io import RENDERERS, read_trace_bin, read_trace_csv, write_trace_csv
-from .lock_sim import FOUR_CONDITIONS, four_conditions
+from .lock_sim import FOUR_CONDITIONS, LockDivergenceError, _condition_plan, simulate_lock
 from .phase_metrology import _sample_count, asd, octave_taus, overlapping_allan, rms_phase
 from .security import kgr
 from .wf_receiver import (
@@ -75,12 +75,15 @@ class Table:
 
 
 def _workers() -> int:
+    """Threads of the pool: ``WFHSIM_WORKERS``, else the CPUs this process may run on."""
     raw = os.environ.get(WORKER_ENV, "")
     if raw.strip():
         n = int(raw)
         if n < 1:
             raise ValueError(f"{WORKER_ENV} must be >= 1")
         return n
+    if hasattr(os, "sched_getaffinity"):  # Linux: a pinned process gets fewer
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -102,6 +105,11 @@ def _peak_rss() -> dict:
 
 
 def _map_grid(fn, items):
+    """``[fn(x) for x in items]``, on ``_workers()`` threads when there are two or more.
+
+    After a failure, the items not yet started are cancelled, and the items
+    running finish before the exception propagates.
+    """
     n = _workers()
     if n == 1 or len(items) <= 1:
         return [fn(x) for x in items]
@@ -160,7 +168,11 @@ def cmd_sweep_kgr(config: RunConfig) -> list[Table]:
 
 
 def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
-    """Four-condition lock study: traces, Allan bands, spectral bands."""
+    """Four-condition lock study: traces, Allan bands, spectral bands.
+
+    Each (seed, condition) trace is one task on the pool, reduced to its
+    Allan curve, spectrum and RMS; only the first seed's traces are kept.
+    """
     duration = float(config["lock.duration_s"])
     dt = float(config["lock.dt_s"])
     n_seeds = int(config["lock.n_seeds"])
@@ -168,28 +180,31 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
     ms = config.lock_taus()
     seg = _sample_count(float(config["lock.asd_segment_s"]), dt)
     overlap = float(config["lock.asd_overlap"])
+    actuator, pi_fast = config.actuator(), config.pi_fast()
+    tasks = [
+        (s, label, pi, model)
+        for s in range(n_seeds)
+        for label, pi, model in _condition_plan(config.noise_model(base_seed + s), pi_fast)
+    ]
+
+    def run_task(task):
+        s, _, pi, model = task
+        trace = simulate_lock(duration, dt, pi, actuator, model)
+        allan = overlapping_allan(trace, ms)
+        return allan, asd(trace, seg, overlap), rms_phase(trace), trace if s == 0 else None
 
     allan_curves = {c: [] for c in FOUR_CONDITIONS}
     spectra = {c: [] for c in FOUR_CONDITIONS}
     rms = {c: [] for c in FOUR_CONDITIONS}
-    taus = freqs = None
-    for s in range(n_seeds):
-        traces = four_conditions(
-            config.noise_model(seed=base_seed + s),
-            config.pi_fast(),
-            duration,
-            dt,
-            actuator=config.actuator(),
-        )
-        if s == 0:
-            first_traces = traces
-        for label, tr in traces.items():
-            allan = overlapping_allan(tr, ms)
-            allan_curves[label].append(allan.adev)
-            spectrum = asd(tr, seg, overlap)
-            spectra[label].append(spectrum.asd)
-            taus, freqs = allan.taus, spectrum.freqs
-            rms[label].append(rms_phase(tr))
+    first_traces = {}
+    # the tasks come back in seed order, so every band reduces as serially
+    for (_, label, _, _), (allan, spectrum, r, trace) in zip(tasks, _map_grid(run_task, tasks)):
+        allan_curves[label].append(allan.adev)
+        spectra[label].append(spectrum.asd)
+        rms[label].append(r)
+        taus, freqs = allan.taus, spectrum.freqs
+        if trace is not None:
+            first_traces[label] = trace
 
     tables = []
     meta_common = {
@@ -406,11 +421,11 @@ def _write_outputs(
     manifest: dict,
     traces: dict | None = None,
 ) -> list[str]:
-    """Write every table and trace, then ``manifest.json`` with the write time.
+    """Write every table and trace on the pool, then ``manifest.json`` with the write time.
 
     A file name given twice raises ValueError before anything is written.
     Each file goes to a temporary name and is renamed into place; on any
-    failure the temporary file and every file already written are removed,
+    failure the temporary files and every file already written are removed,
     and so are the directories this call created, if they are left empty.
     """
     start = time.perf_counter()
@@ -434,17 +449,25 @@ def _write_outputs(
     created = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    tmp = None
-    try:
-        for name, write, item in files:
-            tmp = outdir / f".{name}.tmp{os.getpid()}"
+
+    def write_file(entry) -> None:
+        name, write, item = entry
+        tmp = outdir / f".{name}.tmp{os.getpid()}"
+        try:
             write(tmp, item)
             os.replace(tmp, outdir / name)
-            written.append(outdir / name)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        written.append(outdir / name)
+
+    try:
+        # the pool lets the writes in flight finish before a failure propagates
+        _map_grid(write_file, files[:-1])
+        write_file(files[-1])
     except BaseException:
-        for path in [tmp, *written]:
-            if path is not None:
-                path.unlink(missing_ok=True)
+        for path in written:
+            path.unlink(missing_ok=True)
         for d in created:  # deepest first
             try:
                 d.rmdir()
@@ -541,7 +564,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (OSError, ValueError) as exc:  # a ConfigError is a ValueError
+    except (OSError, ValueError, LockDivergenceError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

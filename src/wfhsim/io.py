@@ -253,7 +253,10 @@ def _g17_rows(t, v) -> bytes:
         return _percent_rows(cells)
     words[0::2, 3] |= np.uint64(ord(",") << 40)
     words[1::2, 3] |= np.uint64(ord("\n") << 40)
-    return words.tobytes().translate(None, b"\0")
+    # numpy drops the NULs without the interpreter lock, which bytes.translate
+    # holds, so trace writes on pool threads overlap
+    text = words.view(np.uint8).ravel()
+    return text[text != 0].tobytes()
 
 
 def write_trace_csv(path: Path | str, trace: PhaseTrace) -> None:

@@ -98,10 +98,35 @@ class NoiseModel:
             raise ValueError("acoustic_power_split needs entries >= 0 with a positive sum")
 
 
+# Samples per block of the linear lock response.  256 keeps the Toeplitz at
+# 256 x 512 and leaves n / 256 steps (~2.3k at the defaults) to the Python
+# recurrence over block starts.
+_BLOCK = 256
+
+# Samples per chunk in which each noise component is drawn, built and added:
+# the scratch arrays of a trace stay this size whatever its length.
+_CHUNK = 65536
+
+
+def _chunks(n: int):
+    """(start, stop) of the ``_CHUNK``-sample chunks that cover n samples."""
+    return ((a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK))
+
+
+def _walk(rng: np.random.Generator, scale: float, size: int, carry: float) -> np.ndarray:
+    """The next ``size`` samples of a random walk of normal(0, scale) steps that stood at ``carry``.
+
+    The carry joins the first step before the sum, which is where ``np.cumsum``
+    over the whole walk adds it, so the chunks give the bits of one sum.
+    """
+    walk = rng.normal(0.0, scale, size)
+    walk[0] += carry
+    return np.cumsum(walk, out=walk)
+
+
 def _add_diffused_tone(
     out: np.ndarray,
     rng: np.random.Generator,
-    t: np.ndarray,
     dt: float,
     freq: float,
     width: float,
@@ -109,24 +134,29 @@ def _add_diffused_tone(
 ) -> None:
     """Add a sinusoid with random-walk phase, a Lorentzian band of FWHM ``width``, to ``out``.
 
-    ``t`` is the time axis ``arange(n) * dt`` of the trace.  The line draws
-    its start phase, then (for width > 0) its n phase steps; rms 0 draws
-    nothing and adds nothing.  The argument, its sine and its scaling are
-    built in one scratch array.
+    The line draws its start phase, then (for width > 0) its n phase steps;
+    rms 0 draws nothing and adds nothing.  Chunk by chunk, the argument, its
+    sine and its scaling are built in one scratch array.
     """
     if rms == 0.0:
         return
     psi0 = rng.uniform(0.0, 2.0 * math.pi)
-    arg = np.multiply(t, 2.0 * math.pi * freq)
-    if width > 0.0:
-        psi = rng.normal(0.0, math.sqrt(2.0 * math.pi * width * dt), t.size)
-        arg += np.cumsum(psi, out=psi)
-    else:
-        arg += 0.0  # the zero phase walk; it maps -0.0 to +0.0 as a walk would
-    arg += psi0
-    np.sin(arg, out=arg)
-    arg *= math.sqrt(2.0) * rms
-    out += arg
+    step = math.sqrt(2.0 * math.pi * width * dt)
+    phase = 0.0
+    for a, b in _chunks(out.size):
+        arg = np.arange(a, b, dtype=np.float64)  # exact: n < 2**53
+        arg *= dt
+        arg *= 2.0 * math.pi * freq
+        if width > 0.0:
+            psi = _walk(rng, step, b - a, phase)
+            phase = psi[-1]
+            arg += psi
+        else:
+            arg += 0.0  # the zero phase walk; it maps -0.0 to +0.0 as a walk would
+        arg += psi0
+        np.sin(arg, out=arg)
+        arg *= math.sqrt(2.0) * rms
+        out[a:b] += arg
 
 
 def generate_noise(noise: NoiseModel, n: int, dt: float) -> np.ndarray:
@@ -137,38 +167,42 @@ def generate_noise(noise: NoiseModel, n: int, dt: float) -> np.ndarray:
     order: the n white samples, the n drift steps, then for the 20 Hz
     band, the air band and each acoustic line in turn its start phase and,
     for a line of nonzero width, its n phase steps.  A component of zero
-    rms draws nothing.
+    rms draws nothing.  Each component is drawn and added in chunks of
+    ``_CHUNK`` samples.
+
+    The trace is the head of a zero-filled buffer of whole ``_BLOCK``-sample
+    blocks, which the lock response takes as its blocks without a copy.
     """
     rng = np.random.default_rng(noise.seed)
     shield = noise.box_factor if noise.box_closed else 1.0
 
-    out = np.zeros(n)
+    out = np.zeros(-(-n // _BLOCK) * _BLOCK)[:n]
     if noise.white_rms > 0.0:
-        out += rng.normal(0.0, noise.white_rms, n)
+        for a, b in _chunks(n):
+            out[a:b] += rng.normal(0.0, noise.white_rms, b - a)
 
     drift = shield * noise.drift_rate
     if drift > 0.0:
-        walk = rng.normal(0.0, drift * math.sqrt(dt), n)
-        np.cumsum(walk, out=walk)
-        ramp = np.arange(n, dtype=np.float64)  # exact: n < 2**53
-        ramp *= noise.drift_linear_fraction * drift
-        ramp *= dt
-        walk += ramp
-        out += walk
-        del walk, ramp
+        level = 0.0
+        for a, b in _chunks(n):
+            walk = _walk(rng, drift * math.sqrt(dt), b - a, level)
+            level = walk[-1]
+            ramp = np.arange(a, b, dtype=np.float64)  # exact: n < 2**53
+            ramp *= noise.drift_linear_fraction * drift
+            ramp *= dt
+            walk += ramp
+            out[a:b] += walk
 
-    t = np.arange(n, dtype=np.float64)
-    t *= dt
     _add_diffused_tone(
-        out, rng, t, dt, noise.tone_20hz_freq, noise.tone_20hz_width, shield * noise.tone_20hz_rms
+        out, rng, dt, noise.tone_20hz_freq, noise.tone_20hz_width, shield * noise.tone_20hz_rms
     )
-    _add_diffused_tone(out, rng, t, dt, noise.air_freq, noise.air_width, shield * noise.air_rms)
+    _add_diffused_tone(out, rng, dt, noise.air_freq, noise.air_width, shield * noise.air_rms)
 
     total_power = noise.tone_200hz_rms**2
     split = np.asarray(noise.acoustic_power_split, dtype=np.float64)
     split = split / split.sum()
     for freq, frac in zip(noise.acoustic_freqs, split):
-        _add_diffused_tone(out, rng, t, dt, freq, 0.0, math.sqrt(total_power * frac))
+        _add_diffused_tone(out, rng, dt, freq, 0.0, math.sqrt(total_power * frac))
     return out
 
 
@@ -213,17 +247,42 @@ def _pi_lock_loop(
     return residual, -1
 
 
-# Samples per block of the linear lock response.  256 keeps the Toeplitz at
-# 256 x 512 and leaves n / 256 steps (~2.3k at the defaults) to the Python
-# recurrence over block starts.
-_BLOCK = 256
-
 # Relative distance from the output limits and from the 1e3 rad divergence
 # band inside which the linear response hands the trace to the loop.  Taken
 # relative to the largest term of the PI output, it is ~1e9 times the
 # rounding by which the two differ, so a sample the linear response accepts
 # takes the unsaturated branch in the loop as well.
 _GUARD_MARGIN = 1e-6
+
+
+# Blocks per group in which the linear response is built and written over
+# the disturbance.  A group of one block would go through a matrix-vector
+# product, whose rounding differs from the matrix product's, so a one-block
+# tail joins the group before it.
+_GROUP = 64
+
+
+def _blocks(x: np.ndarray) -> np.ndarray:
+    """``x`` as zero-padded rows of ``_BLOCK`` samples.
+
+    A view when ``x`` heads a zero-filled buffer of whole blocks, as
+    :func:`generate_noise` returns it; a padded copy otherwise.
+    """
+    rows = -(-x.size // _BLOCK)
+    buf = x.base
+    if (
+        buf is not None
+        and buf.shape == (rows * _BLOCK,)
+        and buf.dtype == x.dtype == np.float64
+        and buf.flags.writeable
+        and x.strides == buf.strides
+        and x.ctypes.data == buf.ctypes.data
+        and not buf[x.size :].any()
+    ):
+        return buf.reshape(rows, _BLOCK)
+    e = np.zeros((rows, _BLOCK))
+    e.ravel()[: x.size] = x
+    return e
 
 
 def _linear_lock_response(
@@ -236,7 +295,7 @@ def _linear_lock_response(
     actuator_gain: float,
     actuator_alpha: float,
 ) -> np.ndarray | None:
-    """Residual of :func:`_pi_lock_loop` for a loop that never saturates.
+    """Residual of :func:`_pi_lock_loop` for a loop that never saturates, written over ``noise``.
 
     Unsaturated, the loop is linear in the state x = (integral, actuation):
     ``x_{i+1} = A x_i + b e_i`` with ``e_i = noise_i`` and residual
@@ -244,11 +303,15 @@ def _linear_lock_response(
     samples.  The response of every block to its own disturbance is one
     matrix product against the Toeplitz of ``A^j b``, the block-start states
     follow a short recurrence in ``A^L``, and their free response ``A^j x``
-    is one more product.
+    is one more product.  Once the block starts are known, the response is
+    built group by group of ``_GROUP`` blocks, and each group's residual
+    overwrites its disturbance.
 
     Returns None, and the caller runs the loop, when A is unstable, or when
     any output ``u_i = -kp r_i + ki I_i`` comes within ``_GUARD_MARGIN`` of
-    the limits or any ``|r_i|`` of the divergence band.
+    the limits or any ``|r_i|`` of the divergence band.  The guard reads the
+    running extremes of u and r.  After a None, ``noise`` may hold part of
+    the residual, so the caller draws the disturbance again.
     """
     ag = actuator_alpha * actuator_gain
     a = np.array([[1.0, -dt], [ag * ki, 1.0 - actuator_alpha - ag * kp]])
@@ -256,9 +319,7 @@ def _linear_lock_response(
     if np.abs(np.linalg.eigvals(a)).max() > 1.0:
         return None  # A^L could overflow; the loop reports the divergence
     n, L = noise.shape[0], _BLOCK
-    n_blocks = -(-n // L)
-    e = np.zeros((n_blocks, L))
-    e.ravel()[:n] = noise
+    e = _blocks(noise)
 
     powers = np.empty((L + 1, 2, 2))  # A^j
     powers[0] = np.eye(2)
@@ -266,7 +327,8 @@ def _linear_lock_response(
         powers[j + 1] = a @ powers[j]
     impulse = (powers[:L] @ b).T  # (2, L): A^k b
 
-    # block-start states: x_(k+1) = A^L x_k + sum_m A^(L-1-m) b e_(k,m)
+    # block-start states: x_(k+1) = A^L x_k + sum_m A^(L-1-m) b e_(k,m).  The
+    # product is taken over all blocks at once: grouped, its rounding differs
     block_end = e @ impulse[:, ::-1].T
     (p00, p01), (p10, p11) = powers[L].tolist()
     s0 = s1 = 0.0
@@ -277,35 +339,45 @@ def _linear_lock_response(
     starts = np.array(starts)
 
     # per state component: the in-block forced response plus the free
-    # response A^j x_start.  Both sums run in place, the actuation's first, so
-    # that it turns into the residual r = act + e and e is freed once the
-    # integral's product is taken
+    # response A^j x_start
     lag = np.arange(L) - np.arange(L)[:, None] - 1
 
     def toeplitz(c: int) -> np.ndarray:  # [m, j] = (A^(j-1-m) b)[c] for m < j
         return np.where(lag >= 0, impulse[c][np.maximum(lag, 0)], 0.0)
 
-    residual = e @ toeplitz(1)
-    residual += starts @ powers[:L, 1].T
-    residual += e
-    integral = e @ toeplitz(0)
-    del e
-    integral += starts @ powers[:L, 0].T
-    residual = residual.ravel()[:n]
-    u = integral.ravel()[:n]  # u = ki I - kp r, in the integral's array
-    u *= ki
-    u -= kp * residual
+    forced_i, forced_r = toeplitz(0), toeplitz(1)
+    free_i, free_r = powers[:L, 0].T, powers[:L, 1].T
+    edges = list(range(0, len(e), _GROUP))
+    if len(e) - edges[-1] == 1 and len(edges) > 1:
+        edges.pop()
+    extremes = []
+    for lo, hi in zip(edges, edges[1:] + [len(e)]):
+        group, start = e[lo:hi], starts[lo:hi]
+        residual = group @ forced_r
+        residual += start @ free_r
+        residual += group
+        u = group @ forced_i  # the integral, then u = ki I - kp r in its array
+        u += start @ free_i
+        u *= ki
+        u -= kp * residual
+        group[...] = residual
+        valid = min(n - lo * L, group.size)  # the padding of the last block is no sample
+        r, u = residual.ravel()[:valid], u.ravel()[:valid]
+        extremes.append((r.min(), r.max(), u.min(), u.max()))
+    extremes = np.array(extremes)  # a NaN anywhere reaches these reductions
 
-    r_max = max(residual.max(), -residual.min())
+    r_max = max(extremes[:, 1].max(), -extremes[:, 0].min())
     # unsaturated, |ki I| <= |u| + kp |r|: this bounds every term of u
     margin = _GUARD_MARGIN * (max(abs(out_min), abs(out_max)) + kp * r_max)
     if not (
-        np.all(u > out_min + margin)
-        and np.all(u < out_max - margin)
+        extremes[:, 2].min() > out_min + margin
+        and extremes[:, 3].max() < out_max - margin
         and r_max < 1e3 * (1.0 - _GUARD_MARGIN)
     ):
         return None
-    return residual
+    if e.base is None:  # a padded copy: write the residual over noise
+        noise[:] = e.ravel()[:n]
+    return noise
 
 
 def simulate_lock(
@@ -345,11 +417,12 @@ def simulate_lock(
     if pi.kp == 0.0 and pi.ki == 0.0:
         raise ValueError("lock enabled but both gains are zero")
     alpha = 1.0 - math.exp(-2.0 * math.pi * actuator.bandwidth_hz * dt)
-    args = (disturbance, dt, pi.kp, pi.ki, *pi.output_limits, actuator.gain, alpha)
-    residual = _linear_lock_response(*args)
+    args = (dt, pi.kp, pi.ki, *pi.output_limits, actuator.gain, alpha)
+    residual = _linear_lock_response(disturbance, *args)
     diverged_at = -1
     if residual is None:  # saturation, divergence or an unstable loop
-        residual, diverged_at = _pi_lock_loop(*args)
+        # the linear response may have written over the disturbance: draw it again
+        residual, diverged_at = _pi_lock_loop(generate_noise(noise, n, dt), *args)
     if diverged_at >= 0:
         raise LockDivergenceError(
             f"loop diverged at t={diverged_at * dt:.3f}s with kp={pi.kp}, ki={pi.ki}"
@@ -365,6 +438,25 @@ FOUR_CONDITIONS = (
 )
 
 
+def _condition_plan(
+    noise: NoiseModel, pi_fast: PiConfig
+) -> list[tuple[str, PiConfig | None, NoiseModel]]:
+    """Label, controller (None: lock off) and noise model of each standard condition.
+
+    The conditions come in ``FOUR_CONDITIONS`` order, each on an independent
+    child seed derived from the model's base seed, mirroring independently
+    acquired measurements.
+    """
+    children = np.random.SeedSequence(noise.seed).spawn(4)
+    seeds = [int(c.generate_state(1)[0]) for c in children]
+    gains = (None, None, pi_fast, pi_fast)
+    boxes = (False, True, False, True)
+    return [
+        (label, pi, replace(noise, box_closed=closed, seed=seed))
+        for label, pi, closed, seed in zip(FOUR_CONDITIONS, gains, boxes, seeds)
+    ]
+
+
 def four_conditions(
     noise: NoiseModel,
     pi_fast: PiConfig,
@@ -374,20 +466,10 @@ def four_conditions(
 ) -> dict[str, PhaseTrace]:
     """The four standard operating conditions: {lock off, fast lock} x {box}.
 
-    Each condition runs on an independent child seed derived from the model's
-    base seed, mirroring independently acquired measurements.
+    Each condition runs on its own child seed of the model's base seed; see
+    :func:`_condition_plan`.
     """
-    children = np.random.SeedSequence(noise.seed).spawn(4)
-    seeds = [int(c.generate_state(1)[0]) for c in children]
-    plan = [
-        (FOUR_CONDITIONS[0], None, False, seeds[0]),
-        (FOUR_CONDITIONS[1], None, True, seeds[1]),
-        (FOUR_CONDITIONS[2], pi_fast, False, seeds[2]),
-        (FOUR_CONDITIONS[3], pi_fast, True, seeds[3]),
-    ]
-    out: dict[str, PhaseTrace] = {}
-    for label, pi, closed, seed in plan:
-        cfg = replace(noise, box_closed=closed, seed=seed)
-        out[label] = simulate_lock(duration, dt, pi, actuator, cfg)
-    return out
-
+    return {
+        label: simulate_lock(duration, dt, pi, actuator, model)
+        for label, pi, model in _condition_plan(noise, pi_fast)
+    }

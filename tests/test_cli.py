@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -195,6 +196,17 @@ class TestLockCommand:
             assert len(rows) == 6  # m = 64 .. 2048 octaves
             meta_asd, _, _ = parse_table((out / f"asd_{label}.csv").read_text())
             assert meta_asd["window"] == "hann"
+
+    def test_workers_change_no_byte(self, tmp_path, monkeypatch):
+        # two seeds: the bands reduce over tasks that may finish out of order
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(cli.WORKER_ENV, workers)
+            code, out = run_cli(["lock"] + SMALL_LOCK, tmp_path, f"workers{workers}")
+            assert code == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"})
+        assert len(outputs[0]) == 13  # 9 tables and 4 traces
+        assert outputs[0] == outputs[1]
 
     def test_zero_noise_allan_is_zero(self, tmp_path):
         args = ["lock"] + SMALL_LOCK + [
@@ -542,6 +554,21 @@ class TestErrorHandling:
         assert err.startswith(f"error: invalid {section} configuration") and key in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diverging_lock_exits_with_error(self, tmp_path, capsys, monkeypatch, workers):
+        # the locked conditions cannot follow this drift; at 2 workers they fail on a pool thread
+        monkeypatch.setenv(cli.WORKER_ENV, workers)
+        out = tmp_path / "d"
+        code = main([
+            "lock", "--set", "lock.n_seeds=1", "--set", "lock.duration_s=1",
+            "--set", "lock.noise_drift_rate=1e4", "--set", "lock.allan_max_m=64",
+            "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: loop diverged") and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["sweep-mi", "--config", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "z")])
@@ -747,6 +774,18 @@ class TestBenchmarkHooks:
         assert isinstance(cli.WORKER_ENV, str)
         assert cli._workers() >= 1
 
+    def test_workers_default_to_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.delenv(cli.WORKER_ENV, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert cli._workers() == 1  # pinned to one of the 8
+        monkeypatch.delattr(cli.os, "sched_getaffinity")  # a platform without it
+        assert cli._workers() == 8
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        assert cli._workers() == 1
+        monkeypatch.setenv(cli.WORKER_ENV, "3")
+        assert cli._workers() == 3
+
     def test_run_calls_command_through_module(self, tmp_path, monkeypatch):
         calls = []
         cmd_skellam = cli.cmd_skellam
@@ -858,6 +897,35 @@ class TestFailedWrite:
             _write_outputs(outdir, self.TABLES, "csv", {"timings_s": {"compute": 0.0}}, self.TRACES)
         assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
         assert (outdir / "notes.txt").read_text() == "keep me\n"
+
+    def test_failure_while_writes_are_in_flight(self, tmp_path, monkeypatch):
+        # trace b fails while trace a is being written on the other pool
+        # thread; a lands after the failure and must go with everything else
+        monkeypatch.setenv(cli.WORKER_ENV, "2")
+        a_started, a_done, b_failed = threading.Event(), threading.Event(), threading.Event()
+        write_trace = cli.write_trace_csv
+
+        def racing_write(path, trace):
+            name = Path(path).name
+            if name.startswith(".trace_b."):
+                assert a_started.wait(10)
+                Path(path).write_bytes(b"partial")
+                b_failed.set()
+                raise OSError("disk full")
+            if name.startswith(".trace_a."):
+                a_started.set()
+                assert b_failed.wait(10)
+            write_trace(path, trace)
+            if name.startswith(".trace_a."):
+                a_done.set()
+
+        monkeypatch.setattr(cli, "write_trace_csv", racing_write)
+        traces = {k: PhaseTrace(np.zeros(4), 0.1) for k in "abc"}
+        outdir = tmp_path / "new" / "out"
+        with pytest.raises(OSError, match="disk full"):
+            _write_outputs(outdir, self.TABLES, "csv", {"timings_s": {"compute": 0.0}}, traces)
+        assert a_done.is_set()  # the pool let the write in flight finish first
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStartup:

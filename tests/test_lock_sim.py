@@ -10,6 +10,7 @@ from wfhsim import lock_sim
 from wfhsim.config import load_config
 from wfhsim.lock_sim import (
     _BLOCK,
+    _GROUP,
     FOUR_CONDITIONS,
     ActuatorModel,
     LockDivergenceError,
@@ -242,13 +243,16 @@ class TestLinearLockResponse:
         nm, dt, actuator = NoiseModel(seed=2), 1e-4, ActuatorModel()
         wide = PiConfig(kp=60.0, ki=4000.0, output_limits=(-100.0, 100.0))
         narrow = PiConfig(kp=60.0, ki=4000.0, output_limits=(-0.05, 0.05))
-        disturbance = generate_noise(nm, 20_000, dt)
+
+        def fresh(pi):  # the linear response writes over the disturbance it is given
+            return loop_args(generate_noise(nm, 20_000, dt), dt, pi, actuator)
+
         # the same stable gains stay linear inside +-100 and saturate at +-0.05
-        assert _linear_lock_response(*loop_args(disturbance, dt, wide, actuator)) is not None
-        assert _linear_lock_response(*loop_args(disturbance, dt, narrow, actuator)) is None
+        assert _linear_lock_response(*fresh(wide)) is not None
+        assert _linear_lock_response(*fresh(narrow)) is None
         trace = simulate_lock(2.0, dt, narrow, actuator, nm)
         assert len(loop_calls) == 1
-        expected, _ = _pi_lock_loop(*loop_args(disturbance, dt, narrow, actuator))
+        expected, _ = _pi_lock_loop(*fresh(narrow))
         assert np.array_equal(trace.samples, expected)
 
     def test_divergence_runs_the_loop(self, loop_calls):
@@ -256,10 +260,12 @@ class TestLinearLockResponse:
         nm = NoiseModel(seed=3, **dict(QUIET, drift_rate=2e4))
         dt, actuator = 1e-4, ActuatorModel()
         pi = PiConfig(kp=0.6, ki=40.0, output_limits=(-1e6, 1e6))
-        disturbance = generate_noise(nm, 20_000, dt)
-        args = loop_args(disturbance, dt, pi, actuator)
-        assert _linear_lock_response(*args) is None
-        expected, at = _pi_lock_loop(*args)
+
+        def fresh():  # the linear response writes over the disturbance it is given
+            return loop_args(generate_noise(nm, 20_000, dt), dt, pi, actuator)
+
+        assert _linear_lock_response(*fresh()) is None
+        expected, at = _pi_lock_loop(*fresh())
         assert at > 0
         with pytest.raises(LockDivergenceError, match=f"t={at * dt:.3f}s"):
             simulate_lock(2.0, dt, pi, actuator, nm)
@@ -298,7 +304,10 @@ def bits(x):
 
 
 # n = 785 is three 256-sample blocks and a partial one; at dt = 1.3e-4 the
-# acoustic lines are not commensurate with the sampling
+# acoustic lines are not commensurate with the sampling.  The last two cases
+# leave one partial block after five whole groups, which joins the group
+# before it, and end exactly on a group edge; both hold more than one noise
+# chunk, so the random walks carry across chunks
 INPLACE_CASES = {
     "open": (NoiseModel(seed=11), 20_000, 1e-4),
     "closed": (NoiseModel(seed=12, box_closed=True), 20_000, 1e-4),
@@ -306,6 +315,8 @@ INPLACE_CASES = {
     "width-0-tone": (NoiseModel(seed=14, tone_20hz_width=0.0), 20_000, 1e-4),
     "incommensurate": (NoiseModel(seed=15), 20_000, 1.3e-4),
     "partial-block": (NoiseModel(seed=16, box_closed=True), 785, 1e-4),
+    "one-block-tail": (NoiseModel(seed=17), 5 * _GROUP * _BLOCK + 100, 1e-4),
+    "group-edge": (NoiseModel(seed=18, box_closed=True), 8 * _GROUP * _BLOCK, 1e-4),
 }
 
 
@@ -335,9 +346,15 @@ class TestInPlaceMatchesReference:
 
 
 class TestPeakMemory:
-    """Peak traced allocation of one trace, in trace-sized arrays of 8 n bytes."""
+    """Peak traced allocation of one trace, in trace-sized arrays of 8 n bytes.
+
+    The trace is the one array that grows with n: the noise chunks and the
+    groups of the linear response do not, nor does the Toeplitz, which is most
+    of what a 200k-sample trace holds beyond it.
+    """
 
     N = 200_000
+    DEFAULT_N = 600_000  # 60 s at 1e-4 s, the shipped lock study's trace
 
     @staticmethod
     def _peak_arrays(fn, n):
@@ -350,16 +367,27 @@ class TestPeakMemory:
             tracemalloc.stop()
         return peak / (8 * n)
 
-    def test_noise_synthesis(self):
+    def _noise(self, n):
         noise, dt = CONFIG.noise_model(seed=1), CONFIG["lock.dt_s"]
-        assert self._peak_arrays(lambda: generate_noise(noise, self.N, dt), self.N) <= 4.5
+        return self._peak_arrays(lambda: generate_noise(noise, n, dt), n)
+
+    def _locked(self, n):
+        noise, dt = CONFIG.noise_model(seed=1), CONFIG["lock.dt_s"]
+        return self._peak_arrays(
+            lambda: simulate_lock(n * dt, dt, FAST_PI, CONFIG.actuator(), noise), n
+        )
+
+    def test_noise_synthesis(self):
+        assert self._noise(self.N) <= 2.25
 
     def test_locked_simulation(self):
-        noise, dt = CONFIG.noise_model(seed=1), CONFIG["lock.dt_s"]
-        peak = self._peak_arrays(
-            lambda: simulate_lock(self.N * dt, dt, FAST_PI, CONFIG.actuator(), noise), self.N
-        )
-        assert peak <= 5.5
+        assert self._locked(self.N) <= 2.5
+
+    def test_noise_synthesis_at_default_size(self):
+        assert self._noise(self.DEFAULT_N) <= 1.5
+
+    def test_locked_simulation_at_default_size(self):
+        assert self._locked(self.DEFAULT_N) <= 2.25
 
 
 class TestFourConditions:
