@@ -167,23 +167,23 @@ def cmd_sweep_kgr(config: RunConfig) -> list[Table]:
     return _loss_sweep(config, "sweep_kgr", header, one_point, meta)
 
 
-def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
-    """Four-condition lock study: traces, Allan bands, spectral bands.
+def _lock_runs(config: RunConfig) -> tuple[dict[str, list], dict]:
+    """Every (seed, condition) trace of the lock study, each one task on the pool.
 
-    Each (seed, condition) trace is one task on the pool, reduced to its
-    Allan curve, spectrum and RMS; only the first seed's traces are kept.
+    Each trace is reduced to its Allan curve, spectrum and RMS; returns
+    ``{condition: [(allan, spectrum, rms), ...]}`` in seed order, so every
+    band reduces as serially, and the first seed's traces.
     """
     duration = float(config["lock.duration_s"])
     dt = float(config["lock.dt_s"])
-    n_seeds = int(config["lock.n_seeds"])
-    base_seed = int(config["lock.seed"])
     ms = config.lock_taus()
     seg = _sample_count(float(config["lock.asd_segment_s"]), dt)
     overlap = float(config["lock.asd_overlap"])
     actuator, pi_fast = config.actuator(), config.pi_fast()
+    base_seed = int(config["lock.seed"])
     tasks = [
         (s, label, pi, model)
-        for s in range(n_seeds)
+        for s in range(int(config["lock.n_seeds"]))
         for label, pi, model in _condition_plan(config.noise_model(base_seed + s), pi_fast)
     ]
 
@@ -193,47 +193,42 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
         allan = overlapping_allan(trace, ms)
         return allan, asd(trace, seg, overlap), rms_phase(trace), trace if s == 0 else None
 
-    allan_curves = {c: [] for c in FOUR_CONDITIONS}
-    spectra = {c: [] for c in FOUR_CONDITIONS}
-    rms = {c: [] for c in FOUR_CONDITIONS}
+    runs = {c: [] for c in FOUR_CONDITIONS}
     first_traces = {}
-    # the tasks come back in seed order, so every band reduces as serially
     for (_, label, _, _), (allan, spectrum, r, trace) in zip(tasks, _map_grid(run_task, tasks)):
-        allan_curves[label].append(allan.adev)
-        spectra[label].append(spectrum.asd)
-        rms[label].append(r)
-        taus, freqs = allan.taus, spectrum.freqs
+        runs[label].append((allan, spectrum, r))
         if trace is not None:
             first_traces[label] = trace
+    return runs, first_traces
 
-    tables = []
+
+def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
+    """Four-condition lock study: traces, Allan bands, spectral bands."""
+    runs, first_traces = _lock_runs(config)
+    allan, spectrum, _ = runs[FOUR_CONDITIONS[0]][0]
     meta_common = {
-        "duration_s": duration,
-        "dt_s": dt,
-        "n_seeds": n_seeds,
-        "seed": base_seed,
+        "duration_s": float(config["lock.duration_s"]),
+        "dt_s": float(config["lock.dt_s"]),
+        "n_seeds": int(config["lock.n_seeds"]),
+        "seed": int(config["lock.seed"]),
     }
     asd_meta = {
         **meta_common,
         "window": "hann",
-        "overlap": overlap,
+        "overlap": float(config["lock.asd_overlap"]),
         "segment_s": config["lock.asd_segment_s"],
     }
+    tables, summary = [], []
     for label in FOUR_CONDITIONS:
+        curves, spectra, rms = zip(*runs[label])
+        adevs, asds = [c.adev for c in curves], [sp.asd for sp in spectra]
         tables += [
-            _band_table(f"allan_{label}", "tau_s", "adev", taus, allan_curves[label], meta_common),
-            _band_table(f"asd_{label}", "freq_hz", "asd", freqs, spectra[label], asd_meta),
+            _band_table(f"allan_{label}", "tau_s", "adev", allan.taus, adevs, meta_common),
+            _band_table(f"asd_{label}", "freq_hz", "asd", spectrum.freqs, asds, asd_meta),
         ]
+        summary.append((label, float(np.mean(rms)), float(np.std(rms))))
     tables.append(
-        Table(
-            name="lock_summary",
-            header=["condition", "rms_mean", "rms_std"],
-            rows=[
-                (label, float(np.mean(rms[label])), float(np.std(rms[label])))
-                for label in FOUR_CONDITIONS
-            ],
-            meta=dict(meta_common),
-        )
+        Table("lock_summary", ["condition", "rms_mean", "rms_std"], summary, dict(meta_common))
     )
     return tables, first_traces
 

@@ -4,9 +4,11 @@ All floats are printed with 17 significant digits so re-parsing reproduces
 the exact double; CSV files use LF endings, a mandatory header row, and
 optional ``# key=value`` metadata comment lines.
 
-Trace CSVs, the largest outputs, go through a numpy formatter that writes
-the bytes of ``%.17g`` in bounded blocks; a block with any cell it cannot
-place exactly (non-finite, extreme or near-tie) is rendered by ``%`` itself.
+Trace CSVs, the largest outputs, hold a ``# dt=`` line, a ``value`` header
+and one sample per row; readers also take the legacy ``t_s,value`` layout.
+Their rows go through a numpy formatter that writes the bytes of ``%.17g``
+in bounded blocks; a block with any cell it cannot place exactly
+(non-finite, extreme or near-tie) is rendered by ``%`` itself.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ TRACE_MAGIC = b"WFTRACE1"
 # Rows per vectorized block: a fixed bound on the transient arrays, small
 # enough that they stay in a core's L2 cache.
 _BLOCK_ROWS = 8192
-_ROW = "%.17g,%.17g\n"
+_ROW = "%.17g\n"
 # The fast path takes 1e-250 <= |x| <= 1e250, where no step of the Dekker
 # product overflows or leaves the normal range.  Its tables cover decimal
 # exponents one wider, since floor(log10) may be off by one.
@@ -105,7 +107,7 @@ _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's split of a 53-bit significand
 # A cell is 32 bytes, read as four little-endian words: the sign at byte 0,
 # the fixed-notation head ("0." and zeros) at 1..5, 18 body bytes at 6..23
 # (17 digits with a point after the first ``point``), the "e+XX" tail at
-# 24..28 and the separator at 29.  Unused bytes are NUL and get deleted.
+# 24..28 and the newline at 29.  Unused bytes are NUL and get deleted.
 _CELL = 32
 _BODY = 6
 
@@ -239,20 +241,18 @@ def _g17_cells(x):
     return words, exact
 
 
-def _percent_rows(cells) -> bytes:
-    """The exact formatter: ``(k, 2)`` cells as ``k`` rows of ``%``."""
-    return ((_ROW * len(cells)) % tuple(cells.ravel().tolist())).encode()
+def _percent_rows(values) -> bytes:
+    """The exact formatter: ``k`` values as ``k`` rows of ``%``."""
+    return ((_ROW * len(values)) % tuple(values.tolist())).encode()
 
 
-def _g17_rows(t, v) -> bytes:
-    """The bytes of ``_ROW * len(t) % cells`` for one block of rows; a block
-    with any cell the fast path leaves to ``%`` is rendered by ``%`` whole."""
-    cells = np.column_stack((t, v))
-    words, exact = _g17_cells(cells.ravel())
+def _g17_rows(values) -> bytes:
+    """The bytes of ``_ROW * len(values) % values`` for one block of rows; a
+    block with any cell the fast path leaves to ``%`` is rendered by ``%`` whole."""
+    words, exact = _g17_cells(values)
     if exact.any():
-        return _percent_rows(cells)
-    words[0::2, 3] |= np.uint64(ord(",") << 40)
-    words[1::2, 3] |= np.uint64(ord("\n") << 40)
+        return _percent_rows(values)
+    words[:, 3] |= np.uint64(ord("\n") << 40)
     # numpy drops the NULs without the interpreter lock, which bytes.translate
     # holds, so trace writes on pool threads overlap
     text = words.view(np.uint8).ravel()
@@ -260,37 +260,39 @@ def _g17_rows(t, v) -> bytes:
 
 
 def write_trace_csv(path: Path | str, trace: PhaseTrace) -> None:
-    r"""Write ``t_s,value`` rows, ``t_s = i * dt``, after a ``# dt=`` line.
+    r"""Write a ``# dt=`` line, a ``value`` header and one sample per row.
 
-    The body is exactly the bytes of ``("%.17g,%.17g\n" * n) % cells``, the
-    same as :func:`render_table` rows (17 significant digits).  It is built
-    in fixed blocks of ``_BLOCK_ROWS`` rows by a numpy formatter: each cell's
-    17 digits come from rounding a double-double product with a power of
-    ten, and the ``%g`` layout (fixed for exponents -4..16, else ``e+XX``,
-    trailing zeros stripped) from lookup tables; zero prints as ``0`` or
-    ``-0``.  A block with a cell that is non-finite, nonzero outside
-    [1e-250, 1e250], within 1e-9 of a rounding tie or a few ulps from a power
-    of ten is rendered by ``%`` whole, so every tie is CPython's to break.
-    ``float(i) * dt`` equals ``i * dt`` for every ``i < 2**53``.
+    Sample ``i`` is at time ``i * dt``, which the ``# dt=`` line fixes, so no
+    time column is written.  The body is exactly the bytes of
+    ``("%.17g\n" * n) % samples``, the same as :func:`render_table` rows (17
+    significant digits).  It is built in fixed blocks of ``_BLOCK_ROWS`` rows
+    by a numpy formatter: each cell's 17 digits come from rounding a
+    double-double product with a power of ten, and the ``%g`` layout (fixed
+    for exponents -4..16, else ``e+XX``, trailing zeros stripped) from lookup
+    tables; zero prints as ``0`` or ``-0``.  A block with a cell that is
+    non-finite, nonzero outside [1e-250, 1e250], within 1e-9 of a rounding
+    tie or a few ulps from a power of ten is rendered by ``%`` whole, so
+    every tie is CPython's to break.
     """
     samples = np.asarray(trace.samples, dtype=np.float64)
     with open(path, "wb") as fh:
-        fh.write(render_table(["t_s", "value"], [], meta={"dt": trace.dt}).encode())
+        fh.write(render_table(["value"], [], meta={"dt": trace.dt}).encode())
         for start in range(0, len(samples), _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, len(samples))
-            fh.write(_g17_rows(np.arange(start, stop) * trace.dt, samples[start:stop]))
+            fh.write(_g17_rows(samples[start : start + _BLOCK_ROWS]))
 
 
 def read_trace_csv(path: Path | str) -> PhaseTrace:
-    """Read a trace written by :func:`write_trace_csv`.
+    """Read a trace written by :func:`write_trace_csv`, or a legacy ``t_s,value`` trace.
 
     The lines up to the first data row (``# key=value`` metadata, blank
     lines, the header) are read with the grammar of :func:`parse_table`; the
     rows go to one ``np.loadtxt`` call, which rounds every cell to the same
-    double as ``float``.  Later ``#`` lines are plain comments.  ``dt`` comes
-    from the ``# dt=`` line, or else from the first two ``t_s`` cells.  A
-    malformed row (fewer than two cells, a non-numeric cell, a line of only
-    spaces) raises ``ValueError``.
+    double as ``float``.  Later ``#`` lines are plain comments.  The header
+    is ``value`` (one cell a row) or the legacy ``t_s,value`` (two numeric
+    cells a row).  ``dt`` comes from the ``# dt=`` line, or else from the
+    first two ``t_s`` cells; a trace with neither raises ``ValueError``.  So
+    does a malformed row (a legacy row of fewer than two cells, a ``value``
+    row of more than one, a non-numeric cell, a line of only spaces).
     """
     meta: dict = {}
     header: list[str] | None = None
@@ -307,22 +309,28 @@ def read_trace_csv(path: Path | str) -> PhaseTrace:
             first_row = None  # no data row
     if header is None:
         raise ValueError("no header row found")
-    if header[:2] != ["t_s", "value"]:
+    legacy = header[:2] == ["t_s", "value"]
+    if not legacy and header != ["value"]:
         raise ValueError(f"unexpected trace header {header}")
+    if "dt" not in meta and not legacy:
+        raise ValueError("trace has no '# dt=' line and no t_s column to infer dt from")
+    width = 2 if legacy else 1
     if first_row is None:
-        cells = np.empty((0, 2))
+        cells = np.empty((0, width))
     else:
         cells = np.loadtxt(
             path, delimiter=",", comments="#", skiprows=first_row,
-            usecols=(0, 1), ndmin=2,
+            usecols=(0, 1) if legacy else None, ndmin=2,
         )
+    if cells.shape[1] != width:
+        raise ValueError(f"trace rows hold {cells.shape[1]} cells, the header names one")
     if "dt" in meta:
         dt = float(meta["dt"])
     else:
         if len(cells) < 2:
             raise ValueError("cannot infer dt from fewer than 2 samples")
         dt = float(cells[1, 0] - cells[0, 0])
-    return PhaseTrace(samples=np.ascontiguousarray(cells[:, 1]), dt=dt)
+    return PhaseTrace(samples=np.ascontiguousarray(cells[:, -1]), dt=dt)
 
 
 def write_trace_bin(path: Path | str, trace: PhaseTrace) -> None:

@@ -3,10 +3,9 @@ from dataclasses import dataclass, field
 
 import pytest
 
+from wfhsim.cli import _lock_runs
 from wfhsim.config import RunConfig, load_config
 from wfhsim.constellation import build_psk
-from wfhsim.lock_sim import four_conditions
-from wfhsim.phase_metrology import asd, overlapping_allan, rms_phase
 from wfhsim.wf_receiver import WfReceiverParams
 
 # verdict lines collected by the acceptance tests, echoed after the run
@@ -67,26 +66,16 @@ class LockStudy:
 def default_lock_study():
     """The shipped four-condition lock study (10 seeds, 60 s at 1e-4 s), run once.
 
-    Criterion 10 and the lock RMS calibration test both read it.  Each seed's
-    traces are reduced to RMS, Allan deviation and ASD and then dropped.
+    Criterion 10 and the lock RMS calibration test both read it.  The traces
+    run on the pool as in ``wfhsim lock``; each is reduced to RMS, Allan
+    deviation and ASD, in seed order, and then dropped.
     """
     config = load_config()
-    dt = float(config["lock.dt_s"])
-    ms = config.lock_taus()
-    seg = int(round(float(config["lock.asd_segment_s"]) / dt))
     study = LockStudy(config=config)
-    for seed in range(int(config["lock.n_seeds"])):
-        traces = four_conditions(
-            config.noise_model(seed=int(config["lock.seed"]) + seed),
-            config.pi_fast(),
-            float(config["lock.duration_s"]),
-            dt,
-            actuator=config.actuator(),
-        )
-        for label, trace in traces.items():
-            study.rms.setdefault(label, []).append(rms_phase(trace))
-            study.allan.setdefault(label, []).append(overlapping_allan(trace, ms).adev)
-            spectrum = asd(trace, seg, float(config["lock.asd_overlap"]))
-            study.spectra.setdefault(label, []).append(spectrum.asd)
-            study.freqs = spectrum.freqs
+    runs, _ = _lock_runs(config)
+    for label, results in runs.items():
+        study.rms[label] = [r for _, _, r in results]
+        study.allan[label] = [allan.adev for allan, _, _ in results]
+        study.spectra[label] = [spectrum.asd for _, spectrum, _ in results]
+        study.freqs = results[0][1].freqs
     return study

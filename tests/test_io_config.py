@@ -70,8 +70,13 @@ class TestTables:
 
 def reference_trace_csv(trace) -> str:
     """The row-by-row rendering the bulk trace writer must reproduce."""
+    return render_table(["value"], [(v,) for v in trace.samples], meta={"dt": trace.dt})
+
+
+def legacy_trace_csv(trace, dt_line: bool = True) -> str:
+    """The ``t_s,value`` layout that readers still accept, ``t_s = i * dt``."""
     rows = [(i * trace.dt, v) for i, v in enumerate(trace.samples)]
-    return render_table(["t_s", "value"], rows, meta={"dt": trace.dt})
+    return render_table(["t_s", "value"], rows, meta={"dt": trace.dt} if dt_line else None)
 
 
 SPECIAL_VALUES = [
@@ -130,26 +135,87 @@ class TestTraceFiles:
                 read_trace_csv(path)
 
     def test_csv_reader_follows_table_grammar(self, tmp_path):
-        text = (
-            "# dt=0.25\n# source=hand edited\n\nt_s,value\n# a note\n"
-            "0,0.5   \n\n0.25,-1.25e-3\n# dt is unchanged\n 0.5 , 3 \n"
-        )
-        path = tmp_path / "edited.csv"
-        path.write_text(text)
-        meta, _, rows = parse_table(text)
-        back = read_trace_csv(path)
-        assert back.samples.tolist() == [float(r[1]) for r in rows]
-        assert back.dt == float(meta["dt"])
+        # the same hand-edited samples in the legacy and in the value layout
+        for header, rows in [
+            ("t_s,value", ["0,0.5   ", "0.25,-1.25e-3", " 0.5 , 3 "]),
+            ("value", ["0.5   ", "-1.25e-3", " 3 "]),
+        ]:
+            text = (
+                f"# dt=0.25\n# source=hand edited\n\n{header}\n# a note\n"
+                f"{rows[0]}\n\n{rows[1]}\n# dt is unchanged\n{rows[2]}\n"
+            )
+            path = tmp_path / "edited.csv"
+            path.write_text(text)
+            meta, _, cells = parse_table(text)
+            back = read_trace_csv(path)
+            assert back.samples.tolist() == [float(r[-1]) for r in cells] == [0.5, -1.25e-3, 3.0]
+            assert back.dt == float(meta["dt"])
+
+    @pytest.mark.parametrize("dt_line", [True, False], ids=["dt-line", "no-dt-line"])
+    def test_csv_legacy_layout_reads_the_same_samples(self, tmp_path, dt_line):
+        samples = np.concatenate([np.random.default_rng(3).normal(0.0, 0.3, 1000), SPECIAL_VALUES])
+        trace = PhaseTrace(samples, 0.25)  # i * 0.25 is exact, so t_s gives dt exactly
+        new, legacy = tmp_path / "new.csv", tmp_path / "legacy.csv"
+        write_trace_csv(new, trace)
+        legacy.write_text(legacy_trace_csv(trace, dt_line))
+        a, b = read_trace_csv(new), read_trace_csv(legacy)
+        assert a.samples.tobytes() == b.samples.tobytes() == samples.tobytes()
+        assert a.dt == b.dt == trace.dt
+
+    def test_csv_without_dt_line_or_t_s_column_raises(self, tmp_path):
+        path = tmp_path / "bare.csv"
+        path.write_text("value\n0.5\n0.25\n0.75\n")
+        with pytest.raises(ValueError, match="no '# dt=' line and no t_s column"):
+            read_trace_csv(path)
 
     @pytest.mark.parametrize(
-        "row", ["0.2", "0.2,abc", "0.2,", "   "], ids=["one-cell", "text", "empty", "spaces"]
+        "header,row",
+        [
+            ("t_s,value", "0.2"),
+            ("t_s,value", "0.2,abc"),
+            ("t_s,value", "abc,0.5"),
+            ("t_s,value", "0.2,"),
+            ("t_s,value", "   "),
+            ("value", "abc"),
+            ("value", "0.2,0.3"),
+            ("value", "0.2,"),
+            ("value", "   "),
+        ],
+        ids=[
+            "one-cell", "text", "text-t_s", "empty", "spaces",
+            "value-text", "value-two-cells", "value-empty", "value-spaces",
+        ],
     )
-    def test_csv_malformed_row_raises(self, tmp_path, row):
+    def test_csv_malformed_row_raises(self, tmp_path, header, row):
         path = tmp_path / "bad.csv"
-        path.write_text(f"# dt=0.1\nt_s,value\n0,0.5\n0.1,0.25\n{row}\n")
+        good = "0,0.5\n0.1,0.25" if header == "t_s,value" else "0.5\n0.25"
+        path.write_text(f"# dt=0.1\n{header}\n{good}\n{row}\n")
         with pytest.raises(ValueError):
             read_trace_csv(path)
         assert main(["allan", "--input", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    def test_csv_value_rows_of_two_cells_raise(self, tmp_path):
+        path = tmp_path / "mislabelled.csv"
+        path.write_text("# dt=0.1\nvalue\n0,0.5\n0.1,0.25\n")
+        with pytest.raises(ValueError, match="hold 2 cells"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("command", ["allan", "asd"])
+    def test_cli_tables_match_for_both_layouts(self, tmp_path, command):
+        trace = PhaseTrace(np.random.default_rng(5).normal(0.0, 0.1, 4000), 1e-4)
+        tables = []
+        for layout in ("value", "legacy"):
+            path = tmp_path / layout / "trace.csv"  # one file name: it is in the table meta
+            path.parent.mkdir()
+            if layout == "value":
+                write_trace_csv(path, trace)
+            else:
+                path.write_text(legacy_trace_csv(trace))
+            out = tmp_path / f"{layout}-out"
+            args = [command, "--input", str(path), "--out", str(out)]
+            assert main(args + (["--segment-s", "0.05"] if command == "asd" else [])) == 0
+            tables.append((out / f"{command}.csv").read_bytes())
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize("command", ["allan", "asd"])
     @pytest.mark.parametrize("fmt", ["csv", "bin"])
@@ -206,10 +272,9 @@ class TestTraceFiles:
         assert "header line" in capsys.readouterr().err
 
 
-def percent_rows(t, v) -> bytes:
+def percent_rows(values) -> bytes:
     """The ``%`` rendering the vectorized trace formatter must reproduce."""
-    cells = np.column_stack((t, v)).ravel().tolist()
-    return (("%.17g,%.17g\n" * len(t)) % tuple(cells)).encode()
+    return (("%.17g\n" * len(values)) % tuple(values.tolist())).encode()
 
 
 def fast_cells(x) -> tuple[list[str], list[float]]:
@@ -219,14 +284,13 @@ def fast_cells(x) -> tuple[list[str], list[float]]:
     return text, x[~exact].tolist()
 
 
-def assert_rows_match(t, v=None):
-    """The block renders exactly as ``%`` does, and so does every cell the
-    fast path does not flag, even where a flagged cell sends the block to
-    ``%``.  Without ``v``, the second column is ``t`` reversed."""
-    t = np.asarray(t, dtype=np.float64)
-    v = t[::-1].copy() if v is None else np.asarray(v, dtype=np.float64)
-    assert _g17_rows(t, v) == percent_rows(t, v)
-    text, cells = fast_cells(np.concatenate([t, v]))
+def assert_rows_match(*columns):
+    """The values of every column, as one block of rows, render exactly as
+    ``%`` does, and so does every cell the fast path does not flag, even where
+    a flagged cell sends the block to ``%``."""
+    values = np.concatenate([np.asarray(c, dtype=np.float64) for c in columns])
+    assert _g17_rows(values) == percent_rows(values)
+    text, cells = fast_cells(values)
     assert text == ["%.17g" % x for x in cells]
 
 
@@ -235,9 +299,9 @@ def percent_calls(monkeypatch) -> list:
     calls = []
     percent_rows_of = wfhsim.io._percent_rows
 
-    def recording(cells):
-        calls.append(len(cells))
-        return percent_rows_of(cells)
+    def recording(values):
+        calls.append(len(values))
+        return percent_rows_of(values)
 
     monkeypatch.setattr(wfhsim.io, "_percent_rows", recording)
     return calls
@@ -336,7 +400,9 @@ class TestTraceFormatter:
         write_trace_csv(path, trace)
         assert (len(trace), trace.dt) == (600_000, 1e-4)
         assert calls == []
-        assert path.read_bytes() == reference_trace_csv(trace).encode()
+        text = path.read_bytes()
+        assert text.count(b"\n") == 600_002  # the dt and header lines, then a line a sample
+        assert text == reference_trace_csv(trace).encode()
 
 
 class TestConfig:

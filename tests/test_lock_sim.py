@@ -400,8 +400,9 @@ class TestFourConditions:
             assert np.all(tr.samples == 0.0)
 
     def test_rms_targets_with_calibrated_defaults(self, default_lock_study):
-        # the shared study is four_conditions(NoiseModel(seed), FAST_PI, 60.0,
-        # 1e-4) for seeds 0-9: check that its shipped config says exactly that
+        # the shared study runs the conditions of four_conditions(NoiseModel(seed),
+        # FAST_PI, 60.0, 1e-4) for seeds 0-9: check that its shipped config says
+        # exactly that
         config = default_lock_study.config
         assert (config["lock.duration_s"], config["lock.dt_s"]) == (60.0, 1e-4)
         assert (config["lock.seed"], config["lock.n_seeds"]) == (0, 10)
