@@ -50,7 +50,7 @@ from .detector_sim import (
 )
 from .homodyne import hd_mutual_information
 from .info_metrics import plugin_mi_estimate, wf_mutual_information
-from .io import RENDERERS, read_trace_bin, read_trace_csv, write_trace_csv
+from .io import RENDERERS, write_trace_csv
 from .lock_sim import FOUR_CONDITIONS, LockDivergenceError, _condition_plan, simulate_lock
 from .phase_metrology import _sample_count, asd, octave_taus, overlapping_allan, rms_phase
 from .security import kgr
@@ -273,17 +273,14 @@ def cmd_asd(config: RunConfig, input_path: str, segment_s: float, overlap: float
 
 
 def _read_trace(path: str):
-    """The trace in a CSV or binary trace file; an infinite sample is an error.
+    """The trace of :func:`io.read_trace`; an infinite sample is an error.
 
     The readers pass +-inf through, since a trace may hold it, but the Allan
     deviation and the spectrum of such a trace are meaningless.
     """
-    p = Path(path)
-    with open(p, "rb") as fh:
-        head = fh.read(8)
-    trace = read_trace_bin(p) if head.startswith(b"WFTRACE") else read_trace_csv(p)
+    trace = io.read_trace(path)
     if not np.isfinite(trace.samples).all():
-        raise ValueError(f"{p} holds non-finite samples")
+        raise ValueError(f"{Path(path)} holds non-finite samples")
     return trace
 
 

@@ -160,23 +160,10 @@ class RunConfig:
         )
 
     def noise_model(self, seed: int) -> NoiseModel:
-        v = self.values
-        return NoiseModel(
-            drift_rate=float(v["lock.noise_drift_rate"]),
-            tone_20hz_rms=float(v["lock.noise_tone_20hz_rms"]),
-            tone_200hz_rms=float(v["lock.noise_tone_200hz_rms"]),
-            white_rms=float(v["lock.noise_white_rms"]),
-            air_rms=float(v["lock.noise_air_rms"]),
-            seed=seed,
-            drift_linear_fraction=float(v["lock.noise_drift_linear_fraction"]),
-            tone_20hz_freq=float(v["lock.noise_tone_20hz_freq"]),
-            tone_20hz_width=float(v["lock.noise_tone_20hz_width"]),
-            acoustic_freqs=tuple(v["lock.noise_acoustic_freqs"]),
-            acoustic_power_split=tuple(v["lock.noise_acoustic_power_split"]),
-            air_freq=float(v["lock.noise_air_freq"]),
-            air_width=float(v["lock.noise_air_width"]),
-            box_factor=float(v["lock.noise_box_factor"]),
-        )
+        """The noise model of ``seed``: each ``lock.noise_<field>`` key sets that field."""
+        prefix = "lock.noise_"
+        fields = {k.removeprefix(prefix): v for k, v in self.values.items() if k.startswith(prefix)}
+        return NoiseModel(seed=seed, **fields)
 
     def pi_fast(self) -> PiConfig:
         return PiConfig(kp=float(self.values["lock.kp_fast"]), ki=float(self.values["lock.ki_fast"]))

@@ -366,3 +366,10 @@ def read_trace_bin(path: Path | str) -> PhaseTrace:
         raise ValueError(f"trace payload holds {payload} bytes, header says {8 * n}")
     samples = np.frombuffer(data, dtype="<f8", offset=nl + 1, count=n)
     return PhaseTrace(samples=samples.copy(), dt=dt)
+
+
+def read_trace(path: Path | str) -> PhaseTrace:
+    """Read a binary trace if the file starts with ``WFTRACE``, else a CSV trace."""
+    with open(path, "rb") as fh:
+        binary = fh.read(7) == b"WFTRACE"
+    return read_trace_bin(path) if binary else read_trace_csv(path)

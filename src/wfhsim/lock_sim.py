@@ -29,7 +29,10 @@ class LockDivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PiConfig:
-    """Proportional-integral controller settings."""
+    """Proportional-integral controller settings, with gains >= 0 and not both 0.
+
+    A lock that never acts is ``pi=None`` in :func:`simulate_lock`, not ``PiConfig()``.
+    """
 
     kp: float = 0.0
     ki: float = 0.0
@@ -38,6 +41,8 @@ class PiConfig:
     def __post_init__(self) -> None:
         if self.kp < 0.0 or self.ki < 0.0:
             raise ValueError("gains must be >= 0")
+        if self.kp == 0.0 and self.ki == 0.0:
+            raise ValueError("both gains are zero: a lock needs kp > 0 or ki > 0")
         lo, hi = self.output_limits
         if not lo < hi:
             raise ValueError(f"output_limits must satisfy min < max, got {self.output_limits}")
@@ -262,29 +267,6 @@ _GUARD_MARGIN = 1e-6
 _GROUP = 64
 
 
-def _blocks(x: np.ndarray) -> np.ndarray:
-    """``x`` as zero-padded rows of ``_BLOCK`` samples.
-
-    A view when ``x`` heads a zero-filled buffer of whole blocks, as
-    :func:`generate_noise` returns it; a padded copy otherwise.
-    """
-    rows = -(-x.size // _BLOCK)
-    buf = x.base
-    if (
-        buf is not None
-        and buf.shape == (rows * _BLOCK,)
-        and buf.dtype == x.dtype == np.float64
-        and buf.flags.writeable
-        and x.strides == buf.strides
-        and x.ctypes.data == buf.ctypes.data
-        and not buf[x.size :].any()
-    ):
-        return buf.reshape(rows, _BLOCK)
-    e = np.zeros((rows, _BLOCK))
-    e.ravel()[: x.size] = x
-    return e
-
-
 def _linear_lock_response(
     noise: np.ndarray,
     dt: float,
@@ -307,6 +289,9 @@ def _linear_lock_response(
     built group by group of ``_GROUP`` blocks, and each group's residual
     overwrites its disturbance.
 
+    ``noise`` is a trace as :func:`generate_noise` returns it, the head of a
+    zero-filled buffer of whole blocks; the blocks are the rows of that buffer.
+
     Returns None, and the caller runs the loop, when A is unstable, or when
     any output ``u_i = -kp r_i + ki I_i`` comes within ``_GUARD_MARGIN`` of
     the limits or any ``|r_i|`` of the divergence band.  The guard reads the
@@ -319,7 +304,7 @@ def _linear_lock_response(
     if np.abs(np.linalg.eigvals(a)).max() > 1.0:
         return None  # A^L could overflow; the loop reports the divergence
     n, L = noise.shape[0], _BLOCK
-    e = _blocks(noise)
+    e = noise.base.reshape(-1, L)
 
     powers = np.empty((L + 1, 2, 2))  # A^j
     powers[0] = np.eye(2)
@@ -375,8 +360,6 @@ def _linear_lock_response(
         and r_max < 1e3 * (1.0 - _GUARD_MARGIN)
     ):
         return None
-    if e.base is None:  # a padded copy: write the residual over noise
-        noise[:] = e.ravel()[:n]
     return noise
 
 
@@ -390,7 +373,7 @@ def simulate_lock(
     """Run the Euler-discretized loop and return the residual phase trace.
 
     ``pi`` of None disables the lock entirely, in which case the residual is
-    exactly the raw noise trace.
+    exactly the raw noise trace; a :class:`PiConfig` has a gain by construction.
     Reproducible from the noise seed; raises :class:`LockDivergenceError` if
     the loop leaves +-1e3 rad.
     """
@@ -414,8 +397,6 @@ def simulate_lock(
     disturbance = generate_noise(noise, n, dt)
     if pi is None:
         return PhaseTrace(samples=disturbance, dt=dt)
-    if pi.kp == 0.0 and pi.ki == 0.0:
-        raise ValueError("lock enabled but both gains are zero")
     alpha = 1.0 - math.exp(-2.0 * math.pi * actuator.bandwidth_hz * dt)
     args = (dt, pi.kp, pi.ki, *pi.output_limits, actuator.gain, alpha)
     residual = _linear_lock_response(disturbance, *args)

@@ -554,6 +554,24 @@ class TestErrorHandling:
         assert err.startswith(f"error: invalid {section} configuration") and key in err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("command", ["lock", "sweep-mi"])
+    def test_gainless_fast_lock_rejected_at_load(self, tmp_path, capsys, monkeypatch, command):
+        calls = []
+
+        def refuse(*args):
+            calls.append(args)
+            raise AssertionError("simulate_lock ran on a gainless lock")
+
+        monkeypatch.setattr(cli, "simulate_lock", refuse)
+        out = tmp_path / "g"
+        code = main([
+            command, "--set", "lock.kp_fast=0", "--set", "lock.ki_fast=0", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: invalid lock configuration") and "gains" in err
+        assert not out.exists() and not calls
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_diverging_lock_exits_with_error(self, tmp_path, capsys, monkeypatch, workers):
         # the locked conditions cannot follow this drift; at 2 workers they fail on a pool thread

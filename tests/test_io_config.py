@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -31,7 +32,7 @@ from wfhsim.io import (
     write_trace_bin,
     write_trace_csv,
 )
-from wfhsim.lock_sim import simulate_lock
+from wfhsim.lock_sim import NoiseModel, simulate_lock
 from wfhsim.phase_metrology import PhaseTrace
 
 
@@ -238,6 +239,28 @@ class TestTraceFiles:
         back = read_trace_bin(path)
         assert np.array_equal(back.samples, trace.samples)
         assert back.dt == trace.dt
+
+    WRITERS = {
+        "value-csv": write_trace_csv,
+        "legacy-csv": lambda path, trace: path.write_text(legacy_trace_csv(trace)),
+        "binary": write_trace_bin,
+    }
+
+    @pytest.mark.parametrize("layout", WRITERS)
+    def test_read_trace_tells_the_encodings_apart(self, tmp_path, layout):
+        trace = PhaseTrace(np.random.default_rng(8).normal(0.0, 0.3, 500), 0.25)
+        path = tmp_path / "trace"  # no suffix: the bytes decide
+        self.WRITERS[layout](path, trace)
+        back = wfhsim.io.read_trace(path)
+        assert back.samples.tobytes() == trace.samples.tobytes()
+        assert back.dt == trace.dt
+
+    def test_read_trace_refuses_an_unknown_binary_magic(self, tmp_path):
+        path = tmp_path / "trace"
+        write_trace_bin(path, PhaseTrace(np.zeros(4), 0.1))
+        path.write_bytes(b"WFTRACE2" + path.read_bytes()[len(b"WFTRACE1") :])
+        with pytest.raises(ValueError, match="bad magic"):
+            wfhsim.io.read_trace(path)
 
     def test_binary_magic_checked(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -551,6 +574,42 @@ class TestConfig:
     def test_module_invariants_checked_at_load(self, key, value, section):
         with pytest.raises(ConfigError, match=section):
             load_config(overrides={key: value})
+
+    def test_gainless_fast_lock_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="invalid lock configuration.*gains"):
+            load_config(overrides={"lock.kp_fast": "0", "lock.ki_fast": "0"})
+        # one gain is enough
+        assert load_config(overrides={"lock.kp_fast": "0"}).pi_fast().ki > 0.0
+        assert load_config(overrides={"lock.ki_fast": "0"}).pi_fast().kp > 0.0
+
+    # a valid value for each lock.noise_* key that no default holds
+    NOISE_VALUES = {
+        "drift_rate": "0.031",
+        "drift_linear_fraction": "0.05",
+        "tone_20hz_rms": "0.07",
+        "tone_20hz_freq": "21.5",
+        "tone_20hz_width": "0.75",
+        "tone_200hz_rms": "0.2",
+        "acoustic_freqs": "100.0, 250.0",
+        "acoustic_power_split": "0.6, 0.4",
+        "white_rms": "0.02",
+        "air_rms": "0.11",
+        "air_freq": "2.5",
+        "air_width": "0.3",
+        "box_factor": "0.4",
+    }
+
+    @pytest.mark.parametrize("suffix", NOISE_VALUES)
+    def test_noise_key_reaches_its_field(self, suffix):
+        key, text = f"lock.noise_{suffix}", self.NOISE_VALUES[suffix]
+        value = getattr(load_config(overrides={key: text}).noise_model(0), suffix)
+        assert value == KEY_PARSERS[key](text) != getattr(NoiseModel(), suffix)
+
+    def test_noise_keys_are_the_noise_fields(self):
+        keys = {k.removeprefix("lock.noise_") for k in KEY_PARSERS if k.startswith("lock.noise_")}
+        fields = {f.name for f in dataclasses.fields(NoiseModel)} - {"seed", "box_closed"}
+        assert keys == fields == set(self.NOISE_VALUES)
+        assert load_config().noise_model(3) == NoiseModel(seed=3)
 
     def test_auto_phi0(self):
         # order 2 is the antipodal pair; every other order takes build_psk's pi/(2M)

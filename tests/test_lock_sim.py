@@ -330,9 +330,13 @@ class TestInPlaceMatchesReference:
 
     @pytest.mark.parametrize("case", INPLACE_CASES)
     def test_linear_response(self, case):
+        # the linear response takes generate_noise's block buffer; test_noise
+        # shows that its disturbance is the reference's, bit for bit
         noise, n, dt = INPLACE_CASES[case]
-        args = loop_args(reference_noise(noise, n, dt), dt, FAST_PI, CONFIG.actuator())
-        expected, _ = reference_linear_response(*args)
+        expected, _ = reference_linear_response(
+            *loop_args(reference_noise(noise, n, dt), dt, FAST_PI, CONFIG.actuator())
+        )
+        args = loop_args(generate_noise(noise, n, dt), dt, FAST_PI, CONFIG.actuator())
         assert np.array_equal(bits(_linear_lock_response(*args)), bits(expected))
 
     @pytest.mark.parametrize("limit", [100.0, 0.05])
