@@ -1,12 +1,15 @@
 """Batch command-line front end: parameter sweeps, lock studies, Monte Carlo.
 
 Every run resolves its configuration (shipped defaults, optional config file,
-CLI overrides), computes all requested tables in memory, and only then writes
-the output directory together with a ``manifest.json`` recording the resolved
-configuration, the seed, the package version, the wall time of each stage
-(``timings_s``: compute, write), the peak resident memory of the process
-(``peak_rss_mb``, where the ``resource`` module exists) and the runtime it
-ran on (``runtime``: python, numpy, blas).  A failed run writes nothing and
+CLI overrides), creates the output directory and computes all requested
+tables in memory.  A lock study also writes each first-seed trace from the
+task that computed it, to a temporary name, so compute includes the trace
+formatting.  Only then are the tables written, every file renamed into place
+and a ``manifest.json`` written last, recording the resolved configuration,
+the seed, the package version, the wall time of each stage (``timings_s``:
+compute, write), the peak resident memory of the process (``peak_rss_mb``,
+where the ``resource`` module exists) and the runtime it ran on
+(``runtime``: python, numpy, blas).  A failed run leaves no file behind and
 removes the output directory again if it created it.
 """
 
@@ -167,12 +170,14 @@ def cmd_sweep_kgr(config: RunConfig) -> list[Table]:
     return _loss_sweep(config, "sweep_kgr", header, one_point, meta)
 
 
-def _lock_runs(config: RunConfig) -> tuple[dict[str, list], dict]:
+def _lock_runs(config: RunConfig, output: _Output | None = None) -> dict[str, list]:
     """Every (seed, condition) trace of the lock study, each one task on the pool.
 
     Each trace is reduced to its Allan curve, spectrum and RMS; returns
     ``{condition: [(allan, spectrum, rms), ...]}`` in seed order, so every
-    band reduces as serially, and the first seed's traces.
+    band reduces as serially.  Given an output, the task of each first-seed
+    trace then writes it as ``trace_<condition>.csv`` to the output's
+    temporary name, so a worker holds one trace at a time.
     """
     duration = float(config["lock.duration_s"])
     dt = float(config["lock.dt_s"])
@@ -181,30 +186,29 @@ def _lock_runs(config: RunConfig) -> tuple[dict[str, list], dict]:
     overlap = float(config["lock.asd_overlap"])
     actuator, pi_fast = config.actuator(), config.pi_fast()
     base_seed = int(config["lock.seed"])
-    tasks = [
-        (s, label, pi, model)
-        for s in range(int(config["lock.n_seeds"]))
-        for label, pi, model in _condition_plan(config.noise_model(base_seed + s), pi_fast)
-    ]
+    tasks = []  # (label, controller, noise model, temporary trace path or None)
+    for s in range(int(config["lock.n_seeds"])):
+        for label, pi, model in _condition_plan(config.noise_model(base_seed + s), pi_fast):
+            path = output.claim(f"trace_{label}.csv") if output is not None and s == 0 else None
+            tasks.append((label, pi, model, path))
 
     def run_task(task):
-        s, _, pi, model = task
+        _, pi, model, path = task
         trace = simulate_lock(duration, dt, pi, actuator, model)
-        allan = overlapping_allan(trace, ms)
-        return allan, asd(trace, seg, overlap), rms_phase(trace), trace if s == 0 else None
+        result = overlapping_allan(trace, ms), asd(trace, seg, overlap), rms_phase(trace)
+        if path is not None:
+            write_trace_csv(path, trace)
+        return result
 
     runs = {c: [] for c in FOUR_CONDITIONS}
-    first_traces = {}
-    for (_, label, _, _), (allan, spectrum, r, trace) in zip(tasks, _map_grid(run_task, tasks)):
-        runs[label].append((allan, spectrum, r))
-        if trace is not None:
-            first_traces[label] = trace
-    return runs, first_traces
+    for (label, _, _, _), result in zip(tasks, _map_grid(run_task, tasks)):
+        runs[label].append(result)
+    return runs
 
 
-def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
-    """Four-condition lock study: traces, Allan bands, spectral bands."""
-    runs, first_traces = _lock_runs(config)
+def cmd_lock(config: RunConfig, output: _Output) -> list[Table]:
+    """Four-condition lock study: Allan bands and spectral bands, traces written as computed."""
+    runs = _lock_runs(config, output)
     allan, spectrum, _ = runs[FOUR_CONDITIONS[0]][0]
     meta_common = {
         "duration_s": float(config["lock.duration_s"]),
@@ -230,7 +234,7 @@ def cmd_lock(config: RunConfig) -> tuple[list[Table], dict]:
     tables.append(
         Table("lock_summary", ["condition", "rms_mean", "rms_std"], summary, dict(meta_common))
     )
-    return tables, first_traces
+    return tables
 
 
 def _band_table(name: str, x_name: str, y_name: str, x, curves: list, meta: dict) -> Table:
@@ -406,67 +410,76 @@ def cmd_skellam(config: RunConfig) -> list[Table]:
 # ------------------------------------------------------------------ plumbing
 
 
-def _write_outputs(
-    outdir: Path,
-    tables: list[Table],
-    fmt: str,
-    manifest: dict,
-    traces: dict | None = None,
-) -> list[str]:
-    """Write every table and trace on the pool, then ``manifest.json`` with the write time.
+class _Output:
+    """The output directory of one run, which files reach only if the whole run succeeds.
 
-    A file name given twice raises ValueError before anything is written.
-    Each file goes to a temporary name and is renamed into place; on any
-    failure the temporary files and every file already written are removed,
-    and so are the directories this call created, if they are left empty.
+    The directory is created with the object.  Each file is written to the
+    temporary name :meth:`claim` gives: claimed on the thread that runs the
+    command, written on any.  :meth:`finish` writes the tables, renames
+    every claimed file into place and writes ``manifest.json`` last.  Used
+    as a context manager, a failure anywhere in its block removes the
+    temporary files, every file already renamed into place and the
+    directories it created, if they are left empty.
     """
-    start = time.perf_counter()
-    render = getattr(io, RENDERERS[fmt].__name__)  # the module binding, which a tracer wraps
 
-    def write_table(path: Path, t: Table) -> None:
-        path.write_bytes(render(t.header, t.rows, t.meta).encode())
+    def __init__(self, outdir: Path, fmt: str):
+        self.outdir, self.fmt = outdir, fmt
+        self.created = [d for d in (outdir, *outdir.parents) if not d.exists()]
+        outdir.mkdir(parents=True, exist_ok=True)
+        self.claimed: list[tuple[Path, str]] = []  # (temporary path, file name)
+        self.placed: list[Path] = []
 
-    def write_manifest(path: Path, manifest: dict) -> None:
-        timings = dict(manifest["timings_s"], write=time.perf_counter() - start)
-        manifest = dict(manifest, outputs=sorted(names[:-1]), timings_s=timings, **_peak_rss())
-        path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    def claim(self, name: str) -> Path:
+        """The temporary path to write file ``name`` to."""
+        tmp = self.outdir / f".{name}.tmp{os.getpid()}"
+        self.claimed.append((tmp, name))
+        return tmp
 
-    files = [(f"{t.name}.{fmt}", write_table, t) for t in tables]
-    files += [(f"trace_{label}.csv", write_trace_csv, tr) for label, tr in (traces or {}).items()]
-    files.append(("manifest.json", write_manifest, manifest))  # last: it times the writes
-    names = [name for name, _, _ in files]
-    repeated = [name for name, n in Counter(names).items() if n > 1]
-    if repeated:
-        raise ValueError(f"two outputs would be written to {outdir / repeated[0]}")
-    created = [d for d in (outdir, *outdir.parents) if not d.exists()]
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    def finish(self, tables: list[Table], manifest: dict) -> list[str]:
+        """Write the tables on the pool, place every file, then write ``manifest.json``.
 
-    def write_file(entry) -> None:
-        name, write, item = entry
-        tmp = outdir / f".{name}.tmp{os.getpid()}"
-        try:
-            write(tmp, item)
-            os.replace(tmp, outdir / name)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        written.append(outdir / name)
+        The manifest records the time this took as ``timings_s.write``.  A
+        file name given twice raises ValueError before any table is written.
+        Returns the file names, the manifest last.
+        """
+        start = time.perf_counter()
+        render = getattr(io, RENDERERS[self.fmt].__name__)  # the module binding a tracer wraps
+        names = [f"{t.name}.{self.fmt}" for t in tables] + [name for _, name in self.claimed]
+        repeated = [name for name, n in Counter(names).items() if n > 1]
+        if repeated:
+            raise ValueError(f"two outputs would be written to {self.outdir / repeated[0]}")
 
-    try:
+        def write_table(entry: tuple[Path, Table]) -> None:
+            path, t = entry
+            path.write_bytes(render(t.header, t.rows, t.meta).encode())
+
         # the pool lets the writes in flight finish before a failure propagates
-        _map_grid(write_file, files[:-1])
-        write_file(files[-1])
-    except BaseException:
-        for path in written:
+        _map_grid(write_table, [(self.claim(f"{t.name}.{self.fmt}"), t) for t in tables])
+        for tmp, name in self.claimed:
+            os.replace(tmp, self.outdir / name)
+            self.placed.append(self.outdir / name)
+        timings = dict(manifest["timings_s"], write=time.perf_counter() - start)
+        manifest = dict(manifest, outputs=sorted(names), timings_s=timings, **_peak_rss())
+        tmp = self.claim("manifest.json")
+        tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        os.replace(tmp, self.outdir / "manifest.json")
+        return names + ["manifest.json"]
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            return
+        for tmp, _ in self.claimed:
+            tmp.unlink(missing_ok=True)
+        for path in self.placed:
             path.unlink(missing_ok=True)
-        for d in created:  # deepest first
+        for d in self.created:  # deepest first
             try:
                 d.rmdir()
             except OSError:  # not empty: something else wrote there
                 break
-        raise
-    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -518,34 +531,34 @@ def run(args: argparse.Namespace) -> int:
     if args.format is not None:
         overrides["output.format"] = args.format
     config = load_config(args.config, overrides)
-    start = time.perf_counter()
-    traces = None
-    if args.command == "sweep-mi":
-        tables = cmd_sweep_mi(config)
-    elif args.command == "sweep-kgr":
-        tables = cmd_sweep_kgr(config)
-    elif args.command == "lock":
-        tables, traces = cmd_lock(config)
-    elif args.command == "allan":
-        tables = cmd_allan(config, args.input)
-    elif args.command == "asd":
-        tables = cmd_asd(config, args.input, args.segment_s, args.overlap)
-    elif args.command == "montecarlo":
-        tables = cmd_montecarlo(config)
-    elif args.command == "skellam":
-        tables = cmd_skellam(config)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {args.command}")
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "seed": args.seed,
-        "config": config.resolved_strings,
-        "timings_s": {"compute": time.perf_counter() - start},
-        "runtime": _runtime(),
-    }
     outdir = Path(str(config["output.directory"]))
-    names = _write_outputs(outdir, tables, str(config["output.format"]), manifest, traces)
+    with _Output(outdir, str(config["output.format"])) as output:
+        start = time.perf_counter()
+        if args.command == "sweep-mi":
+            tables = cmd_sweep_mi(config)
+        elif args.command == "sweep-kgr":
+            tables = cmd_sweep_kgr(config)
+        elif args.command == "lock":
+            tables = cmd_lock(config, output)
+        elif args.command == "allan":
+            tables = cmd_allan(config, args.input)
+        elif args.command == "asd":
+            tables = cmd_asd(config, args.input, args.segment_s, args.overlap)
+        elif args.command == "montecarlo":
+            tables = cmd_montecarlo(config)
+        elif args.command == "skellam":
+            tables = cmd_skellam(config)
+        else:  # pragma: no cover - argparse enforces the choices
+            raise ValueError(f"unknown command {args.command}")
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "seed": args.seed,
+            "config": config.resolved_strings,
+            "timings_s": {"compute": time.perf_counter() - start},
+            "runtime": _runtime(),
+        }
+        names = output.finish(tables, manifest)
     for name in names:
         print(outdir / name)
     return 0

@@ -324,13 +324,12 @@ def _linear_lock_response(
     starts = np.array(starts)
 
     # per state component: the in-block forced response plus the free
-    # response A^j x_start
-    lag = np.arange(L) - np.arange(L)[:, None] - 1
-
-    def toeplitz(c: int) -> np.ndarray:  # [m, j] = (A^(j-1-m) b)[c] for m < j
-        return np.where(lag >= 0, impulse[c][np.maximum(lag, 0)], 0.0)
-
-    forced_i, forced_r = toeplitz(0), toeplitz(1)
+    # response A^j x_start.  The forced response is the Toeplitz
+    # [m, j] = (A^(j-1-m) b)[c] for m < j, else 0, built row by row
+    forced = np.zeros((2, L, L))
+    for m in range(L - 1):
+        forced[:, m, m + 1 :] = impulse[:, : L - 1 - m]
+    forced_i, forced_r = forced
     free_i, free_r = powers[:L, 0].T, powers[:L, 1].T
     edges = list(range(0, len(e), _GROUP))
     if len(e) - edges[-1] == 1 and len(edges) > 1:

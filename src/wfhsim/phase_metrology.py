@@ -7,6 +7,7 @@ spectral density, and the RMS phase noise.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -16,6 +17,11 @@ import numpy as np
 
 # Fraction of clipped fringe samples above which a warning is raised.
 CLIP_WARN_FRACTION = 0.05
+
+# Samples per leaf of the chunked sums: each leaf is one ``ndarray.sum``, and
+# the scratch array of a sum stays this size whatever the trace length.  It
+# must be at least 128, the length up to which numpy sums without splitting.
+_LEAF = 65536
 
 
 @dataclass(frozen=True)
@@ -99,6 +105,24 @@ def _sample_count(seconds: float, dt: float) -> int:
     return int(round(samples))
 
 
+def _pairwise_sum(leaf_sum, lo: int, hi: int) -> float:
+    """The sum of ``leaf_sum(lo, hi)`` over the leaves of numpy's pairwise tree of [lo, hi).
+
+    numpy's float64 ``ndarray.sum`` of a contiguous array splits n > 128
+    samples at n // 2 rounded down to a multiple of 8 and adds the sums of
+    the two halves (Higham 1993).  This takes the same splits down to leaves
+    of at most ``_LEAF`` samples; when ``leaf_sum`` is the ``ndarray.sum`` of
+    a leaf, the result has the bits of the whole array's sum, while only one
+    leaf need exist at a time.
+    """
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf_sum(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf_sum, lo, lo + half) + _pairwise_sum(leaf_sum, lo + half, hi)
+
+
 def _octave_ladder(m: int, m_max: int) -> list[int]:
     """Averaging factors m, 2m, 4m, ... up to m_max; needs m >= 1."""
     ms = []
@@ -121,6 +145,10 @@ def overlapping_allan(trace: PhaseTrace, ms) -> AllanCurve:
     makes the estimate exactly insensitive to constant offsets and linear
     drift.  Each m must be a whole sample count with 1 <= m and 2m < len(trace),
     and there must be at least one; anything else raises ValueError.
+
+    The second differences are built and squared leaf by leaf in one buffer
+    of ``_LEAF`` samples and summed over numpy's pairwise tree, so each
+    estimate has the bits of the sum over the whole difference array.
     """
     phi = trace.samples
     n = phi.size
@@ -132,17 +160,22 @@ def overlapping_allan(trace: PhaseTrace, ms) -> AllanCurve:
     taus = np.array([m * trace.dt for m in ms])
     adev = np.empty(len(ms))
     counts = np.array([n - 2 * m for m in ms], dtype=np.int64)
-    buf = np.empty(max(n - 2, 0))  # holds the longest difference, m = 1
-    for idx, (m, tau) in enumerate(zip(ms, taus)):
-        # the second difference in one reused buffer, summed by a numpy
-        # reduction, not np.dot: BLAS ddot splits a long sum across threads,
-        # which would make the result depend on the thread count
-        d2 = buf[: n - 2 * m]
-        np.multiply(phi[m : n - m], 2.0, out=d2)
-        np.subtract(phi[2 * m :], d2, out=d2)
-        np.add(d2, phi[: n - 2 * m], out=d2)
+    buf = np.empty(min(n - 2, _LEAF))  # one leaf of the longest difference, m = 1
+
+    def squares(m: int, lo: int, hi: int) -> float:
+        # the second differences lo..hi in the reused buffer, summed by a
+        # numpy reduction, not np.dot: BLAS ddot splits a long sum across
+        # threads, which would make the result depend on the thread count
+        d2 = buf[: hi - lo]
+        np.multiply(phi[m + lo : m + hi], 2.0, out=d2)
+        np.subtract(phi[2 * m + lo : 2 * m + hi], d2, out=d2)
+        np.add(d2, phi[lo:hi], out=d2)
         np.square(d2, out=d2)
-        adev[idx] = math.sqrt(float(d2.sum()) / (2.0 * tau * tau * d2.size))
+        return float(d2.sum())
+
+    for idx, (m, tau, count) in enumerate(zip(ms, taus, counts.tolist())):
+        total = _pairwise_sum(functools.partial(squares, m), 0, count)
+        adev[idx] = math.sqrt(total / (2.0 * tau * tau * count))
     return AllanCurve(taus=taus, adev=adev, counts=counts)
 
 
@@ -193,5 +226,22 @@ def asd(
 
 
 def rms_phase(trace: PhaseTrace) -> float:
-    """RMS phase noise: standard deviation of the samples about their mean."""
-    return float(np.std(trace.samples))
+    """RMS phase noise: standard deviation of the samples about their mean.
+
+    ``np.std``'s steps, taken leaf by leaf in one buffer of ``_LEAF``
+    samples: the mean is the sum over n, then the squared deviations from
+    it are summed and divided by n before the square root.  Every sum runs
+    over numpy's pairwise tree, so the result has the bits of ``np.std``.
+    """
+    x = trace.samples
+    n = x.size
+    mean = _pairwise_sum(lambda lo, hi: float(x[lo:hi].sum()), 0, n) / n
+    buf = np.empty(min(n, _LEAF))
+
+    def squares(lo: int, hi: int) -> float:
+        d = buf[: hi - lo]
+        np.subtract(x[lo:hi], mean, out=d)
+        np.multiply(d, d, out=d)
+        return float(d.sum())
+
+    return math.sqrt(_pairwise_sum(squares, 0, n) / n)

@@ -72,7 +72,7 @@ def default_lock_study():
     """
     config = load_config()
     study = LockStudy(config=config)
-    runs, _ = _lock_runs(config)
+    runs = _lock_runs(config)
     for label, results in runs.items():
         study.rms[label] = [r for _, _, r in results]
         study.allan[label] = [allan.adev for allan, _, _ in results]

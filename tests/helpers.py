@@ -1,6 +1,7 @@
 """Test-only oracles: dense Fock-space entropy, brute-force convolutions, the
-phase-jitter average on the real line, and out-of-place references for the
-lock study's in-place noise synthesis and linear loop response."""
+phase-jitter average on the real line, out-of-place references for the lock
+study's in-place noise synthesis and linear loop response, and a whole-buffer
+reference for the leaf-by-leaf Allan deviation."""
 
 import math
 
@@ -134,3 +135,24 @@ def reference_linear_response(noise, dt, kp, ki, out_min, out_max, actuator_gain
     )
     residual = act + e.ravel()[:n]
     return residual, ki * integral - kp * residual
+
+
+def reference_allan(phi: np.ndarray, dt: float, ms) -> np.ndarray:
+    """``phase_metrology.overlapping_allan``'s deviations from whole-trace buffers.
+
+    Each second difference is built and squared over the whole trace in one
+    buffer and summed by one ``ndarray.sum``, the sum the leaf-by-leaf
+    estimate must reproduce bit for bit.
+    """
+    n = phi.size
+    adev = np.empty(len(ms))
+    buf = np.empty(n - 2)
+    for idx, m in enumerate(ms):
+        tau = np.float64(m * dt)
+        d2 = buf[: n - 2 * m]
+        np.multiply(phi[m : n - m], 2.0, out=d2)
+        np.subtract(phi[2 * m :], d2, out=d2)
+        np.add(d2, phi[: n - 2 * m], out=d2)
+        np.square(d2, out=d2)
+        adev[idx] = math.sqrt(float(d2.sum()) / (2.0 * tau * tau * d2.size))
+    return adev

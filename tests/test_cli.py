@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +18,7 @@ import pytest
 
 import wfhsim
 from wfhsim import cli, security, wf_receiver
-from wfhsim.cli import Table, _write_outputs, main
+from wfhsim.cli import Table, main
 from wfhsim.config import KEY_PARSERS, load_config
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
 from wfhsim.detector_sim import NO_IMPERFECTIONS, run_experiment
@@ -207,6 +208,23 @@ class TestLockCommand:
             outputs.append({p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"})
         assert len(outputs[0]) == 13  # 9 tables and 4 traces
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_holds_one_trace_per_worker(self, tmp_path, monkeypatch, workers):
+        # each task writes its trace and drops it, so the traced peak of a
+        # whole run is one trace per pool thread and less than one more
+        monkeypatch.setenv(cli.WORKER_ENV, str(workers))
+        args = ["lock", "--set", "lock.n_seeds=1", "--out", str(tmp_path / "lock")]
+        assert main(args) == 0  # warm-up: first-call caches are not the traces' memory
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        config = load_config()
+        n = round(config["lock.duration_s"] / config["lock.dt_s"])  # 600k samples a trace
+        assert peak / (8 * n) <= workers + 1
 
     def test_zero_noise_allan_is_zero(self, tmp_path):
         args = ["lock"] + SMALL_LOCK + [
@@ -884,6 +902,14 @@ class TestFailedWrite:
     TABLES = [Table("t", ["x"], [(1,)], {}), Table("u", ["x"], [(2,)], {})]
     TRACES = {"a": PhaseTrace(np.zeros(4), 0.1)}
 
+    @classmethod
+    def _write_outputs(cls, outdir, traces):
+        # the traces are written on the pool before the tables, as the lock tasks write them
+        with cli._Output(outdir, "csv") as output:
+            claimed = [(output.claim(f"trace_{k}.csv"), trace) for k, trace in traces.items()]
+            cli._map_grid(lambda entry: cli.write_trace_csv(*entry), claimed)
+            return output.finish(cls.TABLES, {"timings_s": {"compute": 0.0}})
+
     @staticmethod
     def _fail_writes(monkeypatch, failing):
         write_bytes = Path.write_bytes
@@ -902,7 +928,7 @@ class TestFailedWrite:
         self._fail_writes(monkeypatch, failing)
         outdir = tmp_path / "new" / "out"
         with pytest.raises(OSError, match="disk full"):
-            _write_outputs(outdir, self.TABLES, "csv", {"timings_s": {"compute": 0.0}}, self.TRACES)
+            self._write_outputs(outdir, self.TRACES)
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("failing", ["trace", "table"])
@@ -912,7 +938,7 @@ class TestFailedWrite:
         (outdir / "notes.txt").write_text("keep me\n")
         self._fail_writes(monkeypatch, failing)
         with pytest.raises(OSError, match="disk full"):
-            _write_outputs(outdir, self.TABLES, "csv", {"timings_s": {"compute": 0.0}}, self.TRACES)
+            self._write_outputs(outdir, self.TRACES)
         assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
         assert (outdir / "notes.txt").read_text() == "keep me\n"
 
@@ -941,9 +967,51 @@ class TestFailedWrite:
         traces = {k: PhaseTrace(np.zeros(4), 0.1) for k in "abc"}
         outdir = tmp_path / "new" / "out"
         with pytest.raises(OSError, match="disk full"):
-            _write_outputs(outdir, self.TABLES, "csv", {"timings_s": {"compute": 0.0}}, traces)
+            self._write_outputs(outdir, traces)
         assert a_done.is_set()  # the pool let the write in flight finish first
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_lock_trace_write_fails_while_a_task_computes(self, tmp_path, monkeypatch, existing):
+        # the lock_off_box_open task's trace write fails while the
+        # lock_off_box_closed task, on the other pool thread, is still
+        # computing; that task then writes its trace, which must go too
+        monkeypatch.setenv(cli.WORKER_ENV, "2")
+        failed, late_written = threading.Event(), threading.Event()
+        simulate, write_trace = cli.simulate_lock, cli.write_trace_csv
+
+        def held_simulate(duration, dt, pi, actuator, model):
+            if pi is None and model.box_closed:
+                assert failed.wait(10)
+            return simulate(duration, dt, pi, actuator, model)
+
+        def failing_write(path, trace):
+            name = Path(path).name
+            if name.startswith(".trace_lock_off_box_open."):
+                Path(path).write_bytes(b"partial")
+                failed.set()
+                raise OSError("disk full")
+            write_trace(path, trace)
+            if name.startswith(".trace_lock_off_box_closed."):
+                late_written.set()
+
+        monkeypatch.setattr(cli, "simulate_lock", held_simulate)
+        monkeypatch.setattr(cli, "write_trace_csv", failing_write)
+        outdir = tmp_path / "out" if existing else tmp_path / "new" / "out"
+        if existing:
+            outdir.mkdir()
+            (outdir / "notes.txt").write_text("keep me\n")
+        code = main([
+            "lock", "--set", "lock.n_seeds=1", "--set", "lock.duration_s=2.0",
+            "--set", "lock.allan_max_m=2048", "--out", str(outdir),
+        ])
+        assert code == 1
+        assert late_written.is_set()  # the pool let the task in flight finish first
+        if existing:
+            assert [p.name for p in outdir.iterdir()] == ["notes.txt"]
+            assert (outdir / "notes.txt").read_text() == "keep me\n"
+        else:
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestStartup:

@@ -385,13 +385,13 @@ class TestPeakMemory:
         assert self._noise(self.N) <= 2.25
 
     def test_locked_simulation(self):
-        assert self._locked(self.N) <= 2.5
+        assert self._locked(self.N) <= 2.25
 
     def test_noise_synthesis_at_default_size(self):
         assert self._noise(self.DEFAULT_N) <= 1.5
 
     def test_locked_simulation_at_default_size(self):
-        assert self._locked(self.DEFAULT_N) <= 2.25
+        assert self._locked(self.DEFAULT_N) <= 1.5
 
 
 class TestFourConditions:

@@ -1,20 +1,38 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.signal
 from hypothesis import given, settings, strategies as st
 
+from wfhsim import phase_metrology
 from wfhsim.config import load_config
 from wfhsim.phase_metrology import (
     ClippingWarning,
     PhaseTrace,
+    _pairwise_sum,
     asd,
     fringe_to_phase,
     octave_taus,
     overlapping_allan,
     rms_phase,
 )
+
+from helpers import reference_allan
+
+CONFIG = load_config()
+LOCK_N = round(CONFIG["lock.duration_s"] / CONFIG["lock.dt_s"])  # 600k, a shipped lock trace
+LOCK_LADDER = CONFIG.lock_taus()
+OCTAVE_LADDER = octave_taus(PhaseTrace(np.zeros(LOCK_N), 1.0))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def random_walk(n, seed=0):
+    return np.random.default_rng(seed).normal(0.0, 0.01, n).cumsum()
 
 
 class TestFringeToPhase:
@@ -170,6 +188,72 @@ class TestRms:
         assert rms_phase(PhaseTrace(x, 1e-3)) == pytest.approx(
             rms_phase(PhaseTrace(np.sort(x), 1e-3))
         )
+
+
+# leaves of 128 samples, the shortest numpy sums without a split, put
+# splits into short sums as well; the module's leaf splits only long ones
+LEAVES = pytest.mark.parametrize("leaf", [None, 128], ids=["module-leaf", "leaf-128"])
+
+
+class TestChunkedSums:
+    """The leaf-by-leaf sums against numpy's whole-array sums, bit for bit.
+
+    They follow numpy's pairwise split; a numpy that changed it fails here.
+    """
+
+    @LEAVES
+    def test_tree_is_numpy_sum(self, monkeypatch, leaf):
+        if leaf is not None:
+            monkeypatch.setattr(phase_metrology, "_LEAF", leaf)
+        lengths = set(range(1, 301))
+        lengths |= {2**k + d for k in range(1, 22) for d in (-1, 1)}
+        lengths |= {LOCK_N - 2 * m for m in LOCK_LADDER + OCTAVE_LADDER}
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(max(lengths)) * np.exp(rng.uniform(-8.0, 8.0, max(lengths)))
+        for n in sorted(lengths):
+            total = _pairwise_sum(lambda lo, hi: float(x[lo:hi].sum()), 0, n)
+            assert bits(total) == bits(x[:n].sum()), n
+
+    @LEAVES
+    @pytest.mark.parametrize("n", [3, 300, 65_538, 131_075, 200_001, LOCK_N])
+    def test_allan_is_the_whole_buffer_sum(self, monkeypatch, leaf, n):
+        if leaf is not None:
+            monkeypatch.setattr(phase_metrology, "_LEAF", leaf)
+        phi = random_walk(n, seed=n)
+        ms = sorted(set(LOCK_LADDER + OCTAVE_LADDER) & set(range(1, (n + 1) // 2))) or [1]
+        curve = overlapping_allan(PhaseTrace(phi, 1e-4), ms)
+        assert np.array_equal(bits(curve.adev), bits(reference_allan(phi, 1e-4, ms)))
+
+    @LEAVES
+    @pytest.mark.parametrize("n", [2, 300, 65_537, 131_075, 200_001, LOCK_N])
+    def test_rms_is_numpy_std(self, monkeypatch, leaf, n):
+        if leaf is not None:
+            monkeypatch.setattr(phase_metrology, "_LEAF", leaf)
+        phi = random_walk(n, seed=n)
+        assert bits(rms_phase(PhaseTrace(phi, 1e-4))) == bits(np.std(phi))
+
+
+class TestPeakMemory:
+    """Peak traced allocation of the metrology of one shipped lock trace, in trace-sized arrays."""
+
+    @staticmethod
+    def _peak_arrays(fn):
+        fn()  # warm-up: first-call caches are not the trace's memory
+        tracemalloc.start()
+        try:
+            fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * LOCK_N)
+
+    TRACE = PhaseTrace(random_walk(LOCK_N), CONFIG["lock.dt_s"])
+
+    def test_allan_on_the_lock_ladder(self):
+        assert self._peak_arrays(lambda: overlapping_allan(self.TRACE, LOCK_LADDER)) <= 0.25
+
+    def test_rms(self):
+        assert self._peak_arrays(lambda: rms_phase(self.TRACE)) <= 0.25
 
 
 class TestTraceType:
