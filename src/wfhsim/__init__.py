@@ -16,15 +16,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "constellation": (
-        "Constellation", "CoherentSymbol", "apply_loss", "build_psk", "check_gus",
-        "loss_db_to_transmissivity",
+        "Constellation", "CoherentSymbol", "apply_loss", "build_psk", "loss_db_to_transmissivity",
     ),
-    "homodyne": ("hd_conditional_pdf", "hd_mutual_information"),
-    "info_metrics": ("MiResult", "plugin_mi_estimate", "shannon_entropy", "wf_mutual_information"),
-    "security": ("KgrResult", "coherent_overlap", "kgr", "vn_entropy"),
+    "homodyne": ("hd_mutual_information",),
+    "info_metrics": ("MiResult", "plugin_mi_estimate", "wf_mutual_information"),
+    "security": ("KgrResult", "kgr", "vn_entropy"),
     "wf_receiver": (
-        "DiffDistribution", "JointPnrDistribution", "WfReceiverParams", "branch_means",
-        "difference_dist", "joint_pnr_conditional", "joint_pnr_marginal",
+        "DiffDistribution", "JointPnrDistribution", "WfReceiverParams", "difference_dist",
+        "joint_pnr_conditional",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,4 +1,4 @@
-"""Coherent-state constellations: PSK builders, symmetry checks, loss channel."""
+"""Coherent-state constellations: PSK builders and the loss channel."""
 
 from __future__ import annotations
 
@@ -20,11 +20,6 @@ def wrap_phase(phi: float) -> float:
     if TWO_PI - out < PHASE_TOL:
         out = 0.0
     return out
-
-
-def _circ_close(a: float, b: float, tol: float = PHASE_TOL) -> bool:
-    d = abs(a - b) % TWO_PI
-    return d <= tol or TWO_PI - d <= tol
 
 
 @dataclass(frozen=True)
@@ -119,32 +114,6 @@ class InvalidOrderError(ValueError):
 
 class InvalidTransmissivityError(ValueError):
     """Channel transmissivity outside [0, 1]."""
-
-
-def check_gus(c: Constellation) -> bool:
-    """True iff the constellation set is invariant under a phase step 2*pi/M.
-
-    Requires equal amplitudes, equal priors, and a phase set that maps onto
-    itself (bijectively) when every phase is advanced by 2*pi/M.
-    """
-    m = len(c.symbols)
-    if m == 0:
-        return False
-    a0 = c.symbols[0].amplitude
-    q0 = c.symbols[0].prior
-    for s in c.symbols:
-        if abs(s.amplitude - a0) > PHASE_TOL or abs(s.prior - q0) > PHASE_TOL:
-            return False
-    step = TWO_PI / m
-    phases = [s.phase for s in c.symbols]
-    unmatched = list(range(m))
-    for phi in phases:
-        rotated = wrap_phase(phi + step)
-        hit = next((j for j in unmatched if _circ_close(phases[j], rotated)), None)
-        if hit is None:
-            return False
-        unmatched.remove(hit)
-    return True
 
 
 def apply_loss(c: Constellation, transmissivity: float) -> Constellation:

@@ -38,8 +38,6 @@ class DetectorImperfections:
             )
 
 
-NO_IMPERFECTIONS = DetectorImperfections()
-
 # Branch means outside this range trigger a :class:`RangeWarning`.
 VALID_MEAN_RANGE = (0.5, 15.0)
 

@@ -40,19 +40,6 @@ def _conditional_means(amps, phases, params: WfReceiverParams) -> np.ndarray:
     )
 
 
-def conditional_mean(symbol: CoherentSymbol, params: WfReceiverParams) -> float:
-    """Quadrature mean 2 xi sqrt(T) a cos(phase) of one symbol."""
-    return float(_conditional_means(symbol.amplitude, symbol.phase, params))
-
-
-def hd_conditional_pdf(
-    x: float | np.ndarray, symbol: CoherentSymbol, params: WfReceiverParams
-) -> float | np.ndarray:
-    """Unit-variance Gaussian density of the measured quadrature given one sent symbol."""
-    mean = conditional_mean(symbol, params)
-    return np.exp(-((x - mean) ** 2) / 2.0) / math.sqrt(2.0 * math.pi)
-
-
 def _grid(c: Constellation, params: WfReceiverParams) -> np.ndarray:
     """Uniform grid over every mean, at full amplitude under jitter, plus a GRID_PAD_SIGMAS pad."""
     means = _conditional_means(c.amplitudes, 0.0 if params.phase_jitter_rms else c.phases, params)

@@ -24,31 +24,13 @@ class MiResult:
 def _entropy_bits(p: np.ndarray) -> np.ndarray:
     """-sum p log2 p in bits along the last axis, with 0 log 0 = 0.
 
-    The one Shannon entropy kernel: the public entropies, the plug-in MI
-    estimate, the Holevo spectra and the table MI of both receivers all
-    reduce to it.  The sum is a numpy reduction, not a BLAS dot, whose
-    threads would cost more than the sum.
+    The one Shannon entropy kernel: the plug-in MI estimate, the Holevo
+    spectra and the table MI of both receivers all reduce to it.  The sum is
+    a numpy reduction, not a BLAS dot, whose threads would cost more than
+    the sum.
     """
     terms = p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)
     return -np.sum(terms, axis=-1)
-
-
-def shannon_entropy(dist: np.ndarray) -> float:
-    """Shannon entropy -sum p log2 p in bits, with 0 log 0 = 0.
-
-    Accepts any array of nonnegative entries; sub-normalized tables (mass lost
-    to truncation) are summed as-is.
-    """
-    p = np.asarray(dist, dtype=np.float64)
-    if p.size == 0:
-        raise ValueError("empty distribution")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("distribution entries must be finite")
-    if np.any(p < 0.0):
-        raise ValueError("distribution entries must be >= 0")
-    if p.sum() > 1.0 + 1e-9:
-        raise ValueError(f"distribution mass {p.sum()!r} exceeds 1")
-    return float(_entropy_bits(p.ravel()))
 
 
 def wf_mutual_information(c: Constellation, params: WfReceiverParams) -> MiResult:

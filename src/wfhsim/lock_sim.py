@@ -436,20 +436,3 @@ def _condition_plan(
         for label, pi, closed, seed in zip(FOUR_CONDITIONS, gains, boxes, seeds)
     ]
 
-
-def four_conditions(
-    noise: NoiseModel,
-    pi_fast: PiConfig,
-    duration: float,
-    dt: float,
-    actuator: ActuatorModel,
-) -> dict[str, PhaseTrace]:
-    """The four standard operating conditions: {lock off, fast lock} x {box}.
-
-    Each condition runs on its own child seed of the model's base seed; see
-    :func:`_condition_plan`.
-    """
-    return {
-        label: simulate_lock(duration, dt, pi, actuator, model)
-        for label, pi, model in _condition_plan(noise, pi_fast)
-    }

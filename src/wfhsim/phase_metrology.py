@@ -1,8 +1,7 @@
 """Time- and frequency-domain characterization of interferometer phase traces.
 
-Covers the fringe-to-phase arccosine transform, the overlapping Allan
-deviation built from phase second differences, a Welch-averaged amplitude
-spectral density, and the RMS phase noise.
+Covers the overlapping Allan deviation built from phase second differences,
+a Welch-averaged amplitude spectral density, and the RMS phase noise.
 """
 
 from __future__ import annotations
@@ -10,13 +9,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-# Fraction of clipped fringe samples above which a warning is raised.
-CLIP_WARN_FRACTION = 0.05
 
 # Samples per leaf of the chunked sums: each leaf is one ``ndarray.sum``, and
 # the scratch array of a sum stays this size whatever the trace length.  It
@@ -67,34 +62,6 @@ class SpectrumCurve:
     resolution_bw: float
     window: str = "hann"
     overlap: float = 0.5
-
-
-class ClippingWarning(UserWarning):
-    """More than CLIP_WARN_FRACTION of fringe samples were clipped."""
-
-
-def fringe_to_phase(
-    intensity, i_min: float, i_max: float, dt: float
-) -> tuple[PhaseTrace, float]:
-    """Convert fringe intensity samples to phase via the arccosine transform.
-
-    Samples are clipped into [i_min, i_max], normalized, and mapped through
-    arccos onto [0, pi].  Returns the phase trace and the clipped fraction;
-    a :class:`ClippingWarning` is raised when more than 5% were clipped.
-    """
-    if i_max <= i_min:
-        raise ValueError(f"need i_max > i_min, got [{i_min}, {i_max}]")
-    raw = np.asarray(intensity, dtype=np.float64)
-    clipped = np.clip(raw, i_min, i_max)
-    clip_fraction = float(np.mean((raw < i_min) | (raw > i_max)))
-    if clip_fraction > CLIP_WARN_FRACTION:
-        warnings.warn(
-            f"{clip_fraction:.1%} of fringe samples clipped to [{i_min}, {i_max}]",
-            ClippingWarning,
-            stacklevel=2,
-        )
-    phase = np.arccos(2.0 * (clipped - i_min) / (i_max - i_min) - 1.0)
-    return PhaseTrace(samples=phase, dt=dt), clip_fraction
 
 
 def _sample_count(seconds: float, dt: float) -> int:

@@ -10,7 +10,6 @@ detector outcome suffices.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +40,6 @@ class KgrResult:
     @property
     def insecure(self) -> bool:
         return self.kgr_bits < 0.0
-
-
-def coherent_overlap(a: complex, b: complex) -> complex:
-    """Inner product <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b) of coherent states."""
-    return cmath.exp(
-        -0.5 * (abs(a) ** 2) - 0.5 * (abs(b) ** 2) + a.conjugate() * b
-    )
 
 
 def overlap_matrix(c: Constellation) -> np.ndarray:

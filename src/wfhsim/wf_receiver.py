@@ -135,12 +135,6 @@ def _branch_means(amps, phases, params: WfReceiverParams) -> tuple[np.ndarray, n
     return np.where(positive, big, small), np.where(positive, small, big)
 
 
-def branch_means(symbol: CoherentSymbol, params: WfReceiverParams) -> tuple[float, float]:
-    """Branch means (mu_t, mu_r) of one symbol; see :func:`_branch_means`."""
-    mu_t, mu_r = _branch_means(symbol.amplitude, symbol.phase, params)
-    return float(mu_t), float(mu_r)
-
-
 def homodyne_limit_ok(symbol: CoherentSymbol, params: WfReceiverParams) -> bool:
     """True when the reference beam dominates the signal energy (z^2 >= 3 T a^2)."""
     return params.lo_amplitude**2 >= 3.0 * params.transmissivity * symbol.amplitude**2
@@ -242,16 +236,6 @@ def _jitter_average(sigma: float, contract):
 def joint_pnr_conditional(symbol: CoherentSymbol, params: WfReceiverParams) -> JointPnrDistribution:
     """Joint count table conditioned on one sent symbol; see :func:`conditional_tables`."""
     return conditional_tables(Constellation((replace(symbol, prior=1.0),)), params)[0]
-
-
-def joint_pnr_marginal(c: Constellation, params: WfReceiverParams) -> JointPnrDistribution:
-    """Prior-weighted mixture of the conditional tables of a constellation."""
-    tables = conditional_tables(c, params)
-    mixed = _prior_mixture(np.array(c.priors), np.stack([t.probs for t in tables]))
-    truncation_mass = max(0.0, 1.0 - float(mixed.sum()))
-    return JointPnrDistribution(
-        probs=mixed, n_max=tables[0].n_max, truncation_mass=truncation_mass
-    )
 
 
 def _prior_mixture(priors: np.ndarray, stacked: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from helpers import brute_force_difference, fock_vn_entropy
 from wfhsim.cli import main
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
 from wfhsim.detector_sim import (
-    NO_IMPERFECTIONS,
+    DetectorImperfections,
     difference_hist_from_counts,
     fidelity,
     run_experiment,
@@ -26,7 +26,7 @@ from wfhsim.phase_metrology import PhaseTrace, asd, overlapping_allan
 from wfhsim.security import eve_ensemble, kgr, vn_entropy
 from wfhsim.wf_receiver import (
     WfReceiverParams,
-    branch_means,
+    _branch_means,
     default_d_max,
     difference_dist,
     poisson_pmf,
@@ -162,7 +162,7 @@ def test_criterion_7_monte_carlo_consistency():
     c = build_psk(2, alpha, 0.0)
     params = WfReceiverParams(lo_amplitude=z)
     reps = [
-        run_experiment(c, params, NO_IMPERFECTIONS, 50_000, np.random.default_rng([7, r]))
+        run_experiment(c, params, DetectorImperfections(), 50_000, np.random.default_rng([7, r]))
         for r in range(4)
     ]
     pooled: dict = {}
@@ -170,7 +170,7 @@ def test_criterion_7_monte_carlo_consistency():
         for key, v in counts.items():
             pooled[key] = pooled.get(key, 0) + v
 
-    mus = [branch_means(s, params) for s in c.symbols]
+    mus = [_branch_means(s.amplitude, s.phase, params) for s in c.symbols]
     d_max = max(default_d_max(*mu) for mu in mus)
     min_fidelity = min(
         fidelity(

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -21,7 +22,7 @@ from wfhsim import cli, security, wf_receiver
 from wfhsim.cli import Table, main
 from wfhsim.config import KEY_PARSERS, load_config
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
-from wfhsim.detector_sim import NO_IMPERFECTIONS, run_experiment
+from wfhsim.detector_sim import DetectorImperfections, run_experiment
 from wfhsim.homodyne import hd_mutual_information
 from wfhsim.info_metrics import wf_mutual_information
 from wfhsim.io import parse_table, write_trace_bin, write_trace_csv
@@ -777,6 +778,49 @@ class TestBenchmarkHooks:
             checked += 1
         assert checked > 0
 
+    def test_every_public_definition_has_a_caller(self):
+        """A public top-level name in src/ is used in src/, exported, or named in per_layer.
+
+        A use is code that loads the name or a docstring that cross-references
+        it (``:func:`parse_table```): the table reader and the binary trace
+        writer are the documented other halves of the formats the CLI writes
+        and reads.
+        """
+        spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        benchmarked = {tuple(entry["name"].split(".")[:2]) for entry in spec["per_layer"]}
+        sources = {
+            path.stem: path.read_text()
+            for path in sorted((REPO_ROOT / "src" / "wfhsim").glob("*.py"))
+        }
+        trees = {module: ast.parse(text) for module, text in sources.items()}
+        used = set()
+        for module, tree in trees.items():
+            used.update(re.findall(r":[a-z]+:`[~.]*(?:\w+\.)*(\w+)`", sources[module]))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        orphans = []
+        for module, tree in trees.items():
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    continue
+                orphans += [
+                    f"{module}.{name}"
+                    for name in names
+                    if not name.startswith("_")
+                    and name not in used
+                    and name not in wfhsim.__all__
+                    and (module, name) not in benchmarked
+                ]
+        assert orphans == []
+
     def test_benchmark_config_keys_exist(self):
         # every `--set` key the benchmark passes must still load
         keys = {
@@ -801,7 +845,7 @@ class TestBenchmarkHooks:
         assert priors.shape == (len(tables),) and 0.0 < p_o.sum() <= 1.0 + 1e-12
         assert 0.0 < security.OUTCOME_SKIP_THRESHOLD < 1e-6
         assert 0.0 <= float(wf_mutual_information(c, params).truncation_mass) <= 1e-6
-        counts = run_experiment(c, params, NO_IMPERFECTIONS, 50, np.random.default_rng(0))
+        counts = run_experiment(c, params, DetectorImperfections(), 50, np.random.default_rng(0))
         assert sum(counts.values()) == 50
         trace = simulate_lock(0.02, 1e-4, load_config().pi_fast(), ActuatorModel(), NoiseModel())
         assert len(trace) == 200
@@ -1035,7 +1079,7 @@ class TestStartup:
             "getattr(sys.modules[getattr(wfhsim, n).__module__], n)), "
             "len(names), wfhsim.kgr is wfhsim.security.kgr)"
         )
-        assert run_python(code, child_env()) == "[] 23 True"
+        assert run_python(code, child_env()) == "[] 17 True"
 
     def test_unknown_attribute_raises(self):
         code = (

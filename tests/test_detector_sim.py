@@ -5,7 +5,6 @@ import pytest
 
 from wfhsim.constellation import Constellation, CoherentSymbol, build_psk
 from wfhsim.detector_sim import (
-    NO_IMPERFECTIONS,
     DetectorImperfections,
     RangeWarning,
     difference_hist_from_counts,
@@ -16,7 +15,7 @@ from wfhsim.detector_sim import (
 from wfhsim.info_metrics import plugin_mi_estimate
 from wfhsim.wf_receiver import (
     WfReceiverParams,
-    branch_means,
+    _branch_means,
     default_d_max,
     difference_dist,
     joint_pnr_conditional,
@@ -34,7 +33,7 @@ class TestSampleShot:
         dark = Constellation((CoherentSymbol(0.0, 0.0, 1.0),))
         params = WfReceiverParams(lo_amplitude=0.0, phase_jitter_rms=0.25)
         n, m = sample_branch_counts(
-            dark, np.zeros(50, dtype=np.intp), params, NO_IMPERFECTIONS,
+            dark, np.zeros(50, dtype=np.intp), params, DetectorImperfections(),
             np.random.default_rng(0),
         )
         assert not n.any() and not m.any()
@@ -45,7 +44,7 @@ class TestSampleShot:
         c = build_psk(2, math.sqrt(4.13), 0.0)
         ks = np.zeros(1_000_000, dtype=np.intp)
         n, _ = sample_branch_counts(c, ks, params, imp, np.random.default_rng(77))
-        mu_t = branch_means(lab_symbol(), params)[0]
+        mu_t = _branch_means(lab_symbol().amplitude, lab_symbol().phase, params)[0]
         expected = mu_t * 1.02 + 0.01
         se = n.std() / math.sqrt(n.size)
         assert abs(n.mean() - expected) < 3.0 * se
@@ -58,7 +57,7 @@ class TestSampleShot:
         shots = 200_000
         c = Constellation((symbol,))
         n, m = sample_branch_counts(
-            c, np.zeros(shots, dtype=np.intp), params, NO_IMPERFECTIONS, rng
+            c, np.zeros(shots, dtype=np.intp), params, DetectorImperfections(), rng
         )
         emp = np.zeros_like(table.probs)
         np.add.at(emp, (n, m), 1.0)
@@ -71,26 +70,26 @@ class TestSampleShot:
         vacuum = Constellation((CoherentSymbol(0.0, 0.0, 1.0),))
         with pytest.warns(RangeWarning, match="branch mean 50.000"):
             sample_branch_counts(vacuum, np.zeros(1, dtype=np.intp), params,
-                                 NO_IMPERFECTIONS, np.random.default_rng(1))
+                                 DetectorImperfections(), np.random.default_rng(1))
 
 
 class TestRunExperiment:
     def test_zero_shots_rejected(self, lab_bpsk, lab_receiver):
         with pytest.raises(ValueError):
-            run_experiment(lab_bpsk, lab_receiver, NO_IMPERFECTIONS, 0,
+            run_experiment(lab_bpsk, lab_receiver, DetectorImperfections(), 0,
                            np.random.default_rng(0))
 
     def test_single_symbol_records(self, lab_receiver):
         single = Constellation((lab_symbol(),))
-        counts = run_experiment(single, lab_receiver, NO_IMPERFECTIONS, 500,
+        counts = run_experiment(single, lab_receiver, DetectorImperfections(), 500,
                                 np.random.default_rng(3))
         assert all(k == 0 for (k, _, _) in counts)
         assert sum(counts.values()) == 500
 
     def test_seeded_determinism(self, lab_bpsk, lab_receiver):
-        a = run_experiment(lab_bpsk, lab_receiver, NO_IMPERFECTIONS, 2000,
+        a = run_experiment(lab_bpsk, lab_receiver, DetectorImperfections(), 2000,
                            np.random.default_rng(11))
-        b = run_experiment(lab_bpsk, lab_receiver, NO_IMPERFECTIONS, 2000,
+        b = run_experiment(lab_bpsk, lab_receiver, DetectorImperfections(), 2000,
                            np.random.default_rng(11))
         assert a == b
 
@@ -101,7 +100,7 @@ class TestRunExperiment:
         n_max = table_by_symbol[0].shape[0] - 1
         support = np.count_nonzero(sum(table_by_symbol) > 1e-12)
         for shots in (10_000, 100_000):
-            counts = run_experiment(lab_bpsk, lab_receiver, NO_IMPERFECTIONS, shots,
+            counts = run_experiment(lab_bpsk, lab_receiver, DetectorImperfections(), shots,
                                     np.random.default_rng(29))
             emp = np.zeros((2, n_max + 1, n_max + 1))
             for (k, n, m), v in counts.items():
@@ -115,7 +114,7 @@ class TestRunExperiment:
         c = build_psk(4, math.sqrt(4.13))
         values = []
         for rep in range(4):
-            counts = run_experiment(c, lab_receiver, NO_IMPERFECTIONS, 50_000,
+            counts = run_experiment(c, lab_receiver, DetectorImperfections(), 50_000,
                                     np.random.default_rng(100 + rep))
             values.append(plugin_mi_estimate(counts))
         assert max(values) - min(values) < 0.05
@@ -123,7 +122,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "order, imperfections",
         [
-            (2, NO_IMPERFECTIONS),
+            (2, DetectorImperfections()),
             (4, DetectorImperfections(dark_mean=0.5, crosstalk_prob=0.2)),
             (1, DetectorImperfections(dark_mean=0.003, crosstalk_prob=0.01)),
         ],
@@ -166,9 +165,9 @@ class TestDifferenceHistograms:
             difference_hist_from_counts({(1, 2, 0): 5}, 0, 3)
 
     def test_lab_point_fidelity_above_threshold(self, lab_bpsk, lab_receiver):
-        counts = run_experiment(lab_bpsk, lab_receiver, NO_IMPERFECTIONS, 200_000,
+        counts = run_experiment(lab_bpsk, lab_receiver, DetectorImperfections(), 200_000,
                                 np.random.default_rng(123))
-        mus = [branch_means(s, lab_receiver) for s in lab_bpsk.symbols]
+        mus = [_branch_means(s.amplitude, s.phase, lab_receiver) for s in lab_bpsk.symbols]
         d_max = max(default_d_max(*mu) for mu in mus)
         for k, mu in enumerate(mus):
             theory = difference_dist(mu[0], mu[1], d_max)

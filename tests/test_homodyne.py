@@ -15,8 +15,6 @@ from wfhsim.homodyne import (
     _conditional_means,
     _grid,
     _jittered_pdfs,
-    conditional_mean,
-    hd_conditional_pdf,
     hd_mutual_information,
 )
 from wfhsim.info_metrics import _mi_from_tables, wf_mutual_information
@@ -72,7 +70,7 @@ def simpson_mi_oracle(c: Constellation, params: WfReceiverParams) -> float:
     weights, exact float sums and, without jitter, the unit Gaussian's
     closed-form entropy 0.5 log2(2 pi e) for every h_k.
     """
-    reach = max(abs(conditional_mean(s, params)) for s in c.symbols) + 10.0
+    reach = max(abs(float(_conditional_means(s.amplitude, s.phase, params))) for s in c) + 10.0
     x = linspace_grid(-reach, reach, 1.0 / 200, odd=True)
     pdfs = _jittered_pdfs(x, c.symbols, params).tolist()
     w = [1.0] + [4.0, 2.0] * ((len(x) - 3) // 2) + [4.0, 1.0]
@@ -89,19 +87,34 @@ def simpson_mi_oracle(c: Constellation, params: WfReceiverParams) -> float:
     return entropy(mix) - h_cond
 
 
-def oracle_pdfs(x, symbols, params: WfReceiverParams) -> np.ndarray:
+def oracle_pdfs(x, symbols, params: WfReceiverParams, window: float = 40.0) -> np.ndarray:
     """Jitter-averaged densities of ``symbols`` at ``x`` by :func:`helpers.jitter_oracle`.
 
     Its step resolves both the Gaussian law and the widest mean swing; doubling
-    it must move no density by more than 1e-14.
+    it must move no density by more than 1e-14.  A Gaussian more than ~38.6
+    from its mean underflows to exactly 0.0, so each block of offsets
+    evaluates a symbol only on the points of the ascending ``x`` within
+    ``window`` of the block's means and leaves exact zeros elsewhere;
+    ``window=math.inf`` evaluates every point.
     """
+    assert np.all(np.diff(x) > 0.0)
     amps = np.array([s.amplitude for s in symbols])
     phases = np.array([s.phase for s in symbols])
     sigma = params.phase_jitter_rms
 
     def pdfs(deltas):
         means = _conditional_means(amps, phases + deltas[:, None], params)
-        return np.exp(-((x - means[:, :, None]) ** 2) / 2.0) / math.sqrt(2.0 * math.pi)
+        out = np.zeros(means.shape + x.shape)
+        lo = np.searchsorted(x, means.min(axis=0) - window)
+        hi = np.searchsorted(x, means.max(axis=0) + window, side="right")
+        for k, (a, b) in enumerate(zip(lo, hi)):
+            # -(d ** 2) / 2.0 in place: d * d is d ** 2, and * -0.5 rounds as / -2.0
+            gauss = x[a:b] - means[:, k, None]
+            gauss *= gauss
+            gauss *= -0.5
+            np.exp(gauss, out=gauss)
+            np.divide(gauss, math.sqrt(2.0 * math.pi), out=out[:, k, a:b])
+        return out
 
     fine, coarse = jitter_oracle(pdfs, sigma, min(sigma / 8, 1 / 8, 0.15 / max(amps.max(), 1.0)))
     assert np.max(np.abs(fine - coarse)) <= 1e-14
@@ -133,16 +146,17 @@ def oracle_wf_mi(c: Constellation, params: WfReceiverParams) -> float:
 
 
 class TestConditionalPdf:
+    """The density law production uses, ``_jittered_pdfs``, without jitter."""
+
     def test_vacuum_is_standard_normal(self):
         s = CoherentSymbol(0.0, 0.0, 1.0)
         p = point()
         xs = np.linspace(-5, 5, 11)
         expected = np.exp(-(xs**2) / 2) / math.sqrt(2 * math.pi)
-        assert hd_conditional_pdf(xs, s, p) == pytest.approx(expected, rel=1e-12)
+        assert _jittered_pdfs(xs, [s], p)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_mean_at_canonical_amplitude(self):
-        s = CoherentSymbol(2.04, 0.0, 1.0)
-        assert conditional_mean(s, point()) == pytest.approx(4.08)
+        assert _conditional_means(2.04, 0.0, point()) == pytest.approx(4.08)
 
     @pytest.mark.parametrize("phase", [0.1, 0.9, 2.0])
     def test_reflection_symmetry(self, phase):
@@ -150,8 +164,8 @@ class TestConditionalPdf:
         a = CoherentSymbol(1.7, phase, 1.0)
         b = CoherentSymbol(1.7, math.pi - phase, 1.0)
         xs = np.linspace(-6, 6, 25)
-        assert hd_conditional_pdf(xs, a, p) == pytest.approx(
-            hd_conditional_pdf(-xs, b, p), rel=1e-12
+        assert _jittered_pdfs(xs, [a], p)[0] == pytest.approx(
+            _jittered_pdfs(-xs, [b], p)[0], rel=1e-12
         )
 
 
@@ -323,6 +337,13 @@ class TestJitteredDensities:
     def test_grid_far_beyond_the_means(self, alpha):
         """Points 1000 sigma out underflow to 0 without a warning."""
         self._assert_matches_node_loop(build_psk(4, alpha), (-1000.0, 1000.0, 0.02), 0.25)
+
+    def test_oracle_window_changes_no_bit(self):
+        """The oracle's 40-sigma window leaves every density as the whole grid gives it."""
+        for alpha, grid in ((40.0, (-100.0, 100.0, 0.05)), (2.04, (-1000.0, 1000.0, 0.02))):
+            c, params, x = build_psk(2, alpha), point(phase_jitter_rms=0.25), linspace_grid(*grid)
+            windowed = oracle_pdfs(x, c.symbols, params)
+            assert np.array_equal(windowed, oracle_pdfs(x, c.symbols, params, window=math.inf))
 
 
 class TestJitterRuleAgainstOracle:

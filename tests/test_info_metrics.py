@@ -5,44 +5,31 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
-from wfhsim.detector_sim import NO_IMPERFECTIONS, run_experiment
-from wfhsim.info_metrics import (
-    plugin_mi_estimate,
-    shannon_entropy,
-    wf_mutual_information,
-)
-from wfhsim.wf_receiver import WfReceiverParams, joint_pnr_marginal
+from wfhsim.detector_sim import DetectorImperfections, run_experiment
+from wfhsim.info_metrics import _entropy_bits, plugin_mi_estimate, wf_mutual_information
+from wfhsim.wf_receiver import WfReceiverParams, _prior_mixture, _stack, conditional_tables
 
 CANONICAL = dict(lo_amplitude=3.53, visibility=1.0)
 
 
 class TestShannonEntropy:
+    """The one entropy kernel, ``_entropy_bits``, along the last axis."""
+
     def test_point_mass(self):
-        assert shannon_entropy(np.array([1.0, 0.0, 0.0])) == 0.0
+        assert _entropy_bits(np.array([1.0, 0.0, 0.0])) == 0.0
 
     def test_uniform_four(self):
-        assert shannon_entropy(np.full(4, 0.25)) == pytest.approx(2.0, abs=1e-15)
+        assert _entropy_bits(np.full(4, 0.25)) == pytest.approx(2.0, abs=1e-15)
 
     def test_hand_computed(self):
-        assert shannon_entropy(np.array([0.5, 0.25, 0.25])) == pytest.approx(1.5)
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError):
-            shannon_entropy(np.array([0.7, -0.1, 0.4]))
-
-    def test_overfull_mass_rejected(self):
-        with pytest.raises(ValueError):
-            shannon_entropy(np.array([0.9, 0.2]))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_entry_rejected(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            shannon_entropy([0.5, bad])
+        assert _entropy_bits(np.array([0.5, 0.25, 0.25])) == pytest.approx(1.5)
 
     def test_table_entropy_sums_every_cell(self):
+        # a raveled table sums every cell; a stacked one gives one entropy a row
         table = np.array([[0.5, 0.0], [0.125, 0.375]])
-        assert shannon_entropy(table) == shannon_entropy(np.array([0.5, 0.125, 0.375]))
-        assert shannon_entropy(table) == pytest.approx(1.4056390622295665, abs=1e-15)
+        assert _entropy_bits(table.ravel()) == _entropy_bits(np.array([0.5, 0.125, 0.375]))
+        assert _entropy_bits(table.ravel()) == pytest.approx(1.4056390622295665, abs=1e-15)
+        assert np.array_equal(_entropy_bits(table), [_entropy_bits(row) for row in table])
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12).filter(
@@ -53,7 +40,7 @@ class TestShannonEntropy:
         p = np.array(values)
         p = p / p.sum()
         shuffled = p[np.argsort(np.sin(np.arange(p.size)))]
-        assert shannon_entropy(p) == pytest.approx(shannon_entropy(shuffled), abs=1e-9)
+        assert _entropy_bits(p) == pytest.approx(_entropy_bits(shuffled), abs=1e-9)
 
 
 class TestWfMutualInformation:
@@ -69,7 +56,8 @@ class TestWfMutualInformation:
 
     def test_truncation_mass_is_the_mixture_loss(self, qpsk):
         params = WfReceiverParams(n_max=40, **CANONICAL)
-        lost = 1.0 - joint_pnr_marginal(qpsk, params).probs.sum()
+        mixture = _prior_mixture(np.array(qpsk.priors), _stack(conditional_tables(qpsk, params)))
+        lost = 1.0 - mixture.sum()
         assert lost > 1e-9
         assert wf_mutual_information(qpsk, params).truncation_mass == pytest.approx(lost, rel=1e-9)
 
@@ -224,10 +212,38 @@ def test_binary_beats_quaternary_at_lower_visibility_edge(loss_db):
     rng = np.random.default_rng(3)
     mi, se, analytic = {}, {}, {}
     for m, c in ((2, build_psk(2, alpha, 0.0)), (4, build_psk(4, alpha))):
-        counts = run_experiment(c, params, NO_IMPERFECTIONS, 200_000, rng)
+        counts = run_experiment(c, params, DetectorImperfections(), 200_000, rng)
         mi[m] = plugin_mi_estimate(counts)
         se[m] = bootstrap_plugin_se(counts, rng)
         analytic[m] = wf_mutual_information(c, params).mi_bits
     gap = mi[2] - mi[4]
     assert analytic[2] - analytic[4] > 0.0
     assert gap > 3.0 * math.hypot(se[2], se[4])
+
+
+@pytest.mark.parametrize(
+    ("visibility", "sigma", "wins"),
+    [(0.845, 0.15, True), (0.845, 0.155, False), (0.945, 0.25, True), (0.935, 0.25, False)],
+)
+def test_criterion_3_boundary(visibility, sigma, wins):
+    """Where quaternary beats binary below 2 dB, by criterion 3's own computation.
+
+    The minimum QPSK - BPSK margin over the 0.25 dB loss grid below 2 dB
+    changes sign between sigma 0.15 and 0.155 rad at visibility 0.845, and
+    between visibility 0.935 and 0.945 at sigma 0.25 rad.  The margins at
+    these four points are +0.000984, -0.002445, +0.003560 and -0.004916 bits.
+    """
+    alpha, z = math.sqrt(4.16), math.sqrt(12.5)
+    c4, c2 = build_psk(4, alpha), build_psk(2, alpha, 0.0)
+    margins = []
+    for loss_db in [0.25 * i for i in range(8)]:  # criterion 3's loss grid below 2 dB
+        params = WfReceiverParams(
+            lo_amplitude=z,
+            visibility=visibility,
+            transmissivity=loss_db_to_transmissivity(loss_db),
+            phase_jitter_rms=sigma,
+        )
+        margins.append(
+            wf_mutual_information(c4, params).mi_bits - wf_mutual_information(c2, params).mi_bits
+        )
+    assert min(margins) > 0.0 if wins else min(margins) < 0.0

@@ -16,9 +16,9 @@ from wfhsim.lock_sim import (
     LockDivergenceError,
     NoiseModel,
     PiConfig,
+    _condition_plan,
     _linear_lock_response,
     _pi_lock_loop,
-    four_conditions,
     generate_noise,
     simulate_lock,
 )
@@ -394,19 +394,25 @@ class TestPeakMemory:
         assert self._locked(self.DEFAULT_N) <= 1.5
 
 
+def condition_traces(noise: NoiseModel, duration: float, dt: float) -> dict:
+    """The four standard conditions as ``cmd_lock`` runs them: the plan, then one lock each."""
+    return {
+        label: simulate_lock(duration, dt, pi, ActuatorModel(), model)
+        for label, pi, model in _condition_plan(noise, FAST_PI)
+    }
+
+
 class TestFourConditions:
     def test_zero_noise_gives_four_flat_traces(self):
-        traces = four_conditions(
-            NoiseModel(seed=5, **QUIET), FAST_PI, 1.0, 1e-3, ActuatorModel()
-        )
+        traces = condition_traces(NoiseModel(seed=5, **QUIET), 1.0, 1e-3)
         assert set(traces) == set(FOUR_CONDITIONS)
         for tr in traces.values():
             assert np.all(tr.samples == 0.0)
 
     def test_rms_targets_with_calibrated_defaults(self, default_lock_study):
-        # the shared study runs the conditions of four_conditions(NoiseModel(seed),
-        # FAST_PI, 60.0, 1e-4) for seeds 0-9: check that its shipped config says
-        # exactly that
+        # the shared study runs cmd_lock's path, _condition_plan(NoiseModel(seed),
+        # FAST_PI) and then simulate_lock at 60.0 s and 1e-4 s, for seeds 0-9:
+        # check that its shipped config says exactly that
         config = default_lock_study.config
         assert (config["lock.duration_s"], config["lock.dt_s"]) == (60.0, 1e-4)
         assert (config["lock.seed"], config["lock.n_seeds"]) == (0, 10)
@@ -419,9 +425,7 @@ class TestFourConditions:
         assert np.mean(rms["fast_lock_box_closed"]) == pytest.approx(0.25, abs=0.02)
 
     def test_box_and_lock_both_reduce_noise(self):
-        traces = four_conditions(
-            NoiseModel(seed=12), FAST_PI, 20.0, 1e-4, ActuatorModel()
-        )
+        traces = condition_traces(NoiseModel(seed=12), 20.0, 1e-4)
         r = {c: rms_phase(tr) for c, tr in traces.items()}
         assert r["fast_lock_box_closed"] < r["lock_off_box_open"]
 

@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 from wfhsim import phase_metrology
 from wfhsim.config import load_config
 from wfhsim.phase_metrology import (
-    ClippingWarning,
     PhaseTrace,
     _pairwise_sum,
     asd,
-    fringe_to_phase,
     octave_taus,
     overlapping_allan,
     rms_phase,
@@ -33,29 +31,6 @@ def bits(x):
 
 def random_walk(n, seed=0):
     return np.random.default_rng(seed).normal(0.0, 0.01, n).cumsum()
-
-
-class TestFringeToPhase:
-    def test_extremes_and_midpoint(self):
-        trace, frac = fringe_to_phase([1.0, 0.0, 0.5], 0.0, 1.0, 1e-3)
-        assert trace.samples == pytest.approx([0.0, np.pi, np.pi / 2])
-        assert frac == 0.0
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            fringe_to_phase([0.5, 0.4], 1.0, 0.0, 1e-3)
-
-    def test_heavy_clipping_warns(self):
-        data = [1.5] * 10 + [0.5] * 10
-        with pytest.warns(ClippingWarning):
-            trace, frac = fringe_to_phase(data, 0.0, 1.0, 1e-3)
-        assert frac == 0.5
-        assert np.all(trace.samples >= 0.0) and np.all(trace.samples <= np.pi)
-
-    def test_mild_clipping_reports_fraction_silently(self):
-        data = [0.5] * 99 + [1.2]
-        trace, frac = fringe_to_phase(data, 0.0, 1.0, 1e-3)
-        assert frac == pytest.approx(0.01)
 
 
 class TestOverlappingAllan:
