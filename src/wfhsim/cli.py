@@ -295,12 +295,13 @@ def _skellam_theory(c, params) -> tuple[int, list]:
     the window holds every branch-mean pair the phases reach: with jitter, any.
     """
     sigma = params.phase_jitter_rms
-    peaks = (_branch_means(s.amplitude, s.phase if sigma == 0.0 else 0.0, params) for s in c)
+    amps, phases = np.array(c.amplitudes), np.array(c.phases)
+    peaks = zip(*_branch_means(amps, phases if sigma == 0.0 else 0.0, params))
     d_max = max(default_d_max(*mu) for mu in peaks)
 
     def contract(deltas, weights):  # the (node, symbol) laws, mixed over the nodes
-        mus = [list(zip(*_branch_means(s.amplitude, s.phase + deltas, params))) for s in c]
-        laws = np.stack([[difference_dist(*mu, d_max).probs for mu in node] for node in zip(*mus)])
+        mus = np.stack(_branch_means(amps, phases + deltas[:, None], params), axis=-1)
+        laws = np.stack([[difference_dist(*mu, d_max).probs for mu in node] for node in mus])
         return np.stack([_prior_mixture(w, laws) for w in weights.T])
 
     return d_max, [DiffDistribution(p, d_max) for p in _jitter_average(sigma, contract)]
@@ -569,7 +570,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except (OSError, ValueError, LockDivergenceError) as exc:  # a ConfigError is a ValueError
+    except (OSError, ValueError, LockDivergenceError, MemoryError) as exc:
+        # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

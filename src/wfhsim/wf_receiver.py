@@ -135,11 +135,6 @@ def _branch_means(amps, phases, params: WfReceiverParams) -> tuple[np.ndarray, n
     return np.where(positive, big, small), np.where(positive, small, big)
 
 
-def homodyne_limit_ok(symbol: CoherentSymbol, params: WfReceiverParams) -> bool:
-    """True when the reference beam dominates the signal energy (z^2 >= 3 T a^2)."""
-    return params.lo_amplitude**2 >= 3.0 * params.transmissivity * symbol.amplitude**2
-
-
 def _tail_bound(centre: float, variance: float) -> int:
     """The one count cut, ceil(centre + 12 sd + 20); a non-finite cut is a TruncationError."""
     bound = centre + 12.0 * math.sqrt(variance) + 20.0
@@ -148,17 +143,11 @@ def _tail_bound(centre: float, variance: float) -> int:
     return int(math.ceil(bound))
 
 
-def auto_n_max(amplitude: float, params: WfReceiverParams) -> int:
-    """Truncation from a Poisson tail bound on the largest possible branch mean."""
+def auto_n_max(amplitudes, params: WfReceiverParams) -> int:
+    """Truncation from a Poisson tail bound on the brightest branch mean of ``amplitudes``."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed mean fails the cut
-        mu_bound = float(_branch_means(amplitude, 0.0, params)[0])
+        mu_bound = float(np.max(_branch_means(amplitudes, 0.0, params)[0]))
     return _tail_bound(mu_bound, mu_bound)
-
-
-def _resolve_n_max(amplitudes, params: WfReceiverParams) -> int:
-    if params.n_max is not None:
-        return params.n_max
-    return max(auto_n_max(a, params) for a in amplitudes)
 
 
 @functools.lru_cache(maxsize=128)
@@ -261,8 +250,9 @@ def conditional_tables(c: Constellation, params: WfReceiverParams) -> list[Joint
     sum_j w_j P_t(delta_j) P_r(delta_j)^T.
     """
     amps, phases = np.array(c.amplitudes), np.array(c.phases)[:, None]
-    n_max = _resolve_n_max(amps, params)  # first: an overflowing mean fails here
-    if not all(homodyne_limit_ok(s, params) for s in c):
+    # first: an overflowing mean fails here
+    n_max = params.n_max if params.n_max is not None else auto_n_max(amps, params)
+    if np.any(params.lo_amplitude**2 < 3.0 * params.transmissivity * amps**2):
         warnings.warn(
             "reference beam weaker than 3x the signal energy; difference "
             "statistics drift away from the quadrature-readout regime",
@@ -275,7 +265,7 @@ def conditional_tables(c: Constellation, params: WfReceiverParams) -> list[Joint
         return (weights.T[:, None, :, None] * p_t).swapaxes(-1, -2) @ p_r
 
     tables = _jitter_average(params.phase_jitter_rms, contract)
-    lost = [max(0.0, 1.0 - float(table.sum())) for table in tables]
+    lost = np.maximum(0.0, 1.0 - tables.sum(axis=(1, 2))).tolist()
     if max(lost) > TRUNCATION_LIMIT:
         raise TruncationError(
             f"{max(lost):.3e} of probability truncated at n_max={n_max}; increase n_max"

@@ -542,6 +542,17 @@ class TestErrorHandling:
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
         assert blocker.read_text() == "keep\n"
 
+    def test_memory_error_exits_with_error(self, tmp_path, capsys, monkeypatch):
+        def exhaust(config):
+            raise MemoryError("Unable to allocate 91.1 GiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_skellam", exhaust)
+        code = main(["skellam", "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "setting",
         [

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy.stats import skellam
 
 from helpers import brute_force_difference, jitter_oracle
 from wfhsim import info_metrics, wf_receiver
-from wfhsim.constellation import CoherentSymbol, build_psk, wrap_phase
+from wfhsim.config import load_config
+from wfhsim.constellation import CoherentSymbol, Constellation, build_psk, wrap_phase
 from wfhsim.info_metrics import _entropy_bits
 from wfhsim.wf_receiver import (
     TruncationError,
@@ -41,6 +43,12 @@ def mix(c, params) -> np.ndarray:
     tables = conditional_tables(c, params)
     mixture = wf_receiver._prior_mixture(np.array(c.priors), wf_receiver._stack(tables))
     return mixture.reshape(tables[0].probs.shape)
+
+
+def unequal(*amplitudes: float) -> Constellation:
+    """Equiprobable symbols of the given amplitudes, at phases 0, 1, 2, ... rad."""
+    m = len(amplitudes)
+    return Constellation(tuple(CoherentSymbol(a, k, 1.0 / m) for k, a in enumerate(amplitudes)))
 
 
 class TestBranchMeans:
@@ -238,6 +246,46 @@ class TestJointTables:
         # the tail rule keeps tables compact at the canonical parameters
         params = WfReceiverParams(**CANONICAL)
         assert auto_n_max(2.04, params) < 100
+
+    def test_auto_truncation_covers_brightest_symbol(self):
+        """One cut over unequal amplitudes is the largest of the per-amplitude cuts."""
+        params = WfReceiverParams(**CANONICAL)
+        c = unequal(0.5, 2.04, 3.0)
+        cuts = [auto_n_max(a, params) for a in c.amplitudes]
+        assert len(set(cuts)) == 3
+        assert auto_n_max(np.array(c.amplitudes), params) == max(cuts)
+        assert [t.n_max for t in conditional_tables(c, params)] == [max(cuts)] * 3
+
+    def test_overflowing_symbol_raises_truncation_error(self):
+        with pytest.raises(TruncationError, match="not finite"):
+            conditional_tables(unequal(0.5, 1e300), WfReceiverParams(**CANONICAL))
+
+
+class TestWeakReferenceWarning:
+    """One warning a build when any symbol has z^2 < 3 T a^2, and none otherwise."""
+
+    @staticmethod
+    def weak_warnings(c, params) -> list[str]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            conditional_tables(c, params)
+        return [str(w.message) for w in caught]
+
+    def test_one_weak_symbol_warns_once(self):
+        # z^2 = 12.4609 against 3 a^2 = 3 and 18.75
+        (message,) = self.weak_warnings(unequal(1.0, 2.5), WfReceiverParams(**CANONICAL))
+        assert message.startswith("reference beam weaker than 3x the signal energy")
+
+    def test_strong_reference_is_silent(self):
+        # z^2 = 12.4609 against 3 T a^2 = 3 and 12
+        assert self.weak_warnings(unequal(1.0, 2.0), WfReceiverParams(**CANONICAL)) == []
+
+    def test_defaults_sit_just_below_threshold(self):
+        # z = 3.53, alpha = 2.04, T = 1: z^2 = 12.4609 < 3 alpha^2 = 12.4848
+        config = load_config(None, {})
+        for c in config.sweep_psk(float(config["constellation.alpha"])):
+            (message,) = self.weak_warnings(c, config.receiver_params(1.0))
+            assert "reference beam weaker" in message
 
 
 class TestCachedConstants:
