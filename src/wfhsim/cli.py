@@ -2,15 +2,16 @@
 
 Every run resolves its configuration (shipped defaults, optional config file,
 CLI overrides), creates the output directory and computes all requested
-tables in memory.  A lock study also writes each first-seed trace from the
-task that computed it, to a temporary name, so compute includes the trace
-formatting.  Only then are the tables written, every file renamed into place
-and a ``manifest.json`` written last, recording the resolved configuration,
-the seed, the package version, the wall time of each stage (``timings_s``:
-compute, write), the peak resident memory of the process (``peak_rss_mb``,
-where the ``resource`` module exists) and the runtime it ran on
-(``runtime``: python, numpy, blas).  A failed run leaves no file behind and
-removes the output directory again if it created it.
+tables in memory, with the sweep points and the lock study's (seed,
+condition) tasks on a thread pool.  Each first-seed lock task also writes its
+trace to a temporary name, so compute includes the trace formatting.  Only
+then are the tables written, on the command's thread, every file renamed
+into place and a ``manifest.json`` written last, recording the resolved
+configuration, the seed, the package version, the wall time of each stage
+(``timings_s``: compute, write), the peak resident memory of the process
+(``peak_rss_mb``, where the ``resource`` module exists) and the runtime it
+ran on (``runtime``: python, numpy, blas).  A failed run leaves no file
+behind and removes the output directory again if it created it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .homodyne import hd_mutual_information
 from .info_metrics import plugin_mi_estimate, wf_mutual_information
 from .io import RENDERERS, write_trace_csv
 from .lock_sim import FOUR_CONDITIONS, LockDivergenceError, _condition_plan, simulate_lock
-from .phase_metrology import _sample_count, asd, octave_taus, overlapping_allan, rms_phase
+from .phase_metrology import ASD_WINDOW, _sample_count, asd, octave_taus, overlapping_allan, rms_phase
 from .security import kgr
 from .wf_receiver import (
     DiffDistribution,
@@ -110,8 +111,9 @@ def _peak_rss() -> dict:
 def _map_grid(fn, items):
     """``[fn(x) for x in items]``, on ``_workers()`` threads when there are two or more.
 
-    After a failure, the items not yet started are cancelled, and the items
-    running finish before the exception propagates.
+    Its callers, :func:`_loss_sweep` and :func:`_lock_runs`, map work that can
+    overlap.  After a failure, the items not yet started are cancelled, and
+    the items running finish before the exception propagates.
     """
     n = _workers()
     if n == 1 or len(items) <= 1:
@@ -218,7 +220,7 @@ def cmd_lock(config: RunConfig, output: _Output) -> list[Table]:
     }
     asd_meta = {
         **meta_common,
-        "window": "hann",
+        "window": ASD_WINDOW,
         "overlap": float(config["lock.asd_overlap"]),
         "segment_s": config["lock.asd_segment_s"],
     }
@@ -268,7 +270,7 @@ def cmd_asd(config: RunConfig, input_path: str, segment_s: float, overlap: float
             rows=list(zip(spectrum.freqs, spectrum.asd)),
             meta={
                 "input": Path(input_path).name,
-                "window": spectrum.window,
+                "window": ASD_WINDOW,
                 "overlap": spectrum.overlap,
                 "resolution_bw_hz": spectrum.resolution_bw,
             },
@@ -415,12 +417,12 @@ class _Output:
     """The output directory of one run, which files reach only if the whole run succeeds.
 
     The directory is created with the object.  Each file is written to the
-    temporary name :meth:`claim` gives: claimed on the thread that runs the
-    command, written on any.  :meth:`finish` writes the tables, renames
-    every claimed file into place and writes ``manifest.json`` last.  Used
-    as a context manager, a failure anywhere in its block removes the
-    temporary files, every file already renamed into place and the
-    directories it created, if they are left empty.
+    temporary name :meth:`claim` gives: claimed on the command's thread,
+    written on any.  :meth:`finish` writes the tables on the command's
+    thread, renames every claimed file into place and writes
+    ``manifest.json`` last.  Used as a context manager, a failure anywhere
+    in its block removes the temporary files, every file already renamed
+    into place and the directories it created, if they are left empty.
     """
 
     def __init__(self, outdir: Path, fmt: str):
@@ -437,8 +439,9 @@ class _Output:
         return tmp
 
     def finish(self, tables: list[Table], manifest: dict) -> list[str]:
-        """Write the tables on the pool, place every file, then write ``manifest.json``.
+        """Write the tables on this thread, place every file, then write ``manifest.json``.
 
+        Rendering holds the interpreter lock, so a pool would not overlap it.
         The manifest records the time this took as ``timings_s.write``.  A
         file name given twice raises ValueError before any table is written.
         Returns the file names, the manifest last.
@@ -449,13 +452,9 @@ class _Output:
         repeated = [name for name, n in Counter(names).items() if n > 1]
         if repeated:
             raise ValueError(f"two outputs would be written to {self.outdir / repeated[0]}")
-
-        def write_table(entry: tuple[Path, Table]) -> None:
-            path, t = entry
-            path.write_bytes(render(t.header, t.rows, t.meta).encode())
-
-        # the pool lets the writes in flight finish before a failure propagates
-        _map_grid(write_table, [(self.claim(f"{t.name}.{self.fmt}"), t) for t in tables])
+        for t in tables:
+            text = render(t.header, t.rows, t.meta)
+            self.claim(f"{t.name}.{self.fmt}").write_bytes(text.encode())
         for tmp, name in self.claimed:
             os.replace(tmp, self.outdir / name)
             self.placed.append(self.outdir / name)

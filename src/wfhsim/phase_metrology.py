@@ -18,6 +18,8 @@ import numpy as np
 # must be at least 128, the length up to which numpy sums without splitting.
 _LEAF = 65536
 
+ASD_WINDOW = "hann"  # the taper :func:`asd` applies to each segment
+
 
 @dataclass(frozen=True)
 class PhaseTrace:
@@ -60,7 +62,6 @@ class SpectrumCurve:
     freqs: np.ndarray
     asd: np.ndarray
     resolution_bw: float
-    window: str = "hann"
     overlap: float = 0.5
 
 
@@ -165,7 +166,7 @@ def asd(
         raise ValueError(f"overlap_fraction must be in [0, 0.9], got {overlap_fraction}")
     step = max(1, int(round(segment_length * (1.0 - overlap_fraction))))
     starts = range(0, n - segment_length + 1, step)
-    # periodic Hann, the usual Welch convention
+    # periodic Hann (ASD_WINDOW), the usual Welch convention
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_length) / segment_length)
     win_power = float(np.square(window).sum())  # compensates window loss; a numpy sum
     fs = 1.0 / trace.dt
@@ -187,7 +188,6 @@ def asd(
         freqs=freqs,
         asd=np.sqrt(psd),
         resolution_bw=fs / segment_length,
-        window="hann",
         overlap=overlap_fraction,
     )
 

@@ -1,5 +1,5 @@
 import ast
-import importlib
+import importlib.util
 import inspect
 import json
 import math
@@ -889,6 +889,36 @@ class TestBenchmarkHooks:
         code, _ = run_cli(["skellam", "--set", "montecarlo.signal_means=4.13"], tmp_path, "hook")
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "command", ["sweep-kgr", "sweep-mi", "lock", "montecarlo", "skellam", "allan", "asd"]
+    )
+    def test_traced_run_has_one_root(self, tmp_path, monkeypatch, command):
+        # every span of a pooled run, the table writes included, opens under cli.main
+        monkeypatch.setenv(cli.WORKER_ENV, "2")
+        # the tracer and the reduced workload sizes of the benchmark's own tracing test
+        path = REPO_ROOT / "perfbench" / "tests" / "test_tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        trace = tmp_path / "trace.csv"
+        samples = np.random.default_rng(5).normal(0.0, 0.1, 20_000).cumsum()
+        write_trace_csv(trace, PhaseTrace(samples, 1e-4))
+        args = {
+            **tracing.SMALL,
+            "skellam": ["skellam", "--set", "montecarlo.signal_means=4.13"],
+            "allan": ["allan", "--input", str(trace)],
+            "asd": ["asd", "--input", str(trace)],
+        }[command]
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert cli.main([*args, "--out", str(tmp_path / "out")]) == 0
+        finally:
+            tracer.uninstall()
+        assert [s.name for s in tracer.spans if s.parent is None] == ["cli.main"]
 
 
 class TestManifest:
