@@ -84,15 +84,13 @@ def run_experiment(
         raise ValueError(f"shots must be >= 1, got {shots}")
     ks = rng.choice(len(c), size=shots, p=np.array(c.priors))
     n, m = sample_branch_counts(c, ks, params, imperfections, rng)
-    # one bin per (k, n, m); the linear index keeps their lexicographic order
+    # the linear index of (k, n, m) keeps their lexicographic order; only the
+    # cells that occur are tallied, so memory does not grow with side**2
     side = int(max(n.max(), m.max())) + 1
-    counts = np.bincount((ks * side + n) * side + m)
-    cells = np.flatnonzero(counts)
+    cells, counts = np.unique((ks * side + n) * side + m, return_counts=True)
     k_of, rest = np.divmod(cells, side * side)
     n_of, m_of = np.divmod(rest, side)
-    return dict(
-        zip(zip(k_of.tolist(), n_of.tolist(), m_of.tolist()), counts[cells].tolist())
-    )
+    return dict(zip(zip(k_of.tolist(), n_of.tolist(), m_of.tolist()), counts.tolist()))
 
 
 def sample_branch_counts(

@@ -3,9 +3,10 @@
 A balanced homodyne receiver measuring a single quadrature sees each symbol
 as a Gaussian with shot-noise variance; its mutual information is the count
 tables' law on the densities at the points of a uniform grid, each weighed by
-the step (the trapezoid rule).  Quadratures are in shot-noise units
-(sigma0 = 1): the means, the width and the grid all scale with sigma0, so the
-information does not depend on it.
+the step (the trapezoid rule), and the grid is checked by the same law on its
+every other point.  Quadratures are in shot-noise units (sigma0 = 1): the
+means, the width and the grid all scale with sigma0, so the information does
+not depend on it.
 
 The operating point is the count tables' :class:`WfReceiverParams`: the
 homodyne reads its transmissivity, visibility and phase jitter.  It is the
@@ -82,21 +83,20 @@ def hd_mutual_information(c: Constellation, params: WfReceiverParams) -> float:
     marginal and conditional entropies (the grid's end points lie
     GRID_PAD_SIGMAS beyond every mean the jitter reaches, where the
     densities vanish, so their half weights do not matter).  The densities
-    are jitter-averaged by :func:`wf_receiver._jitter_average`.  The grid has
-    STEPS_PER_SIGMA steps per shot-noise sigma.  Raises
-    :class:`GridAccuracyError` when halving the step moves the result by more
-    than 1e-6.  The densities are evaluated once, on the halved-step grid and
-    one node set; its even points are the base grid.
+    are jitter-averaged by :func:`wf_receiver._jitter_average` and evaluated
+    once, on a grid of STEPS_PER_SIGMA steps per shot-noise sigma.  Raises
+    :class:`GridAccuracyError` when the same law on every other point (step
+    2h) differs from the result by more than 1e-6.
     """
     x = _grid(c, params)
     # the linspace step: x[1] - x[0] differs from it by up to ~1e-12 relative
     h = (x[-1] - x[0]) / (len(x) - 1)
-    pdfs = _jittered_pdfs(np.linspace(x[0], x[-1], 2 * len(x) - 1), c.symbols, params)
-    result = _mi_from_tables(c, pdfs[:, ::2] * h).mi_bits
-    refined = _mi_from_tables(c, pdfs * (h / 2.0)).mi_bits
-    if abs(refined - result) > 1e-6:
+    pdfs = _jittered_pdfs(x, c.symbols, params)
+    result = _mi_from_tables(c, pdfs * h).mi_bits
+    coarse = _mi_from_tables(c, pdfs[:, ::2] * (2.0 * h)).mi_bits
+    if abs(coarse - result) > 1e-6:
         raise GridAccuracyError(
-            f"entropy moved by {abs(refined - result):.3e} when halving the "
-            "grid step; refine the grid"
+            f"entropy moved by {abs(coarse - result):.3e} between the grid and "
+            "its every other point; refine the grid"
         )
     return result

@@ -29,7 +29,7 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     a numpy reduction, not a BLAS dot, whose threads would cost more than
     the sum.
     """
-    terms = p * np.log2(p, out=np.zeros_like(p), where=p > 0.0)
+    terms = p * np.log2(np.where(p > 0.0, p, 1.0))
     return -np.sum(terms, axis=-1)
 
 

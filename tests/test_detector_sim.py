@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ class TestRunExperiment:
             c = build_psk(order, math.sqrt(4.13))
         counts = run_experiment(c, lab_receiver, imperfections, 20_000,
                                 np.random.default_rng(41))
-        # the row-sort count the bincount replaced
+        # an independent tally: the row sort of the (k, n, m) triples
         rng = np.random.default_rng(41)
         ks = rng.choice(len(c.symbols), size=20_000, p=[s.prior for s in c.symbols])
         n, m = sample_branch_counts(c, ks, lab_receiver, imperfections, rng)
@@ -142,6 +143,19 @@ class TestRunExperiment:
         reference = {(int(k), int(a), int(b)): int(v) for (k, a, b), v in zip(uniq, freq)}
         assert list(counts.items()) == list(reference.items())
         assert all(type(x) is int for key in counts for x in key)
+
+    def test_tally_memory_does_not_grow_with_reference_mean(self):
+        """Only the occurring cells are tallied, not M * (largest count + 1)**2
+        bins: at a reference mean of 2000 that dense tally peaked above 40 MB."""
+        params = WfReceiverParams(lo_amplitude=math.sqrt(2000.0))
+        c = build_psk(4, math.sqrt(4.13))
+        tracemalloc.start()
+        try:
+            run_experiment(c, params, DetectorImperfections(), 1000, np.random.default_rng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestDifferenceHistograms:
