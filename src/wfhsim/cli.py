@@ -58,14 +58,7 @@ from .io import RENDERERS, write_trace_csv
 from .lock_sim import FOUR_CONDITIONS, LockDivergenceError, _condition_plan, simulate_lock
 from .phase_metrology import ASD_WINDOW, _sample_count, asd, octave_taus, overlapping_allan, rms_phase
 from .security import kgr
-from .wf_receiver import (
-    DiffDistribution,
-    _branch_means,
-    _jitter_average,
-    _prior_mixture,
-    default_d_max,
-    difference_dist,
-)
+from .wf_receiver import difference_laws
 
 WORKER_ENV = "WFHSIM_WORKERS"
 
@@ -290,25 +283,6 @@ def _read_trace(path: str):
     return trace
 
 
-def _skellam_theory(c, params) -> tuple[int, list]:
-    """Per-symbol Skellam laws of the count difference on one shared window.
-
-    Each law is averaged over the phase jitter as the count tables take it;
-    the window holds every branch-mean pair the phases reach: with jitter, any.
-    """
-    sigma = params.phase_jitter_rms
-    amps, phases = np.array(c.amplitudes), np.array(c.phases)
-    peaks = zip(*_branch_means(amps, phases if sigma == 0.0 else 0.0, params))
-    d_max = max(default_d_max(*mu) for mu in peaks)
-
-    def contract(deltas, weights):  # the (node, symbol) laws, mixed over the nodes
-        mus = np.stack(_branch_means(amps, phases + deltas[:, None], params), axis=-1)
-        laws = np.stack([[difference_dist(*mu, d_max).probs for mu in node] for node in mus])
-        return np.stack([_prior_mixture(w, laws) for w in weights.T])
-
-    return d_max, [DiffDistribution(p, d_max) for p in _jitter_average(sigma, contract)]
-
-
 def _signal_cases(config: RunConfig) -> list[tuple[Constellation, float]]:
     """Each swept constellation at each ``montecarlo.signal_means`` entry, orders outermost."""
     cases = [
@@ -332,7 +306,8 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
     mi_rows = []
     for c, mean_sig in _signal_cases(config):
         m = len(c)
-        d_max, theory = _skellam_theory(c, params)
+        theory = difference_laws(c, params)
+        d_max = theory[0].d_max
         ss = np.random.SeedSequence([seed, m, int(round(mean_sig * 1000))])
         mi_analytic = wf_mutual_information(c, params).mi_bits
         pooled = Counter()
@@ -398,7 +373,8 @@ def cmd_skellam(config: RunConfig) -> list[Table]:
     params = config.montecarlo_receiver()
     tables = []
     for c, mean_sig in _signal_cases(config):
-        d_max, dists = _skellam_theory(c, params)
+        dists = difference_laws(c, params)
+        d_max = dists[0].d_max
         tables.append(
             Table(
                 name=f"skellam_m{len(c)}_sig{mean_sig:g}",

@@ -10,8 +10,8 @@ not depend on it.
 
 The operating point is the count tables' :class:`WfReceiverParams`: the
 homodyne reads its transmissivity, visibility and phase jitter.  It is the
-strong-reference limit of that receiver, so ``lo_amplitude`` and ``n_max``
-do not enter.
+strong-reference limit of that receiver, so ``lo_amplitude`` does not
+enter.
 """
 
 from __future__ import annotations

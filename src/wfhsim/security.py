@@ -104,11 +104,9 @@ def conditional_eve_entropy(c: Constellation, params: WfReceiverParams) -> float
 
     For every detector outcome the conditional ensemble reweights the symbols
     by their posterior; the average runs over the truncated outcome table,
-    skipping outcomes with negligible probability.
+    skipping outcomes with negligible probability.  It is :func:`kgr`'s term.
     """
-    overlaps = overlap_matrix(eve_ensemble(c, params.transmissivity))
-    stacked = _stack(conditional_tables(c, params))
-    return _conditional_entropy_scan(stacked, np.array(c.priors), overlaps)[0]
+    return kgr(c, params).s_e_given_b_bits
 
 
 def kgr(c: Constellation, params: WfReceiverParams) -> KgrResult:

@@ -13,7 +13,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -42,14 +41,13 @@ class WfReceiverParams:
     ``lo_amplitude`` is the reference-beam field amplitude (sqrt photons),
     ``visibility`` the mode overlap scaling the interference term, and
     ``phase_jitter_rms`` the RMS of residual Gaussian phase noise folded into
-    the outcome tables by :func:`_jitter_average`.  ``n_max`` of None lets
-    table builders choose the truncation from a Poisson tail bound.
+    the outcome tables by :func:`_jitter_average`.  Count cuts and Skellam
+    windows follow from these (:func:`auto_n_max`, :func:`difference_laws`).
     """
 
     lo_amplitude: float
     visibility: float = 1.0
     transmissivity: float = 1.0
-    n_max: int | None = None
     phase_jitter_rms: float = 0.0
 
     def __post_init__(self) -> None:
@@ -59,8 +57,6 @@ class WfReceiverParams:
             raise ValueError(f"visibility must be in [0, 1], got {self.visibility}")
         if not 0.0 <= self.transmissivity <= 1.0:
             raise ValueError(f"transmissivity must be in [0, 1], got {self.transmissivity}")
-        if self.n_max is not None and not (isinstance(self.n_max, Integral) and self.n_max >= 1):
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max!r}")
         if not 0.0 <= self.phase_jitter_rms < math.inf:
             raise ValueError(
                 f"phase_jitter_rms must be finite and >= 0, got {self.phase_jitter_rms}"
@@ -251,7 +247,7 @@ def conditional_tables(c: Constellation, params: WfReceiverParams) -> list[Joint
     """
     amps, phases = np.array(c.amplitudes), np.array(c.phases)[:, None]
     # first: an overflowing mean fails here
-    n_max = params.n_max if params.n_max is not None else auto_n_max(amps, params)
+    n_max = auto_n_max(amps, params)
     if np.any(params.lo_amplitude**2 < 3.0 * params.transmissivity * amps**2):
         warnings.warn(
             "reference beam weaker than 3x the signal energy; difference "
@@ -268,9 +264,30 @@ def conditional_tables(c: Constellation, params: WfReceiverParams) -> list[Joint
     lost = np.maximum(0.0, 1.0 - tables.sum(axis=(1, 2))).tolist()
     if max(lost) > TRUNCATION_LIMIT:
         raise TruncationError(
-            f"{max(lost):.3e} of probability truncated at n_max={n_max}; increase n_max"
+            f"{max(lost):.3e} of probability truncated at n_max={n_max}"
         )
     return [JointPnrDistribution(table, n_max, mass) for table, mass in zip(tables, lost)]
+
+
+def difference_laws(c: Constellation, params: WfReceiverParams) -> list[DiffDistribution]:
+    """Skellam laws of the count difference of the symbols of ``c``, on one shared window.
+
+    The batched sibling of :func:`conditional_tables`: each law is
+    :func:`difference_dist` averaged over the phase jitter as the count tables
+    take it.  The window holds every branch-mean pair the phases reach: each
+    symbol's own without jitter, with jitter any (the peaks at phase 0).
+    """
+    sigma = params.phase_jitter_rms
+    amps, phases = np.array(c.amplitudes), np.array(c.phases)
+    peaks = zip(*_branch_means(amps, phases if sigma == 0.0 else 0.0, params))
+    d_max = max(default_d_max(*mu) for mu in peaks)
+
+    def contract(deltas, weights):  # the (node, symbol) laws, mixed over the nodes
+        mus = np.stack(_branch_means(amps, phases + deltas[:, None], params), axis=-1)
+        laws = np.stack([[difference_dist(*mu, d_max).probs for mu in node] for node in mus])
+        return np.stack([_prior_mixture(w, laws) for w in weights.T])
+
+    return [DiffDistribution(p, d_max) for p in _jitter_average(sigma, contract)]
 
 
 def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> DiffDistribution:

@@ -26,9 +26,8 @@ from wfhsim.phase_metrology import PhaseTrace, asd, overlapping_allan
 from wfhsim.security import eve_ensemble, kgr, vn_entropy
 from wfhsim.wf_receiver import (
     WfReceiverParams,
-    _branch_means,
-    default_d_max,
     difference_dist,
+    difference_laws,
     poisson_pmf,
 )
 
@@ -170,14 +169,10 @@ def test_criterion_7_monte_carlo_consistency():
         for key, v in counts.items():
             pooled[key] = pooled.get(key, 0) + v
 
-    mus = [_branch_means(s.amplitude, s.phase, params) for s in c.symbols]
-    d_max = max(default_d_max(*mu) for mu in mus)
+    theory = difference_laws(c, params)
     min_fidelity = min(
-        fidelity(
-            difference_dist(mu[0], mu[1], d_max),
-            difference_hist_from_counts(pooled, k, d_max),
-        )
-        for k, mu in enumerate(mus)
+        fidelity(law, difference_hist_from_counts(pooled, k, law.d_max))
+        for k, law in enumerate(theory)
     )
 
     estimate = plugin_mi_estimate(pooled)

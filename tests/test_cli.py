@@ -395,6 +395,18 @@ class TestMonteCarloCommand:
             assert "# shots=8\n" in (out / name).read_text()
         assert "# shots_per_repetition=2\n" in (out / "mc_mi.csv").read_text()
 
+    def test_receiver_laws_stay_in_the_receiver(self):
+        """cli.py takes the Skellam theory from ``difference_laws`` and no private receiver name."""
+        tree = ast.parse((REPO_ROOT / "src" / "wfhsim" / "cli.py").read_text())
+        imported = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("wf_receiver", "wfhsim.wf_receiver")
+            for alias in node.names
+        ]
+        assert "difference_laws" in imported
+        assert [name for name in imported if name.startswith("_")] == []
+
     def test_difference_outside_window_fails_the_run(self, tmp_path, capsys):
         # 30 dark counts a shot push symbol 0's differences out of the theory
         # window; its shots exist, so the run must not report them as missing

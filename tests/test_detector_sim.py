@@ -17,8 +17,7 @@ from wfhsim.info_metrics import plugin_mi_estimate
 from wfhsim.wf_receiver import (
     WfReceiverParams,
     _branch_means,
-    default_d_max,
-    difference_dist,
+    difference_laws,
     joint_pnr_conditional,
 )
 
@@ -181,11 +180,8 @@ class TestDifferenceHistograms:
     def test_lab_point_fidelity_above_threshold(self, lab_bpsk, lab_receiver):
         counts = run_experiment(lab_bpsk, lab_receiver, DetectorImperfections(), 200_000,
                                 np.random.default_rng(123))
-        mus = [_branch_means(s.amplitude, s.phase, lab_receiver) for s in lab_bpsk.symbols]
-        d_max = max(default_d_max(*mu) for mu in mus)
-        for k, mu in enumerate(mus):
-            theory = difference_dist(mu[0], mu[1], d_max)
-            emp = difference_hist_from_counts(counts, k, d_max)
+        for k, theory in enumerate(difference_laws(lab_bpsk, lab_receiver)):
+            emp = difference_hist_from_counts(counts, k, theory.d_max)
             assert fidelity(theory, emp) > 0.999
 
 

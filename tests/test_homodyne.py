@@ -257,9 +257,9 @@ class TestMutualInformation:
 
     @pytest.mark.parametrize("sigma", [0.0, 0.25])
     def test_reference_beam_does_not_enter(self, qpsk, sigma):
-        """The homodyne is the strong-reference limit: z and the count cut are not read."""
+        """The homodyne is the strong-reference limit: z is not read."""
         params = point(transmissivity=0.5, visibility=0.845, phase_jitter_rms=sigma)
-        bright = replace(params, lo_amplitude=50.0, n_max=80)
+        bright = replace(params, lo_amplitude=50.0)
         assert hd_mutual_information(qpsk, bright) == hd_mutual_information(qpsk, params)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from wfhsim import wf_receiver
 from wfhsim.constellation import build_psk, loss_db_to_transmissivity
 from wfhsim.detector_sim import DetectorImperfections, run_experiment
 from wfhsim.info_metrics import _entropy_bits, plugin_mi_estimate, wf_mutual_information
@@ -54,8 +55,9 @@ class TestWfMutualInformation:
             res.marginal_entropy_bits - res.conditional_entropy_bits, abs=1e-12
         )
 
-    def test_truncation_mass_is_the_mixture_loss(self, qpsk):
-        params = WfReceiverParams(n_max=40, **CANONICAL)
+    def test_truncation_mass_is_the_mixture_loss(self, qpsk, monkeypatch):
+        monkeypatch.setattr(wf_receiver, "auto_n_max", lambda amplitudes, params: 40)
+        params = WfReceiverParams(**CANONICAL)
         mixture = _prior_mixture(np.array(qpsk.priors), _stack(conditional_tables(qpsk, params)))
         lost = 1.0 - mixture.sum()
         assert lost > 1e-9

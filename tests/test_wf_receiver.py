@@ -21,7 +21,9 @@ from wfhsim.wf_receiver import (
     _log_factorials,
     auto_n_max,
     conditional_tables,
+    default_d_max,
     difference_dist,
+    difference_laws,
     joint_pnr_conditional,
     poisson_pmf,
 )
@@ -105,9 +107,7 @@ class TestBranchMeans:
 class TestJointTables:
     def test_vacuum_table_is_point_mass(self):
         symbol = CoherentSymbol(0.0, 0.0, 1.0)
-        dist = joint_pnr_conditional(
-            symbol, WfReceiverParams(lo_amplitude=0.0, n_max=5)
-        )
+        dist = joint_pnr_conditional(symbol, WfReceiverParams(lo_amplitude=0.0))
         assert dist.probs[0, 0] == pytest.approx(1.0)
         assert dist.probs.sum() == pytest.approx(1.0)
 
@@ -132,7 +132,7 @@ class TestJointTables:
     def test_single_symbol_marginal_equals_conditional(self):
         c = build_psk(2, 0.8, 0.0)
         only = CoherentSymbol(0.8, 0.0, 1.0)
-        params = WfReceiverParams(lo_amplitude=2.0, n_max=40)
+        params = WfReceiverParams(lo_amplitude=2.0)
         cond = joint_pnr_conditional(only, params)
         from wfhsim.constellation import Constellation
 
@@ -170,10 +170,11 @@ class TestJointTables:
             h_cond = _entropy_bits(joint_pnr_conditional(s, params).probs.ravel())
             assert h_mixed > h_cond
 
-    def test_truncation_error_reports_n_max(self):
+    def test_truncation_error_reports_n_max(self, monkeypatch):
+        monkeypatch.setattr(wf_receiver, "auto_n_max", lambda amplitudes, params: 8)
         symbol = CoherentSymbol(2.04, 0.0, 1.0)
-        with pytest.raises(TruncationError, match="n_max"):
-            joint_pnr_conditional(symbol, WfReceiverParams(lo_amplitude=3.53, n_max=8))
+        with pytest.raises(TruncationError, match="n_max=8"):
+            joint_pnr_conditional(symbol, WfReceiverParams(lo_amplitude=3.53))
 
     def test_jitter_limit_matches_unjittered(self):
         symbol = CoherentSymbol(2.04, 0.3, 1.0)
@@ -239,7 +240,7 @@ class TestJointTables:
         n_max = max(auto_n_max(s.amplitude, params) for s in c.symbols)
         assert [t.n_max for t in tables] == [n_max] * 4
         for s, table in zip(c.symbols, tables):
-            alone = joint_pnr_conditional(s, replace(params, n_max=n_max))
+            alone = joint_pnr_conditional(s, params)
             assert np.array_equal(table.probs, alone.probs)
 
     def test_auto_truncation_scale(self):
@@ -399,6 +400,45 @@ class TestDifferenceDist:
             difference_dist(15.512, 1.110, d_max=5)
 
 
+# (receiver, amplitude): signal means 4.13 and 1.78 at reference mean 12.5
+# (montecarlo's lab point), and the canonical alpha = 2.04 at z = 3.53.
+DIFFERENCE_POINTS = [
+    pytest.param(WfReceiverParams(math.sqrt(12.5)), math.sqrt(4.13), id="lab-4.13"),
+    pytest.param(WfReceiverParams(math.sqrt(12.5)), math.sqrt(1.78), id="lab-1.78"),
+    pytest.param(WfReceiverParams(**CANONICAL), 2.04, id="canonical"),
+]
+
+
+class TestDifferenceLaws:
+    """The Skellam laws of a constellation on one window, as ``montecarlo`` and ``skellam`` read them."""
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("params, amplitude", DIFFERENCE_POINTS)
+    def test_unjittered_is_each_symbols_law(self, params, amplitude, m):
+        """Without jitter, each law is difference_dist at its own means, on the widest window."""
+        c = build_psk(m, amplitude)
+        mus = [_branch_means(s.amplitude, s.phase, params) for s in c.symbols]
+        d_max = max(default_d_max(*mu) for mu in mus)
+        laws = difference_laws(c, params)
+        assert [law.d_max for law in laws] == [d_max] * m
+        for law, mu in zip(laws, mus):
+            assert np.array_equal(law.probs, difference_dist(*mu, d_max).probs)
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("params, amplitude", DIFFERENCE_POINTS)
+    def test_jittered_is_the_tables_diagonal_sums(self, params, amplitude, m, sigma):
+        """With jitter, each law sums the diagonals n - m = d of its jittered count table."""
+        params = replace(params, phase_jitter_rms=sigma)
+        c = build_psk(m, amplitude)
+        laws = difference_laws(c, params)
+        d_max = laws[0].d_max
+        assert [law.d_max for law in laws] == [d_max] * m
+        for law, table in zip(laws, conditional_tables(c, params)):
+            ref = brute_force_difference(table.probs, d_max)
+            assert np.max(np.abs(law.probs - ref)) <= 1e-15
+
+
 class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
@@ -406,15 +446,11 @@ class TestParams:
             dict(lo_amplitude=-1.0),
             dict(lo_amplitude=1.0, visibility=1.5),
             dict(lo_amplitude=1.0, transmissivity=-0.2),
-            dict(lo_amplitude=1.0, n_max=0),
             dict(lo_amplitude=1.0, phase_jitter_rms=-0.1),
             dict(lo_amplitude=math.nan),
             dict(lo_amplitude=math.inf),
             dict(lo_amplitude=1.0, phase_jitter_rms=math.nan),
             dict(lo_amplitude=1.0, phase_jitter_rms=math.inf),
-            dict(lo_amplitude=1.0, n_max=2.5),
-            dict(lo_amplitude=1.0, n_max=math.nan),
-            dict(lo_amplitude=1.0, n_max=math.inf),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
