@@ -22,8 +22,7 @@ _EXPORTS = {
     "info_metrics": ("MiResult", "plugin_mi_estimate", "wf_mutual_information"),
     "security": ("KgrResult", "kgr", "vn_entropy"),
     "wf_receiver": (
-        "DiffDistribution", "JointPnrDistribution", "WfReceiverParams", "difference_dist",
-        "joint_pnr_conditional",
+        "JointPnrDistribution", "WfReceiverParams", "difference_dist", "joint_pnr_conditional",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

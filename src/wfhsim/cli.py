@@ -75,9 +75,12 @@ def _workers() -> int:
     """Threads of the pool: ``WFHSIM_WORKERS``, else the CPUs this process may run on."""
     raw = os.environ.get(WORKER_ENV, "")
     if raw.strip():
-        n = int(raw)
+        try:
+            n = int(raw)
+        except ValueError:
+            n = 0
         if n < 1:
-            raise ValueError(f"{WORKER_ENV} must be >= 1")
+            raise ValueError(f"{WORKER_ENV} must be a whole number >= 1, got {raw!r}")
         return n
     if hasattr(os, "sched_getaffinity"):  # Linux: a pinned process gets fewer
         return len(os.sched_getaffinity(0))
@@ -264,7 +267,7 @@ def cmd_asd(config: RunConfig, input_path: str, segment_s: float, overlap: float
             meta={
                 "input": Path(input_path).name,
                 "window": ASD_WINDOW,
-                "overlap": spectrum.overlap,
+                "overlap": overlap,
                 "resolution_bw_hz": spectrum.resolution_bw,
             },
         )
@@ -307,7 +310,7 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
     for c, mean_sig in _signal_cases(config):
         m = len(c)
         theory = difference_laws(c, params)
-        d_max = theory[0].d_max
+        d_max = theory.shape[-1] // 2
         ss = np.random.SeedSequence([seed, m, int(round(mean_sig * 1000))])
         mi_analytic = wf_mutual_information(c, params).mi_bits
         pooled = Counter()
@@ -316,9 +319,8 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
             counts = run_experiment(c, params, imperfections, shots_per_rep, rng)
             pooled.update(counts)
             mi_rows.append((m, mean_sig, r, plugin_mi_estimate(counts), mi_analytic))
-        empirical = np.zeros((m, 2 * d_max + 1))  # a symbol that drew no shot keeps zeros
-        for k in sorted({k for k, _, _ in pooled}):  # an out-of-window difference raises
-            empirical[k] = difference_hist_from_counts(pooled, k, d_max).probs
+        # a symbol that drew no shot keeps zeros; an out-of-window difference raises
+        empirical = difference_hist_from_counts(pooled, m, d_max)
         for k, emp in enumerate(empirical):
             fidelities = (0.0, 0.0)
             if emp.any():  # fidelity needs a normalized row
@@ -326,7 +328,7 @@ def cmd_montecarlo(config: RunConfig) -> list[Table]:
             overlap = float(np.minimum(emp, empirical[(k + 1) % m]).sum())
             summary_rows.append((m, mean_sig, k, *fidelities, overlap))
         header = ["d", *(f"p_{kind}_{k}" for kind in ("empirical", "theory") for k in range(m))]
-        columns = np.vstack([empirical, [t.probs for t in theory]]).tolist()
+        columns = np.vstack([empirical, theory]).tolist()
         tables.append(
             Table(
                 name=f"mc_hist_m{m}_sig{mean_sig:g}",
@@ -373,13 +375,13 @@ def cmd_skellam(config: RunConfig) -> list[Table]:
     params = config.montecarlo_receiver()
     tables = []
     for c, mean_sig in _signal_cases(config):
-        dists = difference_laws(c, params)
-        d_max = dists[0].d_max
+        laws = difference_laws(c, params)
+        d_max = laws.shape[-1] // 2
         tables.append(
             Table(
                 name=f"skellam_m{len(c)}_sig{mean_sig:g}",
                 header=["d"] + [f"p_theory_{k}" for k in range(len(c))],
-                rows=list(zip(range(-d_max, d_max + 1), *(d.probs.tolist() for d in dists))),
+                rows=list(zip(range(-d_max, d_max + 1), *laws.tolist())),
                 meta={"lo_mean": config["montecarlo.lo_mean"], "signal_mean": mean_sig},
             )
         )

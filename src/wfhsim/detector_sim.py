@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constellation import Constellation
-from .wf_receiver import DiffDistribution, WfReceiverParams, _branch_means
+from .wf_receiver import WfReceiverParams, _branch_means
 
 
 @dataclass(frozen=True)
@@ -116,36 +116,44 @@ def sample_branch_counts(
 
 
 def difference_hist_from_counts(
-    counts: dict[tuple[int, int, int], int], symbol_index: int, d_max: int
-) -> DiffDistribution:
-    """Per-symbol difference histogram extracted from an experiment counts table."""
-    probs = np.zeros(2 * d_max + 1)
-    total = 0
-    for (k, n, m), v in counts.items():
-        if k != symbol_index:
-            continue
-        d = n - m
-        if abs(d) > d_max:
-            raise ValueError(
-                f"symbol {symbol_index}: count difference {d} outside [-{d_max}, {d_max}]"
-            )
-        probs[d + d_max] += v
-        total += v
-    if total == 0:
-        raise ValueError(f"no shots for symbol {symbol_index}")
-    return DiffDistribution(probs=probs / total, d_max=d_max)
+    counts: dict[tuple[int, int, int], int], m: int, d_max: int
+) -> np.ndarray:
+    """Every symbol's normalised count-difference histogram from an experiment counts table.
+
+    ``counts`` is keyed by (symbol, n_t, n_r).  Returns an (m, 2 d_max + 1)
+    array whose row k is symbol k's empirical law of d = n_t - n_r over
+    [-d_max, d_max]; a symbol with no shots keeps a row of zeros.  An empty
+    table, a symbol index outside [0, m) or a difference outside the window
+    (the first key, in table order, of the lowest such symbol is named)
+    raises ValueError.
+    """
+    if not counts:
+        raise ValueError("no shots: the counts table is empty")
+    k, n_t, n_r = np.array(list(counts), dtype=np.int64).T
+    stray = k[(k < 0) | (k >= m)]
+    if stray.size:
+        raise ValueError(f"symbol index {stray[0]} outside [0, {m})")
+    d = n_t - n_r
+    outside = np.abs(d) > d_max
+    if outside.any():
+        i = np.flatnonzero(outside & (k == k[outside].min()))[0]
+        raise ValueError(f"symbol {k[i]}: count difference {d[i]} outside [-{d_max}, {d_max}]")
+    width = 2 * d_max + 1
+    weights = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    hist = np.bincount(k * width + d + d_max, weights, minlength=m * width).reshape(m, width)
+    totals = hist.sum(axis=1, keepdims=True)
+    return np.divide(hist, totals, out=np.zeros_like(hist), where=totals > 0)
 
 
 def fidelity(p_a, p_b, method: str = "bhattacharyya") -> float:
-    """Agreement between two distributions on the same support, in [0, 1].
+    """Agreement between two distributions (arrays) on the same support, in [0, 1].
 
     The default is the Bhattacharyya coefficient sum(sqrt(p q)), which is 1
     iff the distributions coincide.  ``method='product'`` computes the plain
     product sum sum(p q) instead; it underestimates agreement for broad
     distributions (sum(p^2) << 1) and is kept for comparison only.
     """
-    a = p_a.probs if isinstance(p_a, DiffDistribution) else np.asarray(p_a, dtype=float)
-    b = p_b.probs if isinstance(p_b, DiffDistribution) else np.asarray(p_b, dtype=float)
+    a, b = np.asarray(p_a, dtype=float), np.asarray(p_b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"mismatched supports: {a.shape} vs {b.shape}")
     for name, p in (("p_a", a), ("p_b", b)):

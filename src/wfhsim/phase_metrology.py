@@ -62,7 +62,6 @@ class SpectrumCurve:
     freqs: np.ndarray
     asd: np.ndarray
     resolution_bw: float
-    overlap: float = 0.5
 
 
 def _sample_count(seconds: float, dt: float) -> int:
@@ -184,12 +183,7 @@ def asd(
     if segment_length % 2 == 0:
         psd[-1] /= 2.0
     freqs = np.fft.rfftfreq(segment_length, d=trace.dt)
-    return SpectrumCurve(
-        freqs=freqs,
-        asd=np.sqrt(psd),
-        resolution_bw=fs / segment_length,
-        overlap=overlap_fraction,
-    )
+    return SpectrumCurve(freqs=freqs, asd=np.sqrt(psd), resolution_bw=fs / segment_length)
 
 
 def rms_phase(trace: PhaseTrace) -> float:

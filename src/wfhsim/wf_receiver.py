@@ -68,45 +68,16 @@ class JointPnrDistribution:
     """Joint probability table over count pairs (n, m), n, m in [0, n_max]."""
 
     probs: np.ndarray
-    n_max: int
-    truncation_mass: float
 
     def __post_init__(self) -> None:
-        if self.probs.shape != (self.n_max + 1, self.n_max + 1):
-            raise ValueError("probs must be (n_max+1, n_max+1)")
+        if self.probs.ndim != 2 or self.probs.shape[0] != self.probs.shape[1]:
+            raise ValueError("probs must be a square (n_max+1, n_max+1) table")
         if np.any(self.probs < 0.0):
             raise ValueError("table entries must be >= 0")
 
-    def marginal_transmitted(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def marginal_reflected(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
-
-@dataclass(frozen=True)
-class DiffDistribution:
-    """Distribution of the count difference d = n - m over [-d_max, d_max]."""
-
-    probs: np.ndarray
-    d_max: int
-
-    def __post_init__(self) -> None:
-        if self.probs.shape != (2 * self.d_max + 1,):
-            raise ValueError("probs must have length 2*d_max + 1")
-        if np.any(self.probs < 0.0) or float(self.probs.sum()) > 1.0 + 1e-9:
-            raise ValueError("probs must be >= 0 with total mass <= 1")
-
     @property
-    def support(self) -> np.ndarray:
-        return np.arange(-self.d_max, self.d_max + 1)
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.probs))
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float(np.dot((self.support - mu) ** 2, self.probs))
+    def n_max(self) -> int:
+        return self.probs.shape[0] - 1
 
 
 def _branch_means(amps, phases, params: WfReceiverParams) -> tuple[np.ndarray, np.ndarray]:
@@ -261,21 +232,20 @@ def conditional_tables(c: Constellation, params: WfReceiverParams) -> list[Joint
         return (weights.T[:, None, :, None] * p_t).swapaxes(-1, -2) @ p_r
 
     tables = _jitter_average(params.phase_jitter_rms, contract)
-    lost = np.maximum(0.0, 1.0 - tables.sum(axis=(1, 2))).tolist()
-    if max(lost) > TRUNCATION_LIMIT:
-        raise TruncationError(
-            f"{max(lost):.3e} of probability truncated at n_max={n_max}"
-        )
-    return [JointPnrDistribution(table, n_max, mass) for table, mass in zip(tables, lost)]
+    lost = max(0.0, 1.0 - float(np.min(tables.sum(axis=(1, 2)))))
+    if lost > TRUNCATION_LIMIT:
+        raise TruncationError(f"{lost:.3e} of probability truncated at n_max={n_max}")
+    return [JointPnrDistribution(table) for table in tables]
 
 
-def difference_laws(c: Constellation, params: WfReceiverParams) -> list[DiffDistribution]:
+def difference_laws(c: Constellation, params: WfReceiverParams) -> np.ndarray:
     """Skellam laws of the count difference of the symbols of ``c``, on one shared window.
 
-    The batched sibling of :func:`conditional_tables`: each law is
-    :func:`difference_dist` averaged over the phase jitter as the count tables
-    take it.  The window holds every branch-mean pair the phases reach: each
-    symbol's own without jitter, with jitter any (the peaks at phase 0).
+    The batched sibling of :func:`conditional_tables`: an (M, 2 d_max + 1)
+    array whose row k is :func:`difference_dist` of symbol k, averaged over
+    the phase jitter as the count tables take it; ``d_max = shape[-1] // 2``.
+    The window holds every branch-mean pair the phases reach: each symbol's
+    own without jitter, with jitter any (the peaks at phase 0).
     """
     sigma = params.phase_jitter_rms
     amps, phases = np.array(c.amplitudes), np.array(c.phases)
@@ -284,15 +254,16 @@ def difference_laws(c: Constellation, params: WfReceiverParams) -> list[DiffDist
 
     def contract(deltas, weights):  # the (node, symbol) laws, mixed over the nodes
         mus = np.stack(_branch_means(amps, phases + deltas[:, None], params), axis=-1)
-        laws = np.stack([[difference_dist(*mu, d_max).probs for mu in node] for node in mus])
+        laws = np.stack([[difference_dist(*mu, d_max) for mu in node] for node in mus])
         return np.stack([_prior_mixture(w, laws) for w in weights.T])
 
-    return [DiffDistribution(p, d_max) for p in _jitter_average(sigma, contract)]
+    return _jitter_average(sigma, contract)
 
 
-def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> DiffDistribution:
+def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> np.ndarray:
     """Skellam law of the branch count difference, by truncated correlation.
 
+    Returns P(d) for d = -d_max..d_max, a (2 d_max + 1,) array:
     P(d) = sum_m P_{m+d}(mu_t) P_m(mu_r), each branch's Poisson row taken over
     the one count cut's window about its mean; differences outside that
     support get 0.  ``d_max`` of None picks a span from the Skellam moments; a
@@ -320,7 +291,7 @@ def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> DiffD
             f"difference window [-{d_max}, {d_max}] captures only {mass:.12f} "
             "of the distribution; increase d_max"
         )
-    return DiffDistribution(probs=probs, d_max=d_max)
+    return probs
 
 
 def default_d_max(mu_t: float, mu_r: float) -> int:

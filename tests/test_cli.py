@@ -521,6 +521,15 @@ class TestErrorHandling:
         assert "unknown" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("workers", ["abc", "2.5", "0"])
+    def test_malformed_worker_count_names_itself(self, tmp_path, capsys, monkeypatch, workers):
+        monkeypatch.setenv(cli.WORKER_ENV, workers)
+        code = main(["sweep-kgr", *SMALL_GRID, "--out", str(tmp_path / "w")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: WFHSIM_WORKERS must be a whole number >= 1, got {workers!r}\n"
+        assert not (tmp_path / "w").exists()
+
     @pytest.mark.parametrize(
         "key", ["constellation.m", "receiver.n_max", "sweep.bpsk_phi0", "sweep.qpsk_phi0"]
     )
@@ -1132,7 +1141,7 @@ class TestStartup:
             "getattr(sys.modules[getattr(wfhsim, n).__module__], n)), "
             "len(names), wfhsim.kgr is wfhsim.security.kgr)"
         )
-        assert run_python(code, child_env()) == "[] 17 True"
+        assert run_python(code, child_env()) == "[] 16 True"
 
     def test_unknown_attribute_raises(self):
         code = (

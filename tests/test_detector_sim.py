@@ -157,32 +157,71 @@ class TestRunExperiment:
         assert peak < 2e6
 
 
+def hist_oracle(counts, m, d_max):
+    """Each symbol's normalised difference histogram, one table cell at a time."""
+    rows = [[0.0] * (2 * d_max + 1) for _ in range(m)]
+    totals = [0] * m
+    for (k, n, r), v in counts.items():
+        rows[k][n - r + d_max] += v
+        totals[k] += v
+    return np.array([[p / t if t else 0.0 for p in row] for row, t in zip(rows, totals)])
+
+
 class TestDifferenceHistograms:
     def test_all_equal_counts_give_point_mass(self):
         counts = {(0, 3, 3): 1, (0, 5, 5): 1, (1, 4, 0): 7}
-        dist = difference_hist_from_counts(counts, 0, 2)
-        assert dist.d_max == 2
-        assert dist.probs == pytest.approx([0.0, 0.0, 1.0, 0.0, 0.0])
+        hist = difference_hist_from_counts(counts, 2, 4)
+        assert hist.shape == (2, 9)
+        assert hist[0] == pytest.approx([0.0] * 4 + [1.0] + [0.0] * 4)
+        assert hist[1] == pytest.approx([0.0] * 8 + [1.0])
 
     def test_swap_mirrors(self):
         counts = {(0, 4, 1): 2, (0, 2, 0): 1, (0, 0, 3): 1}
         swapped = {(k, m, n): v for (k, n, m), v in counts.items()}
-        a = difference_hist_from_counts(counts, 0, 3)
-        b = difference_hist_from_counts(swapped, 0, 3)
-        assert a.probs == pytest.approx(b.probs[::-1])
+        a = difference_hist_from_counts(counts, 1, 3)
+        b = difference_hist_from_counts(swapped, 1, 3)
+        assert a[0] == pytest.approx(b[0, ::-1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no shots"):
-            difference_hist_from_counts({}, 0, 3)
-        with pytest.raises(ValueError, match="no shots"):
-            difference_hist_from_counts({(1, 2, 0): 5}, 0, 3)
+            difference_hist_from_counts({}, 1, 3)
+
+    def test_symbol_without_shots_keeps_zeros(self):
+        hist = difference_hist_from_counts({(1, 2, 0): 5}, 2, 3)
+        assert np.array_equal(hist[0], np.zeros(7))
+        assert np.array_equal(hist[1], [0.0] * 5 + [1.0, 0.0])
+
+    @pytest.mark.parametrize("k", [2, 7, -1])
+    def test_symbol_index_outside_constellation_rejected(self, k):
+        with pytest.raises(ValueError, match=f"symbol index {k} outside"):
+            difference_hist_from_counts({(0, 1, 1): 3, (k, 1, 1): 2}, 2, 3)
+
+    def test_out_of_window_names_lowest_symbol_first_key(self):
+        counts = {(1, 9, 0): 1, (0, 0, 0): 1, (0, 0, 8): 1, (0, 7, 0): 1}
+        with pytest.raises(ValueError, match=r"^symbol 0: count difference -8 outside \[-3, 3\]$"):
+            difference_hist_from_counts(counts, 2, 3)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_cell_loop(self, seed):
+        """Bit for bit the per-cell loop, on tables in random key order; some miss a symbol."""
+        rng = np.random.default_rng(seed)
+        m, d_max = 4, 5
+        drawn = [k for k in range(m) if k != seed % (m + 1)]  # seed 4 draws every symbol
+        counts = {}
+        for _ in range(int(rng.integers(1, 80))):
+            key = (int(rng.choice(drawn)), *(int(x) for x in rng.integers(0, d_max + 1, 2)))
+            counts[key] = counts.get(key, 0) + int(rng.integers(1, 10_000))
+        hist = difference_hist_from_counts(counts, m, d_max)
+        assert np.array_equal(hist, hist_oracle(counts, m, d_max))
+        assert set(np.flatnonzero(hist.any(axis=1))) == {k for k, _, _ in counts}
 
     def test_lab_point_fidelity_above_threshold(self, lab_bpsk, lab_receiver):
         counts = run_experiment(lab_bpsk, lab_receiver, DetectorImperfections(), 200_000,
                                 np.random.default_rng(123))
-        for k, theory in enumerate(difference_laws(lab_bpsk, lab_receiver)):
-            emp = difference_hist_from_counts(counts, k, theory.d_max)
-            assert fidelity(theory, emp) > 0.999
+        theory = difference_laws(lab_bpsk, lab_receiver)
+        empirical = difference_hist_from_counts(counts, len(lab_bpsk), theory.shape[-1] // 2)
+        for law, emp in zip(theory, empirical):
+            assert fidelity(law, emp) > 0.999
 
 
 class TestFidelity:

@@ -111,6 +111,12 @@ class TestJointTables:
         assert dist.probs[0, 0] == pytest.approx(1.0)
         assert dist.probs.sum() == pytest.approx(1.0)
 
+    def test_table_is_square_and_sets_n_max(self):
+        assert wf_receiver.JointPnrDistribution(np.full((3, 3), 0.1)).n_max == 2
+        for shape in [(3, 4), (9,), (2, 2, 2)]:
+            with pytest.raises(ValueError, match="square"):
+                wf_receiver.JointPnrDistribution(np.zeros(shape))
+
     def test_small_mean_value(self):
         # mu_t = 1, mu_r = 2 -> p(0,0) = e^-3
         probs = np.outer(poisson_pmf(1.0, 40), poisson_pmf(2.0, 40))
@@ -120,7 +126,7 @@ class TestJointTables:
     def test_factorizes_without_jitter(self):
         symbol = CoherentSymbol(2.04, 0.3, 1.0)
         dist = joint_pnr_conditional(symbol, WfReceiverParams(**CANONICAL))
-        outer = np.outer(dist.marginal_transmitted(), dist.marginal_reflected())
+        outer = np.outer(dist.probs.sum(axis=1), dist.probs.sum(axis=0))
         assert np.max(np.abs(outer - dist.probs)) < 1e-12
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -361,24 +367,26 @@ class TestJitterRule:
 class TestDifferenceDist:
     def test_symmetric_when_balanced(self):
         d = difference_dist(3.2, 3.2, 40)
-        assert np.allclose(d.probs, d.probs[::-1], atol=1e-15)
+        assert np.allclose(d, d[::-1], atol=1e-15)
 
     def test_degenerate_branch_is_poisson(self):
         d = difference_dist(2.5, 0.0, 30)
-        assert np.all(d.probs[: d.d_max] == 0.0)
-        assert d.probs[d.d_max :] == pytest.approx(poisson_pmf(2.5, d.d_max), abs=1e-15)
+        assert np.all(d[:30] == 0.0)
+        assert d[30:] == pytest.approx(poisson_pmf(2.5, 30), abs=1e-15)
 
     def test_moments_at_canonical_means(self):
         d = difference_dist(15.512, 1.110)
-        assert d.mean() == pytest.approx(14.402, abs=1e-3)
-        assert d.variance() == pytest.approx(16.622, abs=1e-3)
+        support = np.arange(len(d)) - len(d) // 2
+        mean = float(np.dot(support, d))
+        assert mean == pytest.approx(14.402, abs=1e-3)
+        assert float(np.dot((support - mean) ** 2, d)) == pytest.approx(16.622, abs=1e-3)
 
     @pytest.mark.parametrize("mu", [(15.512, 1.110), (8.311, 8.311), (1.0, 2.0), *BRIGHT_MEANS])
     def test_matches_bessel_closed_form(self, mu):
         d = difference_dist(*mu)
-        support = d.support
+        support = np.arange(len(d)) - len(d) // 2
         ref = skellam.pmf(support, mu1=mu[0], mu2=mu[1])
-        assert np.max(np.abs(d.probs - ref)) < 1e-12
+        assert np.max(np.abs(d - ref)) < 1e-12
 
     @pytest.mark.parametrize("mu", [(15.512, 1.110), (8.311, 8.311), (1.0, 2.0)])
     def test_matches_brute_force_joint_sum(self, mu):
@@ -386,14 +394,14 @@ class TestDifferenceDist:
         joint = np.outer(poisson_pmf(mu[0], n_max), poisson_pmf(mu[1], n_max))
         d = difference_dist(*mu, d_max=50)
         ref = brute_force_difference(joint, 50)
-        assert np.max(np.abs(d.probs - ref)) < 1e-12
+        assert np.max(np.abs(d - ref)) < 1e-12
 
     @pytest.mark.parametrize("mu", [(400.0, 30.0), (400.0, 250.0)])
     def test_windows_above_zero_match_brute_force(self, mu):
         # the count windows start at 140 and 0, then at 140 and 40
         joint = np.outer(poisson_pmf(mu[0], 700), poisson_pmf(mu[1], 700))
         d = difference_dist(*mu)
-        assert np.max(np.abs(d.probs - brute_force_difference(joint, d.d_max))) < 1e-12
+        assert np.max(np.abs(d - brute_force_difference(joint, len(d) // 2))) < 1e-12
 
     def test_insufficient_window_raises(self):
         with pytest.raises(TruncationError):
@@ -420,9 +428,9 @@ class TestDifferenceLaws:
         mus = [_branch_means(s.amplitude, s.phase, params) for s in c.symbols]
         d_max = max(default_d_max(*mu) for mu in mus)
         laws = difference_laws(c, params)
-        assert [law.d_max for law in laws] == [d_max] * m
+        assert isinstance(laws, np.ndarray) and laws.shape == (m, 2 * d_max + 1)
         for law, mu in zip(laws, mus):
-            assert np.array_equal(law.probs, difference_dist(*mu, d_max).probs)
+            assert np.array_equal(law, difference_dist(*mu, d_max))
 
     @pytest.mark.parametrize("sigma", [0.05, 0.25, 0.5, 1.0])
     @pytest.mark.parametrize("m", [2, 4, 8])
@@ -432,11 +440,11 @@ class TestDifferenceLaws:
         params = replace(params, phase_jitter_rms=sigma)
         c = build_psk(m, amplitude)
         laws = difference_laws(c, params)
-        d_max = laws[0].d_max
-        assert [law.d_max for law in laws] == [d_max] * m
+        d_max = laws.shape[-1] // 2
+        assert laws.shape == (m, 2 * d_max + 1)
         for law, table in zip(laws, conditional_tables(c, params)):
             ref = brute_force_difference(table.probs, d_max)
-            assert np.max(np.abs(law.probs - ref)) <= 1e-15
+            assert np.max(np.abs(law - ref)) <= 1e-15
 
 
 class TestParams:
