@@ -457,15 +457,35 @@ class TestEdgeCases:
         _, _, rows = parse_table((out / "skellam_m4_sig4.13.csv").read_text())
         assert np.array([r[1:] for r in rows], dtype=float).sum(axis=0) == pytest.approx(1.0)
 
-    def test_worker_pool_changes_nothing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["sweep-mi", "sweep-kgr"])
+    def test_worker_pool_changes_nothing(self, tmp_path, monkeypatch, command):
         outputs = []
         for workers in ("1", "4"):
             monkeypatch.setenv("WFHSIM_WORKERS", workers)
             _, out = run_cli(
-                ["sweep-mi"] + SMALL_GRID, tmp_path, f"workers{workers}"
+                [command] + SMALL_GRID, tmp_path, f"workers{workers}"
             )
-            outputs.append((out / "sweep_mi.csv").read_bytes())
+            outputs.append((out / f"{command.replace('-', '_')}.csv").read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_pool_runs_only_pooled_work(self, tmp_path, monkeypatch):
+        # sweep-mi's points hold the interpreter lock, so they run on the command's thread
+        created = []
+
+        class RecordingPool(cli.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv(cli.WORKER_ENV, "2")
+        pools = {}
+        for args in (["sweep-mi", *SMALL_GRID], ["sweep-kgr", *SMALL_GRID], ["lock", *SMALL_LOCK]):
+            created.clear()
+            code, _ = run_cli(args, tmp_path, args[0])
+            assert code == 0
+            pools[args[0]] = list(created)
+        assert pools == {"sweep-mi": [], "sweep-kgr": [2], "lock": [2]}
 
     @pytest.mark.slow
     def test_homodyne_result_ignores_threading(self, tmp_path):
@@ -523,12 +543,26 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("workers", ["abc", "2.5", "0"])
     def test_malformed_worker_count_names_itself(self, tmp_path, capsys, monkeypatch, workers):
+        # every command reads the variable, not only those that map work over the pool
+        trace = tmp_path / "trace.csv"
+        samples = np.random.default_rng(5).normal(0.0, 0.1, 2_000).cumsum()
+        write_trace_csv(trace, PhaseTrace(samples, 1e-3))
         monkeypatch.setenv(cli.WORKER_ENV, workers)
-        code = main(["sweep-kgr", *SMALL_GRID, "--out", str(tmp_path / "w")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err == f"error: WFHSIM_WORKERS must be a whole number >= 1, got {workers!r}\n"
-        assert not (tmp_path / "w").exists()
+        for args in (
+            ["sweep-mi", *SMALL_GRID],
+            ["sweep-kgr", *SMALL_GRID],
+            ["lock", *SMALL_LOCK],
+            ["montecarlo", "--set", "montecarlo.shots=4000",
+             "--set", "montecarlo.signal_means=4.13"],
+            ["skellam", "--set", "montecarlo.signal_means=4.13"],
+            ["allan", "--input", str(trace)],
+            ["asd", "--input", str(trace)],
+        ):
+            out = tmp_path / args[0]
+            assert main([*args, "--out", str(out)]) == 1, args[0]
+            err = capsys.readouterr().err
+            assert err == f"error: WFHSIM_WORKERS must be a whole number >= 1, got {workers!r}\n"
+            assert not out.exists(), args[0]
 
     @pytest.mark.parametrize(
         "key", ["constellation.m", "receiver.n_max", "sweep.bpsk_phi0", "sweep.qpsk_phi0"]
