@@ -261,7 +261,7 @@ def _band_table(name: str, x_name: str, y_name: str, x, curves: list, meta: dict
     return Table(name, [x_name, f"{y_name}_mean", f"{y_name}_std"], rows, dict(meta))
 
 
-def cmd_allan(config: RunConfig, input_path: str) -> list[Table]:
+def cmd_allan(input_path: str) -> list[Table]:
     trace = _read_trace(input_path)
     curve = overlapping_allan(trace, octave_taus(trace))
     rows = [(float(t), float(a), int(c)) for t, a, c in zip(curve.taus, curve.adev, curve.counts)]
@@ -275,7 +275,7 @@ def cmd_allan(config: RunConfig, input_path: str) -> list[Table]:
     ]
 
 
-def cmd_asd(config: RunConfig, input_path: str, segment_s: float, overlap: float) -> list[Table]:
+def cmd_asd(input_path: str, segment_s: float, overlap: float) -> list[Table]:
     trace = _read_trace(input_path)
     spectrum = asd(trace, _sample_count(segment_s, trace.dt), overlap)
     return [
@@ -539,9 +539,9 @@ def run(args: argparse.Namespace) -> int:
         elif args.command == "lock":
             tables = cmd_lock(config, output)
         elif args.command == "allan":
-            tables = cmd_allan(config, args.input)
+            tables = cmd_allan(args.input)
         elif args.command == "asd":
-            tables = cmd_asd(config, args.input, args.segment_s, args.overlap)
+            tables = cmd_asd(args.input, args.segment_s, args.overlap)
         elif args.command == "montecarlo":
             tables = cmd_montecarlo(config)
         elif args.command == "skellam":

@@ -27,9 +27,11 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     The one Shannon entropy kernel: the plug-in MI estimate, the Holevo
     spectra and the table MI of both receivers all reduce to it.  The sum is
     a numpy reduction, not a BLAS dot, whose threads would cost more than
-    the sum.
+    the sum.  It holds one temporary, the terms, computed in place.
     """
-    terms = p * np.log2(np.where(p > 0.0, p, 1.0))
+    terms = np.where(p > 0.0, p, 1.0)
+    np.log2(terms, out=terms)
+    terms *= p
     return -np.sum(terms, axis=-1)
 
 

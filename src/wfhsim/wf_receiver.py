@@ -41,8 +41,8 @@ class WfReceiverParams:
     ``lo_amplitude`` is the reference-beam field amplitude (sqrt photons),
     ``visibility`` the mode overlap scaling the interference term, and
     ``phase_jitter_rms`` the RMS of residual Gaussian phase noise folded into
-    the outcome tables by :func:`_jitter_average`.  Count cuts and Skellam
-    windows follow from these (:func:`auto_n_max`, :func:`difference_laws`).
+    the outcome tables by :func:`_jitter_average`.  Count and Skellam windows
+    follow from these (:func:`count_window`, :func:`difference_laws`).
     """
 
     lo_amplitude: float
@@ -65,19 +65,15 @@ class WfReceiverParams:
 
 @dataclass(frozen=True)
 class JointPnrDistribution:
-    """Joint probability table over count pairs (n, m), n, m in [0, n_max]."""
+    """Joint count table on a square count window (lo, hi): probs[i, j] is P(lo + i, lo + j)."""
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         if self.probs.ndim != 2 or self.probs.shape[0] != self.probs.shape[1]:
-            raise ValueError("probs must be a square (n_max+1, n_max+1) table")
+            raise ValueError("probs must be a square (hi-lo+1, hi-lo+1) table")
         if np.any(self.probs < 0.0):
             raise ValueError("table entries must be >= 0")
-
-    @property
-    def n_max(self) -> int:
-        return self.probs.shape[0] - 1
 
 
 def _branch_means(amps, phases, params: WfReceiverParams) -> tuple[np.ndarray, np.ndarray]:
@@ -110,11 +106,9 @@ def _tail_bound(centre: float, variance: float) -> int:
     return int(math.ceil(bound))
 
 
-def auto_n_max(amplitudes, params: WfReceiverParams) -> int:
-    """Truncation from a Poisson tail bound on the brightest branch mean of ``amplitudes``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed mean fails the cut
-        mu_bound = float(np.max(_branch_means(amplitudes, 0.0, params)[0]))
-    return _tail_bound(mu_bound, mu_bound)
+def count_window(mu_min: float, mu_max: float) -> tuple[int, int]:
+    """Counts (lo, hi) within the one count cut of every mean in [mu_min, mu_max], lo >= 0."""
+    return max(0, -_tail_bound(-mu_min, mu_min)), _tail_bound(mu_max, mu_max)
 
 
 @functools.lru_cache(maxsize=128)
@@ -212,13 +206,15 @@ def _stack(tables: list[JointPnrDistribution]) -> np.ndarray:
 def conditional_tables(c: Constellation, params: WfReceiverParams) -> list[JointPnrDistribution]:
     """Joint count tables of the symbols of ``c``, built in one batch.
 
-    Each is the product of the two branch Poisson laws on one shared truncation
-    grid, averaged over Gaussian phase jitter by :func:`_jitter_average`:
+    Each is the product of the two branch Poisson laws on one shared square
+    :func:`count_window`, over the extreme branch means of any phase, averaged
+    over Gaussian phase jitter by :func:`_jitter_average`:
     sum_j w_j P_t(delta_j) P_r(delta_j)^T.
     """
     amps, phases = np.array(c.amplitudes), np.array(c.phases)[:, None]
-    # first: an overflowing mean fails here
-    n_max = auto_n_max(amps, params)
+    with np.errstate(over="ignore", invalid="ignore"):  # first: an overflowed mean fails the cut
+        mu_t, mu_r = _branch_means(amps, 0.0, params)  # the extremes any phase reaches
+        lo, hi = count_window(float(np.min(mu_r)), float(np.max(mu_t)))
     if np.any(params.lo_amplitude**2 < 3.0 * params.transmissivity * amps**2):
         warnings.warn(
             "reference beam weaker than 3x the signal energy; difference "
@@ -228,13 +224,13 @@ def conditional_tables(c: Constellation, params: WfReceiverParams) -> list[Joint
 
     def contract(deltas, weights):
         mus = np.stack(_branch_means(amps[:, None], phases + deltas, params))
-        p_t, p_r = poisson_pmf(mus, n_max)  # (symbol, node, n), both branches in one call
+        p_t, p_r = poisson_pmf(mus, hi, lo)  # (symbol, node, n), both branches in one call
         return (weights.T[:, None, :, None] * p_t).swapaxes(-1, -2) @ p_r
 
     tables = _jitter_average(params.phase_jitter_rms, contract)
     lost = max(0.0, 1.0 - float(np.min(tables.sum(axis=(1, 2)))))
     if lost > TRUNCATION_LIMIT:
-        raise TruncationError(f"{lost:.3e} of probability truncated at n_max={n_max}")
+        raise TruncationError(f"{lost:.3e} of probability truncated to counts [{lo}, {hi}]")
     return [JointPnrDistribution(table) for table in tables]
 
 
@@ -265,8 +261,8 @@ def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> np.nd
 
     Returns P(d) for d = -d_max..d_max, a (2 d_max + 1,) array:
     P(d) = sum_m P_{m+d}(mu_t) P_m(mu_r), each branch's Poisson row taken over
-    the one count cut's window about its mean; differences outside that
-    support get 0.  ``d_max`` of None picks a span from the Skellam moments; a
+    the :func:`count_window` of its mean; differences outside that support
+    get 0.  ``d_max`` of None picks a span from the Skellam moments; a
     span that captures less than 1 - 1e-9 of the mass raises
     :class:`TruncationError`.
     """
@@ -276,9 +272,7 @@ def difference_dist(mu_t: float, mu_r: float, d_max: int | None = None) -> np.nd
         d_max = default_d_max(mu_t, mu_r)
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    # each row spans the one count cut about its mean, above and mirrored below
-    lo_t, lo_r = (max(0, -_tail_bound(-mu, mu)) for mu in (mu_t, mu_r))
-    hi_t, hi_r = _tail_bound(mu_t, mu_t), _tail_bound(mu_r, mu_r)
+    (lo_t, hi_t), (lo_r, hi_r) = count_window(mu_t, mu_t), count_window(mu_r, mu_r)
     # correlate gives P(d) = sum_m p_t[m + d] p_r[m] for d in [lo_t - hi_r, hi_t - lo_r].
     lags = np.correlate(poisson_pmf(mu_t, hi_t, lo_t), poisson_pmf(mu_r, hi_r, lo_r), mode="full")
     d = np.arange(lo_t - hi_r, hi_t - lo_r + 1)

@@ -1,7 +1,7 @@
 """Test-only oracles: dense Fock-space entropy, brute-force convolutions, the
-phase-jitter average on the real line, out-of-place references for the lock
-study's in-place noise synthesis and linear loop response, and a whole-buffer
-reference for the leaf-by-leaf Allan deviation."""
+count tables' window, the phase-jitter average on the real line, out-of-place
+references for the lock study's in-place noise synthesis and linear loop
+response, and a whole-buffer reference for the leaf-by-leaf Allan deviation."""
 
 import math
 
@@ -9,6 +9,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from wfhsim.lock_sim import _BLOCK
+from wfhsim.wf_receiver import _branch_means, count_window
+
+
+def table_window(c, params) -> tuple[int, int]:
+    """The count window of ``c``'s tables: every branch mean any phase reaches."""
+    mu_t, mu_r = _branch_means(np.array(c.amplitudes), 0.0, params)
+    return count_window(mu_r.min(), mu_t.max())
 
 
 def fock_vn_entropy(amplitudes, weights, n_cut: int = 40) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import jitter_oracle
+from helpers import jitter_oracle, table_window
 from wfhsim.constellation import Constellation, CoherentSymbol, build_psk
 from wfhsim import homodyne, wf_receiver
 from wfhsim.homodyne import (
@@ -17,7 +17,7 @@ from wfhsim.homodyne import (
     hd_mutual_information,
 )
 from wfhsim.info_metrics import _mi_from_tables, wf_mutual_information
-from wfhsim.wf_receiver import WfReceiverParams, _branch_means, conditional_tables, poisson_pmf
+from wfhsim.wf_receiver import WfReceiverParams, _branch_means, poisson_pmf
 
 from conftest import LO_AMPLITUDE
 
@@ -130,13 +130,13 @@ def oracle_hd_mi(c: Constellation, params: WfReceiverParams) -> float:
 
 def oracle_wf_mi(c: Constellation, params: WfReceiverParams) -> float:
     """Count-table MI with each table averaged by :func:`helpers.jitter_oracle`."""
-    n_max = conditional_tables(c, params)[0].n_max
+    lo, hi = table_window(c, params)
     sigma = params.phase_jitter_rms
     tables = []
     for s in c.symbols:
         def outer(deltas):
             mu_t, mu_r = _branch_means(s.amplitude, s.phase + deltas, params)
-            return poisson_pmf(mu_t, n_max)[:, :, None] * poisson_pmf(mu_r, n_max)[:, None, :]
+            return poisson_pmf(mu_t, hi, lo)[:, :, None] * poisson_pmf(mu_r, hi, lo)[:, None, :]
 
         fine, coarse = jitter_oracle(outer, sigma, min(sigma, 1.0) / 16)
         assert np.max(np.abs(fine - coarse)) <= 1e-14

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestWfMutualInformation:
         )
 
     def test_truncation_mass_is_the_mixture_loss(self, qpsk, monkeypatch):
-        monkeypatch.setattr(wf_receiver, "auto_n_max", lambda amplitudes, params: 40)
+        monkeypatch.setattr(wf_receiver, "count_window", lambda mu_min, mu_max: (0, 40))
         params = WfReceiverParams(**CANONICAL)
         mixture = _prior_mixture(np.array(qpsk.priors), _stack(conditional_tables(qpsk, params)))
         lost = 1.0 - mixture.sum()
@@ -99,6 +100,50 @@ class TestWfMutualInformation:
                 qpsk, WfReceiverParams(transmissivity=t0 + delta, **CANONICAL)
             )
             assert abs(near.mi_bits - base.mi_bits) < 10.0 * delta + 1e-9
+
+
+class TestStrongReferenceLimit:
+    """The count receiver tends to its strong-reference limit, the homodyne, from above.
+
+    QPSK at alpha = 2.04, visibility 1: the gap WF - HD falls as 1/z^2, so
+    (WF - HD) z^2 rises towards a constant.  At z^2 = 200, 800 and 3200 it
+    reads 0.5007, 0.5204, 0.5253 without loss or jitter; 0.3195, 0.3314,
+    0.3344 at 0.25 rad of jitter; 0.0566, 0.0595, 0.0603 at T = 0.5.  WF >= HD
+    holds only in the limit: at z^2 = 12.5 and T = 0.5 the gap is -1.3e-4 bits.
+    """
+
+    @pytest.mark.parametrize(
+        "receiver, band",
+        [
+            (dict(), (0.49, 0.53)),
+            (dict(phase_jitter_rms=0.25), (0.31, 0.34)),
+            (dict(transmissivity=0.5), (0.055, 0.062)),
+        ],
+        ids=["ideal", "jitter-0.25", "loss-3dB"],
+    )
+    def test_gap_times_reference_mean_rises_inside_band(self, receiver, band):
+        from wfhsim.homodyne import hd_mutual_information
+
+        c = build_psk(4, 2.04)
+        scaled = []
+        for z2 in (200.0, 800.0, 3200.0):
+            params = WfReceiverParams(math.sqrt(z2), **receiver)
+            gap = wf_mutual_information(c, params).mi_bits - hd_mutual_information(c, params)
+            assert gap > 0.0
+            scaled.append(gap * z2)
+        assert band[0] < scaled[0] < scaled[1] < scaled[2] < band[1]
+
+    def test_table_memory_grows_at_most_linearly_in_reference_mean(self):
+        """Windowed tables hold O(z^2) cells: a 4x brighter reference costs at most 4.5x."""
+        c, peaks = build_psk(4, 2.04), []
+        for z2 in (800.0, 3200.0):
+            tracemalloc.start()
+            try:
+                wf_mutual_information(c, WfReceiverParams(math.sqrt(z2)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] / peaks[0] <= 4.5
 
 
 class TestPluginEstimate:

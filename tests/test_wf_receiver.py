@@ -7,8 +7,8 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import skellam
 
-from helpers import brute_force_difference, jitter_oracle
-from wfhsim import info_metrics, wf_receiver
+from helpers import brute_force_difference, jitter_oracle, table_window
+from wfhsim import info_metrics, security, wf_receiver
 from wfhsim.config import load_config
 from wfhsim.constellation import CoherentSymbol, Constellation, build_psk, wrap_phase
 from wfhsim.info_metrics import _entropy_bits
@@ -19,8 +19,8 @@ from wfhsim.wf_receiver import (
     _circle_nodes,
     _jitter_average,
     _log_factorials,
-    auto_n_max,
     conditional_tables,
+    count_window,
     default_d_max,
     difference_dist,
     difference_laws,
@@ -111,8 +111,8 @@ class TestJointTables:
         assert dist.probs[0, 0] == pytest.approx(1.0)
         assert dist.probs.sum() == pytest.approx(1.0)
 
-    def test_table_is_square_and_sets_n_max(self):
-        assert wf_receiver.JointPnrDistribution(np.full((3, 3), 0.1)).n_max == 2
+    def test_table_must_be_square(self):
+        wf_receiver.JointPnrDistribution(np.full((3, 3), 0.1))
         for shape in [(3, 4), (9,), (2, 2, 2)]:
             with pytest.raises(ValueError, match="square"):
                 wf_receiver.JointPnrDistribution(np.zeros(shape))
@@ -177,9 +177,9 @@ class TestJointTables:
             assert h_mixed > h_cond
 
     def test_truncation_error_reports_n_max(self, monkeypatch):
-        monkeypatch.setattr(wf_receiver, "auto_n_max", lambda amplitudes, params: 8)
+        monkeypatch.setattr(wf_receiver, "count_window", lambda mu_min, mu_max: (0, 8))
         symbol = CoherentSymbol(2.04, 0.0, 1.0)
-        with pytest.raises(TruncationError, match="n_max=8"):
+        with pytest.raises(TruncationError, match=r"counts \[0, 8\]"):
             joint_pnr_conditional(symbol, WfReceiverParams(lo_amplitude=3.53))
 
     def test_jitter_limit_matches_unjittered(self):
@@ -205,10 +205,11 @@ class TestJointTables:
         params = WfReceiverParams(phase_jitter_rms=sigma, **CANONICAL)
         c = build_psk(m, 2.04)
         tables = conditional_tables(c, params)
+        lo, hi = table_window(c, params)
         for symbol, table in zip(c.symbols, tables):
             def outer(deltas):
                 mu_t, mu_r = _branch_means(symbol.amplitude, symbol.phase + deltas, params)
-                pmf_t, pmf_r = poisson_pmf(mu_t, table.n_max), poisson_pmf(mu_r, table.n_max)
+                pmf_t, pmf_r = poisson_pmf(mu_t, hi, lo), poisson_pmf(mu_r, hi, lo)
                 return pmf_t[:, :, None] * pmf_r[:, None, :]
 
             ref, coarse = jitter_oracle(outer, sigma, min(sigma, 1.0) / 16)
@@ -217,10 +218,12 @@ class TestJointTables:
 
     def test_zero_jitter_is_plain_outer_product(self):
         params = WfReceiverParams(**CANONICAL)
-        for symbol in build_psk(4, 2.04).symbols:
+        c = build_psk(4, 2.04)
+        lo, hi = table_window(c, params)
+        for symbol in c.symbols:
             table = joint_pnr_conditional(symbol, params)
             mu_t, mu_r = _branch_means(symbol.amplitude, symbol.phase, params)
-            ref = np.outer(poisson_pmf(mu_t, table.n_max), poisson_pmf(mu_r, table.n_max))
+            ref = np.outer(poisson_pmf(mu_t, hi, lo), poisson_pmf(mu_r, hi, lo))
             assert np.array_equal(table.probs, ref)
 
     def test_poisson_rows_match_scalar_pmf(self):
@@ -243,25 +246,28 @@ class TestJointTables:
         )
         c = build_psk(4, 2.04)
         tables = conditional_tables(c, params)
-        n_max = max(auto_n_max(s.amplitude, params) for s in c.symbols)
-        assert [t.n_max for t in tables] == [n_max] * 4
+        lo, hi = table_window(c, params)
+        assert [t.probs.shape for t in tables] == [(hi - lo + 1,) * 2] * 4
         for s, table in zip(c.symbols, tables):
             alone = joint_pnr_conditional(s, params)
             assert np.array_equal(table.probs, alone.probs)
 
     def test_auto_truncation_scale(self):
         # the tail rule keeps tables compact at the canonical parameters
-        params = WfReceiverParams(**CANONICAL)
-        assert auto_n_max(2.04, params) < 100
+        lo, hi = table_window(build_psk(4, 2.04), WfReceiverParams(**CANONICAL))
+        assert lo == 0 and hi < 100
 
     def test_auto_truncation_covers_brightest_symbol(self):
-        """One cut over unequal amplitudes is the largest of the per-amplitude cuts."""
-        params = WfReceiverParams(**CANONICAL)
+        """One window over unequal amplitudes spans each amplitude's own window."""
+        params = WfReceiverParams(lo_amplitude=math.sqrt(800.0))
         c = unequal(0.5, 2.04, 3.0)
-        cuts = [auto_n_max(a, params) for a in c.amplitudes]
-        assert len(set(cuts)) == 3
-        assert auto_n_max(np.array(c.amplitudes), params) == max(cuts)
-        assert [t.n_max for t in conditional_tables(c, params)] == [max(cuts)] * 3
+        cuts = [table_window(unequal(a), params) for a in c.amplitudes]
+        assert len(set(cuts)) == 3 and min(lo for lo, _ in cuts) > 0
+        lo, hi = min(lo for lo, _ in cuts), max(hi for _, hi in cuts)
+        for s, table in zip(c.symbols, conditional_tables(c, params)):
+            mu_t, mu_r = _branch_means(s.amplitude, s.phase, params)
+            ref = np.outer(poisson_pmf(mu_t, hi, lo), poisson_pmf(mu_r, hi, lo))
+            assert np.array_equal(table.probs, ref)
 
     def test_overflowing_symbol_raises_truncation_error(self):
         with pytest.raises(TruncationError, match="not finite"):
@@ -444,6 +450,67 @@ class TestDifferenceLaws:
         assert laws.shape == (m, 2 * d_max + 1)
         for law, table in zip(laws, conditional_tables(c, params)):
             ref = brute_force_difference(table.probs, d_max)
+            assert np.max(np.abs(law - ref)) <= 1e-15
+
+
+def dense_tables(c: Constellation, params: WfReceiverParams):
+    """Each symbol's count table on counts 0..hi, one symbol at a time: the window's reference."""
+    hi = table_window(c, params)[1]
+    for s in c.symbols:
+        def contract(deltas, weights):
+            mu_t, mu_r = _branch_means(s.amplitude, s.phase + deltas, params)
+            p_t = weights.T[:, :, None] * poisson_pmf(mu_t, hi)
+            return p_t.swapaxes(-1, -2) @ poisson_pmf(mu_r, hi)
+
+        yield _jitter_average(params.phase_jitter_rms, contract)
+
+
+class TestCountWindow:
+    """Tables cut to the counts about their means lose no more than counts from 0 do."""
+
+    def test_window_rule(self):
+        # 12 sd + 20 below the smallest mean, clipped at 0, and above the largest
+        assert count_window(4.0, 9.0) == (0, 65)
+        assert count_window(400.0, 900.0) == (140, 1280)
+        assert count_window(400.0, 400.0) == (140, 660)
+
+    @pytest.mark.parametrize("z2", [800.0, 2000.0])
+    @pytest.mark.parametrize("sigma", [0.0, 0.25])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_mi_matches_counts_from_zero(self, m, sigma, z2):
+        params = WfReceiverParams(math.sqrt(z2), phase_jitter_rms=sigma)
+        c = build_psk(m, 2.04)
+        assert table_window(c, params)[0] > 0
+        mixture, h_cond = 0.0, 0.0
+        for prior, table in zip(c.priors, dense_tables(c, params)):
+            mixture = mixture + prior * table
+            h_cond += prior * float(_entropy_bits(table.ravel()))
+        ref = float(_entropy_bits(mixture.ravel())) - h_cond
+        assert abs(info_metrics.wf_mutual_information(c, params).mi_bits - ref) <= 1e-12
+
+    def test_key_rate_matches_counts_from_zero(self):
+        params = WfReceiverParams(math.sqrt(800.0), transmissivity=0.5)
+        c = build_psk(4, 2.04)
+        assert table_window(c, params)[0] > 0
+        dense = np.stack([table.ravel() for table in dense_tables(c, params)])
+        eve = security.eve_ensemble(c, params.transmissivity)
+        scan = security._conditional_entropy_scan(
+            dense, np.array(c.priors), security.overlap_matrix(eve)
+        )
+        holevo = security.vn_entropy(eve) - scan[0]
+        ref = info_metrics._mi_from_tables(c, dense).mi_bits - holevo
+        assert abs(security.kgr(c, params).kgr_bits - ref) <= 1e-12
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25])
+    def test_laws_are_the_windowed_tables_diagonal_sums(self, sigma):
+        """Criterion 6 on tables that start above count 0: d = n - m = i - j."""
+        params = WfReceiverParams(math.sqrt(800.0), phase_jitter_rms=sigma)
+        c = build_psk(4, 2.04)
+        assert table_window(c, params)[0] > 0
+        laws = difference_laws(c, params)
+        d_max = laws.shape[-1] // 2
+        for law, table in zip(laws, conditional_tables(c, params)):
+            ref = [np.trace(table.probs, offset=-d) for d in range(-d_max, d_max + 1)]
             assert np.max(np.abs(law - ref)) <= 1e-15
 
 
